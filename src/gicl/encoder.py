@@ -30,7 +30,6 @@ class EncoderConfig:
     n_layers: int = 3
     hidden_dim: int = 256
     dropout: float = 0.5
-    epochs: int = 200
 
     def __post_init__(self) -> None:
         if self.n_layers < 1:
@@ -104,7 +103,7 @@ def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> ParamSet:
 
 
 def neighbor_aggregator(graph: TagGraph) -> RowAggregator:
-    return RowAggregator.from_csr(graph.csr_offsets, graph.csr_targets)
+    return RowAggregator(graph.csr_offsets, graph.csr_targets, graph.n_nodes)
 
 
 def encode_on_tape(
@@ -125,7 +124,7 @@ def encode_on_tape(
     for i in range(config.n_layers):
         neigh = nncore.mean_rows(tape, h, aggregator)
         own = nncore.linear(tape, h, params[f"layer{i}.w_self"], params[f"layer{i}.b"])
-        agg = nncore.matmul(tape, neigh, params[f"layer{i}.w_neigh"])
+        agg = nncore.linear(tape, neigh, params[f"layer{i}.w_neigh"])
         h = nncore.add(tape, own, agg)
         if i < config.n_layers - 1:
             h = nncore.relu(tape, h)

@@ -2,15 +2,21 @@
 
 Exactly the operator set the graph encoder and its losses need, nothing
 more: affine maps, ReLU, grouped row means, row normalization, dropout,
-row gather, row-wise dots, softmax cross-entropy, and a segmented listwise
-softmax loss. Every op appends its output node to a Tape; backward() walks
-the tape in reverse creation order, which is a valid topological order by
-construction.
+row gather, row-wise and Gram-block pair dots, softmax cross-entropy, and
+a segmented listwise softmax loss. Every op appends its output node to a
+Tape; backward() walks the tape in reverse creation order, which is a
+valid topological order by construction.
 
-Values are stored in the dtype of their inputs (float32 by default,
-float64 for gradient checking); reductions always accumulate in float64
-before casting back. Any op producing a non-finite value raises
-immediately.
+Values keep the dtype of their inputs (float32 by default, float64 for
+gradient checking). Matmuls, group means and elementwise work run in that
+dtype; row norms, row-wise dots, bias sums and both losses accumulate in
+float64. Any op producing a non-finite value raises immediately.
+
+An op output requires a gradient only when an input does, so constants
+(the node features and what is computed from them alone) get no gradient
+and cost no backward work. Backward rules never refer to their own output
+node, so a tape holds no reference cycle and reference counting frees it
+as soon as the caller drops it.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ class Tensor2:
         self.grad: Array | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor2, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Array], None] | None = None
         self.name = name
 
     @property
@@ -77,11 +83,18 @@ class Tape:
     def __init__(self) -> None:
         self.nodes: list[Tensor2] = []
 
-    def record(self, out: Tensor2, parents: tuple[Tensor2, ...], backward: Callable[[], None]) -> Tensor2:
-        if not np.all(np.isfinite(out.data)):
+    def record(self, out: Tensor2, parents: tuple[Tensor2, ...], backward: Callable[[Array], None]) -> Tensor2:
+        """Append an op output; backward(g) receives d(loss)/d(out) and must
+        not refer to out itself, or the tape becomes a reference cycle."""
+        flat = out.data.reshape(-1)
+        # a self dot is inf or nan whenever an entry is; only then (or on
+        # overflow of finite entries) is the entry-wise test needed
+        if not np.isfinite(np.dot(flat, flat)) and not np.all(np.isfinite(flat)):
             raise FloatingPointError("op produced a non-finite value")
-        out._parents = parents
-        out._backward = backward
+        out.requires_grad = any(p.requires_grad for p in parents)
+        if out.requires_grad:
+            out._parents = parents
+            out._backward = backward
         self.nodes.append(out)
         return out
 
@@ -89,57 +102,53 @@ class Tape:
 def backward(tape: Tape, loss: Tensor2, params: "ParamSet | None" = None) -> dict[str, Array] | None:
     """Reverse-mode gradient accumulation seeded with d(loss)/d(loss)=1.
 
-    Zeroes stale gradients on every tensor reachable from the tape, then
-    applies each node's backward rule in reverse creation order. When a
-    ParamSet is given, returns {name: gradient} for every entry (zeros for
-    parameters the loss never touched).
+    Clears stale gradients on every tensor the tape can reach, then applies
+    the backward rule of each node that received a gradient, in reverse
+    creation order. Constants keep grad None. When a ParamSet is given,
+    returns {name: gradient} for every entry (zeros for parameters the loss
+    never touched).
     """
     if loss.data.size != 1:
         raise ValueError("loss must be a scalar (1x1) tensor")
-    if loss not in tape.nodes:
-        raise ValueError("loss was not produced on this tape")
+    try:
+        stop = tape.nodes.index(loss) + 1
+    except ValueError:
+        raise ValueError("loss was not produced on this tape") from None
 
-    involved: set[int] = set()
+    if params is not None:
+        for p in params.tensors.values():
+            p.grad = None
     for node in tape.nodes:
-        involved.add(id(node))
-        for parent in node._parents:
-            involved.add(id(parent))
-            parent.grad = None
         node.grad = None
-    for node in tape.nodes:
-        node.grad = np.zeros_like(node.data)
         for parent in node._parents:
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
+            parent.grad = None
 
     loss.grad = np.ones_like(loss.data)
-    seen_loss = False
-    for node in reversed(tape.nodes):
-        if node is loss:
-            seen_loss = True
-        if not seen_loss:
-            continue
-        if node._backward is not None:
-            node._backward()
+    for node in reversed(tape.nodes[:stop]):
+        if node.grad is not None and node._backward is not None:
+            node._backward(node.grad)
 
     if params is None:
         return None
-    out: dict[str, Array] = {}
-    for name, p in params.tensors.items():
-        out[name] = p.grad if (p.grad is not None and id(p) in involved) else np.zeros_like(p.data)
-        if p.grad is None:
-            p.grad = out[name]
-    return out
+    return {
+        name: p.grad if p.grad is not None else np.zeros_like(p.data)
+        for name, p in params.tensors.items()
+    }
 
 
 # ---------------------------------------------------------------------------
-# primitives
+# primitives (a backward rule runs only when its output requires a gradient,
+# so only ops with several inputs check which of them do)
 
 
 def _accum(t: Tensor2, g: Array) -> None:
+    """Add g to t.grad. The first write keeps g itself, so g must be a fresh
+    array or the caller's own output gradient, which nothing reads later."""
+    g = g.astype(t.data.dtype, copy=False)
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g.astype(t.data.dtype, copy=False)
+        t.grad = g
+    else:
+        t.grad += g
 
 
 def linear(tape: Tape, x: Tensor2, w: Tensor2, b: Tensor2 | None = None) -> Tensor2:
@@ -150,115 +159,105 @@ def linear(tape: Tape, x: Tensor2, w: Tensor2, b: Tensor2 | None = None) -> Tens
         raise ValueError(f"linear: bias shape {b.shape} does not match output width {w.cols}")
     y = x.data @ w.data
     if b is not None:
-        y = y + b.data
-    out = Tensor2(y)
+        y += b.data
 
-    def back() -> None:
-        g = out.grad
-        _accum(x, g @ w.data.T)
-        _accum(w, x.data.T @ g)
-        if b is not None:
+    def back(g: Array) -> None:
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+        if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=0, dtype=np.float64).reshape(1, -1))
 
     parents = (x, w) if b is None else (x, w, b)
-    return tape.record(out, parents, back)
-
-
-def matmul(tape: Tape, x: Tensor2, w: Tensor2) -> Tensor2:
-    return linear(tape, x, w)
+    return tape.record(Tensor2(y), parents, back)
 
 
 def add(tape: Tape, a: Tensor2, b: Tensor2) -> Tensor2:
     if a.shape != b.shape:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor2(a.data + b.data)
 
-    def back() -> None:
-        _accum(a, out.grad)
-        _accum(b, out.grad)
+    def back(g: Array) -> None:
+        if a.requires_grad:
+            _accum(a, g.copy())
+        if b.requires_grad:
+            _accum(b, g)
 
-    return tape.record(out, (a, b), back)
+    return tape.record(Tensor2(a.data + b.data), (a, b), back)
 
 
 def relu(tape: Tape, x: Tensor2) -> Tensor2:
-    out = Tensor2(np.maximum(x.data, 0))
+    def back(g: Array) -> None:
+        _accum(x, g * (x.data > 0))
 
-    def back() -> None:
-        _accum(x, out.grad * (x.data > 0))
-
-    return tape.record(out, (x,), back)
+    return tape.record(Tensor2(np.maximum(x.data, 0)), (x,), back)
 
 
 def scale(tape: Tape, x: Tensor2, alpha: float) -> Tensor2:
-    out = Tensor2(x.data * x.data.dtype.type(alpha))
+    a = x.data.dtype.type(alpha)
 
-    def back() -> None:
-        _accum(x, out.grad * x.data.dtype.type(alpha))
+    def back(g: Array) -> None:
+        _accum(x, g * a)
 
-    return tape.record(out, (x,), back)
+    return tape.record(Tensor2(x.data * a), (x,), back)
 
 
 class RowAggregator:
     """Precomputed sparse mean-over-group operator, reusable across calls.
 
-    Row g of the output is the mean of the input rows listed in group g;
-    an empty group contributes an all-zero row.
+    Groups are given in CSR form: row g of the output is the mean of the
+    input rows targets[offsets[g]:offsets[g + 1]]; an empty group
+    contributes an all-zero row. The matrix and its transpose are kept in
+    float32 and float64, so products run in the dtype of their input.
     """
 
-    def __init__(self, groups: Sequence[Sequence[int]], n_in: int):
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for g, members in enumerate(groups):
-            members = list(members)
-            for m in members:
-                if not 0 <= m < n_in:
-                    raise IndexError(f"group {g}: row index {m} out of range for {n_in} rows")
-                rows.append(g)
-                cols.append(m)
-                vals.append(1.0 / len(members))
-        self.n_groups = len(groups)
+    def __init__(self, offsets: Array, targets: Array, n_in: int):
+        targets = np.asarray(targets, dtype=np.int64)
+        if targets.size and (targets.min() < 0 or targets.max() >= n_in):
+            raise IndexError(f"RowAggregator: row index out of range for {n_in} rows")
+        counts = np.diff(offsets)
+        self.n_groups = counts.size
         self.n_in = n_in
-        self.matrix = sp.csr_matrix(
-            (np.array(vals, dtype=np.float64), (rows, cols)), shape=(self.n_groups, n_in)
-        )
-        self.matrix_t = self.matrix.T.tocsr()
+        vals = np.repeat(1.0 / np.maximum(counts, 1), counts)
+        matrix = sp.csr_matrix((vals, targets, offsets), shape=(self.n_groups, n_in))
+        self.by_dtype = {
+            np.dtype(dt): (matrix.astype(dt), matrix.T.tocsr().astype(dt)) for dt in (np.float32, np.float64)
+        }
 
     @classmethod
-    def from_csr(cls, offsets: Array, targets: Array) -> "RowAggregator":
-        n = len(offsets) - 1
-        groups = [targets[offsets[i]:offsets[i + 1]] for i in range(n)]
-        return cls(groups, n_in=n)
+    def from_groups(cls, groups: Sequence[Sequence[int]], n_in: int) -> "RowAggregator":
+        targets = [m for members in groups for m in members]
+        return cls(np.cumsum([0] + [len(members) for members in groups]), targets, n_in)
 
 
 def mean_rows(tape: Tape, x: Tensor2, groups: Sequence[Sequence[int]] | RowAggregator) -> Tensor2:
     """Group-wise row means; empty groups yield zero rows."""
-    agg = groups if isinstance(groups, RowAggregator) else RowAggregator(groups, n_in=x.rows)
+    agg = groups if isinstance(groups, RowAggregator) else RowAggregator.from_groups(groups, x.rows)
     if agg.n_in != x.rows:
         raise ValueError(f"mean_rows: aggregator expects {agg.n_in} rows, got {x.rows}")
-    out = Tensor2((agg.matrix @ x.data.astype(np.float64)).astype(x.data.dtype))
+    matrix, matrix_t = agg.by_dtype[x.data.dtype]
 
-    def back() -> None:
-        _accum(x, (agg.matrix_t @ out.grad.astype(np.float64)).astype(x.data.dtype))
+    def back(g: Array) -> None:
+        _accum(x, matrix_t @ g)
 
-    return tape.record(out, (x,), back)
+    return tape.record(Tensor2(matrix @ x.data), (x,), back)
 
 
 def l2_normalize_rows(tape: Tape, x: Tensor2) -> Tensor2:
-    """Rows rescaled to unit Euclidean norm; zero rows pass through as zero."""
-    sq = np.sum(x.data.astype(np.float64) ** 2, axis=1, keepdims=True)
-    norm = np.sqrt(sq)
-    safe = np.where(norm > 0, norm, 1.0)
-    y = (x.data.astype(np.float64) / safe).astype(x.data.dtype)
-    out = Tensor2(y)
+    """Rows rescaled to unit Euclidean norm; zero rows pass through as zero.
 
-    def back() -> None:
-        g = out.grad.astype(np.float64)
-        yd = y.astype(np.float64)
-        proj = np.sum(g * yd, axis=1, keepdims=True)
-        _accum(x, ((g - yd * proj) / safe).astype(x.data.dtype))
+    Row norms and the backward projections accumulate in float64; the
+    elementwise work stays in the input dtype.
+    """
+    norm = np.sqrt(np.einsum("ij,ij->i", x.data, x.data, dtype=np.float64))
+    inv = (1.0 / np.where(norm > 0, norm, 1.0)).astype(x.data.dtype).reshape(-1, 1)
+    y = x.data * inv
 
-    return tape.record(out, (x,), back)
+    def back(g: Array) -> None:
+        proj = np.einsum("ij,ij->i", g, y, dtype=np.float64).astype(y.dtype).reshape(-1, 1)
+        _accum(x, (g - y * proj) * inv)
+
+    return tape.record(Tensor2(y), (x,), back)
 
 
 def dropout(tape: Tape, x: Tensor2, rate: float, rng: np.random.Generator) -> Tensor2:
@@ -267,29 +266,29 @@ def dropout(tape: Tape, x: Tensor2, rate: float, rng: np.random.Generator) -> Te
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0:
         mask = None
-        out = Tensor2(x.data.copy())
+        y = x.data.copy()
     else:
         mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / x.data.dtype.type(1 - rate)
-        out = Tensor2(x.data * mask)
+        y = x.data * mask
 
-    def back() -> None:
-        _accum(x, out.grad if mask is None else out.grad * mask)
+    def back(g: Array) -> None:
+        _accum(x, g if mask is None else g * mask)
 
-    return tape.record(out, (x,), back)
+    return tape.record(Tensor2(y), (x,), back)
 
 
 def gather_rows(tape: Tape, x: Tensor2, ids: Sequence[int]) -> Tensor2:
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
         raise IndexError("gather_rows: row index out of range")
-    out = Tensor2(x.data[idx])
 
-    def back() -> None:
-        g = np.zeros_like(x.data)
-        np.add.at(g, idx, out.grad)
-        _accum(x, g)
+    def back(g: Array) -> None:
+        # one sparse product sums repeated rows, in order of occurrence
+        ones = np.ones(idx.size, dtype=g.dtype)
+        scatter = sp.csr_matrix((ones, (idx, np.arange(idx.size))), shape=(x.rows, idx.size))
+        _accum(x, scatter @ g)
 
-    return tape.record(out, (x,), back)
+    return tape.record(Tensor2(x.data[idx]), (x,), back)
 
 
 def rowwise_dot(tape: Tape, a: Tensor2, b: Tensor2) -> Tensor2:
@@ -297,13 +296,47 @@ def rowwise_dot(tape: Tape, a: Tensor2, b: Tensor2) -> Tensor2:
     if a.shape != b.shape:
         raise ValueError(f"rowwise_dot: shape mismatch {a.shape} vs {b.shape}")
     d = np.sum(a.data.astype(np.float64) * b.data.astype(np.float64), axis=1, keepdims=True)
-    out = Tensor2(d.astype(a.data.dtype))
 
-    def back() -> None:
-        _accum(a, out.grad * b.data)
-        _accum(b, out.grad * a.data)
+    def back(g: Array) -> None:
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
 
-    return tape.record(out, (a, b), back)
+    return tape.record(Tensor2(d.astype(a.data.dtype)), (a, b), back)
+
+
+def gram_pairs(tape: Tape, x: Tensor2, left: Sequence[int], right: Sequence[int], alpha: float = 1.0) -> Tensor2:
+    """alpha * <x[left[j]], x[right[j]]> for every pair j, as a column vector.
+
+    Equal to gather_rows on both sides, rowwise_dot and scale, without
+    materializing a row per pair: one Gram block between the distinct left
+    rows and the distinct right rows is computed and then indexed at the
+    pairs. Its backward pass is two matmuls into those rows.
+    """
+    li = np.asarray(left, dtype=np.int64)
+    ri = np.asarray(right, dtype=np.int64)
+    if li.shape != ri.shape or li.ndim != 1:
+        raise ValueError(f"gram_pairs: {li.shape} left ids but {ri.shape} right ids")
+    for idx in (li, ri):
+        if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
+            raise IndexError("gram_pairs: row index out of range")
+    dt = x.data.dtype
+    l_rows, l_pos = np.unique(li, return_inverse=True)
+    r_rows, r_pos = np.unique(ri, return_inverse=True)
+    xl, xr = x.data[l_rows], x.data[r_rows]
+    gram = (xl @ xr.T) * dt.type(alpha)
+    flat = l_pos * r_rows.size + r_pos
+
+    def back(g: Array) -> None:
+        dgram = np.bincount(flat, weights=g.reshape(-1), minlength=gram.size)
+        dgram = (dgram * alpha).astype(dt).reshape(gram.shape)
+        grad = np.zeros_like(x.data)
+        grad[l_rows] = dgram @ xr
+        grad[r_rows] += dgram.T @ xl
+        _accum(x, grad)
+
+    return tape.record(Tensor2(gram.reshape(-1)[flat].reshape(-1, 1)), (x,), back)
 
 
 def softmax_xent(tape: Tape, logits: Tensor2, targets: Sequence[int]) -> Tensor2:
@@ -320,16 +353,14 @@ def softmax_xent(tape: Tape, logits: Tensor2, targets: Sequence[int]) -> Tensor2
     logp = z - np.log(denom)
     n = logits.rows
     loss = -logp[np.arange(n), t].sum() / n
-    out = Tensor2(np.array([[loss]], dtype=logits.data.dtype))
     probs = ez / denom
 
-    def back() -> None:
-        g = float(out.grad[0, 0])
+    def back(g: Array) -> None:
         delta = probs.copy()
         delta[np.arange(n), t] -= 1.0
-        _accum(logits, (g / n) * delta.astype(np.float64))
+        _accum(logits, (float(g[0, 0]) / n) * delta)
 
-    return tape.record(out, (logits,), back)
+    return tape.record(Tensor2(np.array([[loss]], dtype=logits.data.dtype)), (logits,), back)
 
 
 def listwise_xent(
@@ -350,40 +381,40 @@ def listwise_xent(
     if w.shape[0] != scores.rows:
         raise ValueError(f"listwise_xent: {scores.rows} scores but {w.shape[0]} weights")
 
-    s = scores.data.astype(np.float64).reshape(-1)
-    grad_s = np.zeros_like(s)
-    total = 0.0
-    total_w = 0.0
-    for start, stop in segments:
-        seg = s[start:stop]
-        m = seg.max()
-        e = np.exp(seg - m)
-        lse = m + np.log(e.sum())
-        p = e / e.sum()
-        wseg = w[start:stop]
-        total += float(np.dot(wseg, lse - seg))
-        total_w += float(wseg.sum())
-        grad_s[start:stop] = wseg.sum() * p - wseg
+    bounds = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
+    sizes = bounds[:, 1] - bounds[:, 0]
+    if sizes.size == 0 or sizes.min() < 1:
+        raise ValueError("listwise_xent: needs at least one segment, each non-empty")
+    firsts = np.cumsum(sizes) - sizes  # segment starts once the segments are concatenated
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    pos = np.arange(seg.size) + np.repeat(bounds[:, 0] - firsts, sizes)
+    s = scores.data.astype(np.float64).reshape(-1)[pos]
+    wv = w[pos]
+    m = np.maximum.reduceat(s, firsts)
+    e = np.exp(s - m[seg])
+    esum = np.add.reduceat(e, firsts)
+    wsum = np.add.reduceat(wv, firsts)
+    total_w = float(wsum.sum())
     if total_w <= 0:
         raise ValueError("listwise_xent: total positive weight must be > 0")
-    loss = total / total_w
-    out = Tensor2(np.array([[loss]], dtype=scores.data.dtype))
+    loss = float(np.dot(wv, m[seg] + np.log(esum)[seg] - s)) / total_w
+    grad_s = np.zeros(scores.rows)
+    grad_s[pos] = wsum[seg] * (e / esum[seg]) - wv
 
-    def back() -> None:
-        g = float(out.grad[0, 0])
-        _accum(scores, (g / total_w) * grad_s.reshape(-1, 1))
+    def back(g: Array) -> None:
+        _accum(scores, (float(g[0, 0]) / total_w) * grad_s.reshape(-1, 1))
 
-    return tape.record(out, (scores,), back)
+    return tape.record(Tensor2(np.array([[loss]], dtype=scores.data.dtype)), (scores,), back)
 
 
 def sum_all(tape: Tape, x: Tensor2) -> Tensor2:
     """Sum of every entry, as a 1x1 tensor (float64 accumulation)."""
-    out = Tensor2(np.array([[x.data.sum(dtype=np.float64)]], dtype=x.data.dtype))
 
-    def back() -> None:
-        _accum(x, np.full_like(x.data, out.grad[0, 0]))
+    def back(g: Array) -> None:
+        _accum(x, np.full_like(x.data, g[0, 0]))
 
-    return tape.record(out, (x,), back)
+    out = np.array([[x.data.sum(dtype=np.float64)]], dtype=x.data.dtype)
+    return tape.record(Tensor2(out), (x,), back)
 
 
 def combine_scalars(tape: Tape, a: Tensor2, b: Tensor2, wa: float, wb: float) -> Tensor2:
@@ -391,13 +422,14 @@ def combine_scalars(tape: Tape, a: Tensor2, b: Tensor2, wa: float, wb: float) ->
     if a.data.size != 1 or b.data.size != 1:
         raise ValueError("combine_scalars expects 1x1 tensors")
     dt = a.data.dtype
-    out = Tensor2(dt.type(wa) * a.data + dt.type(wb) * b.data)
 
-    def back() -> None:
-        _accum(a, out.grad * dt.type(wa))
-        _accum(b, out.grad * dt.type(wb))
+    def back(g: Array) -> None:
+        if a.requires_grad:
+            _accum(a, g * dt.type(wa))
+        if b.requires_grad:
+            _accum(b, g * dt.type(wb))
 
-    return tape.record(out, (a, b), back)
+    return tape.record(Tensor2(dt.type(wa) * a.data + dt.type(wb) * b.data), (a, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +463,6 @@ class ParamSet:
 
     def names(self) -> list[str]:
         return list(self.tensors)
-
-    def copy(self) -> "ParamSet":
-        dup = ParamSet(dtype=self.dtype)
-        for name, t in self.tensors.items():
-            dup.add(name, t.data.copy())
-            dup.m[name] = self.m[name].copy()
-            dup.v[name] = self.v[name].copy()
-        dup.step = self.step
-        return dup
 
     def save(self, path) -> None:
         """JSON header line followed by raw little-endian float32 payloads."""

@@ -70,16 +70,6 @@ class ScorerSpec:
 
 
 @dataclass(frozen=True)
-class FeedbackRecord:
-    query_id: int
-    example_id: int
-    ppl_by_class: tuple[float, ...]
-    utility: float
-    scorer_id: str
-    template_hash: str
-
-
-@dataclass(frozen=True)
 class RankedSet:
     """One query's candidates ordered by descending utility (ties by id)."""
 
@@ -93,9 +83,6 @@ class RankedSet:
 
     def __len__(self) -> int:
         return len(self.example_ids)
-
-    def top(self, m: int) -> tuple[int, ...]:
-        return self.example_ids[:m]
 
 
 def ppl(logprobs: Sequence[float]) -> float:
@@ -387,7 +374,6 @@ def token_logprobs(
 
 class RankOutcome(NamedTuple):
     ranked: RankedSet
-    records: list[FeedbackRecord]
     failed: tuple[int, ...]  # example ids that could not be fully scored
 
 
@@ -461,28 +447,18 @@ def rank_candidates(
             ppls[(e, c)] = value
             cache.put(sid, th, query_id, e, c, value)
 
-    records: list[FeedbackRecord] = []
+    scored: list[tuple[float, int]] = []  # (-utility, example id): best first, ties by id
     failed: list[int] = []
     for e in ids:
         vector = [ppls.get((e, c)) for c in range(n_classes)]
         if any(v is None for v in vector):
             failed.append(e)
-            continue
-        records.append(
-            FeedbackRecord(
-                query_id=query_id,
-                example_id=e,
-                ppl_by_class=tuple(vector),
-                utility=utility(vector, gold),
-                scorer_id=sid,
-                template_hash=th,
-            )
-        )
-
-    records_sorted = sorted(records, key=lambda r: (-r.utility, r.example_id))
+        else:
+            scored.append((-utility(vector, gold), e))
+    scored.sort()
     ranked = RankedSet(
         query_id=query_id,
-        example_ids=tuple(r.example_id for r in records_sorted),
-        utilities=tuple(r.utility for r in records_sorted),
+        example_ids=tuple(e for _, e in scored),
+        utilities=tuple(-u for u, _ in scored),
     )
-    return RankOutcome(ranked=ranked, records=records_sorted, failed=tuple(failed))
+    return RankOutcome(ranked=ranked, failed=tuple(failed))

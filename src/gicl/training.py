@@ -73,7 +73,6 @@ class TrainConfig:
             n_layers=self.n_layers,
             hidden_dim=self.hidden_dim,
             dropout=self.dropout,
-            epochs=self.epochs,
         )
 
     def to_dict(self) -> dict:
@@ -151,24 +150,14 @@ def feedback_loss(
     if not queries:
         raise ValueError("feedback_loss: no query has a scored candidate")
 
-    q_flat: list[int] = []
-    c_flat: list[int] = []
-    weights: list[float] = []
-    segments: list[tuple[int, int]] = []
-    for q in queries:
-        ranked = by_query[q]
-        start = len(c_flat)
-        q_flat.extend([q] * len(ranked))
-        c_flat.extend(ranked.example_ids)
-        weights.extend(positive_weights(ranked, config.feedback_mode, config.top_m))
-        segments.append((start, len(c_flat)))
+    ranked = [by_query[q] for q in queries]
+    sizes = np.array([len(r) for r in ranked])
+    stops = np.cumsum(sizes)
+    c_flat = np.concatenate([r.example_ids for r in ranked])
+    weights = np.concatenate([positive_weights(r, config.feedback_mode, config.top_m) for r in ranked])
 
-    q_rows = nncore.gather_rows(tape, embeddings, q_flat)
-    c_rows = nncore.gather_rows(tape, embeddings, c_flat)
-    sims = nncore.rowwise_dot(tape, q_rows, c_rows)
-    if config.tau != 1.0:
-        sims = nncore.scale(tape, sims, 1.0 / config.tau)
-    return nncore.listwise_xent(tape, sims, segments, np.asarray(weights))
+    sims = nncore.gram_pairs(tape, embeddings, np.repeat(queries, sizes), c_flat, 1.0 / config.tau)
+    return nncore.listwise_xent(tape, sims, np.stack([stops - sizes, stops], axis=1), weights)
 
 
 def clf_loss(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import finite_difference_grads, gradcheck_errors
 from gicl import nncore
@@ -250,6 +251,9 @@ def _loss_builders():
             t, nncore.dropout(t, p["x"], 0.5, np.random.default_rng(99))
         ),
         "sum_all": lambda t, p: nncore.sum_all(t, p["x"]),
+        "gram_pairs": lambda t, p: quadratic_readout(
+            t, nncore.gram_pairs(t, p["x"], [0, 2, 2, 4, 1], [1, 2, 3, 0, 1], 0.7)
+        ),
     }
 
 
@@ -271,6 +275,57 @@ def test_gradcheck_each_primitive(which):
     tape = Tape()
     analytic = backward(tape, build(tape, params), params)
     assert gradcheck_errors(analytic, numeric) <= 1e-4
+
+
+class TestGramPairs:
+    @staticmethod
+    def both_paths(x, left, right, tau, weights):
+        """(value, x.grad) of sum_j weights[j] * pair_j, through gram_pairs
+        and through gather_rows -> rowwise_dot -> scale."""
+
+        def gram(tape, leaf):
+            return nncore.gram_pairs(tape, leaf, left, right, 1.0 / tau)
+
+        def gathered(tape, leaf):
+            dots = nncore.rowwise_dot(
+                tape, nncore.gather_rows(tape, leaf, left), nncore.gather_rows(tape, leaf, right)
+            )
+            return nncore.scale(tape, dots, 1.0 / tau)
+
+        results = []
+        for pairs in (gram, gathered):
+            tape = Tape()
+            x_leaf = leaf(x)
+            out = pairs(tape, x_leaf)
+            weighted = nncore.rowwise_dot(tape, out, Tensor2(weights.reshape(-1, 1)))
+            backward(tape, nncore.sum_all(tape, weighted))
+            results.append((out.data, x_leaf.grad))
+        return results
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=9),
+        d=st.integers(min_value=1, max_value=6),
+        ids=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=1, max_size=25),
+        tau=st.floats(min_value=0.05, max_value=20.0).filter(lambda t: t != 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_gather_dot_scale(self, n, d, ids, tau, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        left = [a % n for a, _ in ids]
+        right = [b % n for _, b in ids]
+        weights = rng.standard_normal(len(ids))
+        (gram_out, gram_grad), (ref_out, ref_grad) = self.both_paths(x, left, right, tau, weights)
+        np.testing.assert_allclose(gram_out, ref_out, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gram_grad, ref_grad, rtol=1e-10, atol=1e-10)
+
+    def test_length_mismatch_and_range(self):
+        x = leaf(np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            nncore.gram_pairs(Tape(), x, [0, 1], [0])
+        with pytest.raises(IndexError):
+            nncore.gram_pairs(Tape(), x, [0, 3], [0, 1])
 
 
 class TestAdam:

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -246,6 +247,58 @@ class TestCollectFeedbackRound:
                 clean_sbm, clean_split, params, cfg, ORACLE, DEFAULT_TEMPLATE,
                 FeedbackCache(), client=Dead(),
             )
+
+
+class TestTapeGradients:
+    CFG = TrainConfig(beta=0.5, hidden_dim=8, n_layers=2, epochs=1, k_feedback=3, seed=5)
+
+    def epoch_loss(self, tape, graph, split, params, features, feedback):
+        enc = self.CFG.encoder_config(graph)
+        emb = encode_on_tape(
+            tape, features, neighbor_aggregator(graph), params, enc,
+            training=True, rng=np.random.default_rng(0),
+        )
+        lf = feedback_loss(tape, emb, feedback, self.CFG)
+        lc = clf_loss(tape, emb, params, graph.labels, split.labeled_ids)
+        return combined_loss(tape, lf, lc, self.CFG.beta)
+
+    def params_and_feedback(self, graph, split, dtype=np.float32):
+        params = init_params(self.CFG.encoder_config(graph), self.CFG.seed, dtype=dtype)
+        feedback = collect_feedback_round(
+            graph, split, params, self.CFG, ORACLE, DEFAULT_TEMPLATE, FeedbackCache()
+        )
+        return params, feedback
+
+    def test_finished_tape_leaves_no_reference_cycle(self, clean_sbm, clean_split):
+        params, feedback = self.params_and_feedback(clean_sbm, clean_split)
+        features = Tensor2(clean_sbm.features.astype(params.dtype))
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            tape = Tape()
+            loss = self.epoch_loss(tape, clean_sbm, clean_split, params, features, feedback)
+            backward(tape, loss, params)
+            del tape, loss
+            gc.collect()
+            stranded = [obj for obj in gc.garbage if isinstance(obj, Tensor2)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert stranded == []
+
+    def test_constant_features_get_no_gradient(self, clean_sbm, clean_split):
+        params, feedback = self.params_and_feedback(clean_sbm, clean_split, dtype=np.float64)
+        grads = {}
+        for requires_grad in (False, True):
+            features = Tensor2(clean_sbm.features.astype(np.float64), requires_grad=requires_grad)
+            tape = Tape()
+            loss = self.epoch_loss(tape, clean_sbm, clean_split, params, features, feedback)
+            grads[requires_grad] = {k: g.copy() for k, g in backward(tape, loss, params).items()}
+            assert (features.grad is not None) == requires_grad
+        for name in params.names():
+            np.testing.assert_allclose(grads[False][name], grads[True][name], rtol=0, atol=1e-10)
 
 
 class TestTrain:
