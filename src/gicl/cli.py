@@ -20,12 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .encoder import EmbeddingTable
+from .encoder import EmbeddingTable, init_params
 from .graphstore import (
     TagGraph,
     bundle_hash,
@@ -37,6 +39,8 @@ from .graphstore import (
 )
 from .nncore import ParamSet
 from .pipeline import (
+    STRATEGY_TABLE,
+    SWEEP_AXES,
     RunManifest,
     evaluate_accuracy,
     read_report,
@@ -48,6 +52,10 @@ from .pipeline import (
 from .prompts import DEFAULT_TEMPLATE, PromptTemplate, load_template
 from .scoring import FeedbackCache, ScorerSpec
 from .training import TrainConfig, TrainedModel, collect_feedback_round, train
+
+# TrainConfig fields settable from the command line, in --help order
+TRAIN_FLAGS = ("beta", "epochs", "rounds", "k_feedback", "k_icl", "lr", "hidden_dim", "n_layers",
+               "tau")
 
 
 def _load_config(path: str | None) -> dict:
@@ -73,8 +81,7 @@ def _scorer_from_config(cfg: dict, args: argparse.Namespace) -> ScorerSpec:
 
 def _train_config(cfg: dict, args: argparse.Namespace) -> TrainConfig:
     raw = {k: v for k, v in cfg.items() if k in TrainConfig.__dataclass_fields__}
-    for name in ("beta", "epochs", "rounds", "seed", "k_feedback", "k_icl", "lr",
-                 "hidden_dim", "n_layers", "tau"):
+    for name in TrainConfig.__dataclass_fields__:
         value = getattr(args, name, None)
         if value is not None:
             raw[name] = value
@@ -98,6 +105,16 @@ def _split_for(graph: TagGraph, bundle: str, cfg: dict, args: argparse.Namespace
     return sample_label_fraction(graph, float(fraction), int(seed), test_ids=test_ids)
 
 
+def _training_inputs(args: argparse.Namespace):
+    """Train config, scorer, template, graph and split, loaded in that order."""
+    cfg_file = _load_config(args.config)
+    config = _train_config(cfg_file, args)
+    spec = _scorer_from_config(cfg_file, args)
+    template = _template(cfg_file, args)
+    graph = load_bundle(args.bundle)
+    return config, spec, template, graph, _split_for(graph, args.bundle, cfg_file, args)
+
+
 def _manifest(config: TrainConfig, spec: ScorerSpec, template: PromptTemplate,
               bundle: str, extra: dict | None = None) -> RunManifest:
     cfg = config.to_dict()
@@ -112,7 +129,7 @@ def _manifest(config: TrainConfig, spec: ScorerSpec, template: PromptTemplate,
     )
 
 
-def _load_model(model_dir: str, graph: TagGraph) -> tuple[TrainedModel, RunManifest]:
+def _load_model(model_dir: str) -> tuple[TrainedModel, RunManifest]:
     mdir = Path(model_dir)
     manifest = RunManifest.load(mdir / "manifest.json")
     config = TrainConfig.from_dict(manifest.config)
@@ -160,13 +177,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg_file = _load_config(args.config)
-    config = _train_config(cfg_file, args)
-    spec = _scorer_from_config(cfg_file, args)
-    template = _template(cfg_file, args)
-    graph = load_bundle(args.bundle)
-    split = _split_for(graph, args.bundle, cfg_file, args)
-    cache = FeedbackCache(args.cache) if args.cache else FeedbackCache()
+    config, spec, template, graph, split = _training_inputs(args)
+    cache = FeedbackCache(args.cache or None)
     model = train(graph, split, spec, template, config, cache=cache)
     manifest = _manifest(config, spec, template, args.bundle,
                          extra={"fraction": float(split.fraction)})
@@ -180,23 +192,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_feedback(args: argparse.Namespace) -> int:
-    cfg_file = _load_config(args.config)
-    config = _train_config(cfg_file, args)
-    spec = _scorer_from_config(cfg_file, args)
-    template = _template(cfg_file, args)
-    graph = load_bundle(args.bundle)
-    split = _split_for(graph, args.bundle, cfg_file, args)
+    config, spec, template, graph, split = _training_inputs(args)
     if args.model:
-        model, _ = _load_model(args.model, graph)
+        model, _ = _load_model(args.model)
         params = model.params
         config = model.config
         if args.k_feedback is not None:
-            config = TrainConfig.from_dict({**config.to_dict(), "k_feedback": args.k_feedback})
+            config = replace(config, k_feedback=args.k_feedback)
     else:
-        from .encoder import init_params
-
         params = init_params(config.encoder_config(graph), config.seed)
-    cache = FeedbackCache(args.cache) if args.cache else FeedbackCache()
+    cache = FeedbackCache(args.cache or None)
     feedback = collect_feedback_round(graph, split, params, config, spec, template, cache)
     payload = {
         "round": feedback.round_index,
@@ -214,38 +219,39 @@ def cmd_feedback(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_and_report(strategy: str, args: argparse.Namespace, needs_model: bool) -> int:
+def _run_and_report(args: argparse.Namespace) -> int:
+    strategy = args.strategy
     cfg_file = _load_config(args.config)
     spec = _scorer_from_config(cfg_file, args)
     template = _template(cfg_file, args)
     graph = load_bundle(args.bundle)
 
     model = None
-    if needs_model:
+    if STRATEGY_TABLE[strategy].needs_model:
         if not getattr(args, "model", None):
             raise ValueError(f"strategy {strategy!r} needs --model")
-        model, manifest = _load_model(args.model, graph)
+        model, trained = _load_model(args.model)
         config = model.config
         # default the split to whatever the model was trained with
-        cfg_file.setdefault("fraction", manifest.config.get("fraction", 0.1))
+        cfg_file.setdefault("fraction", trained.config.get("fraction", 0.1))
         cfg_file.setdefault("seed", config.seed)
     else:
         config = _train_config(cfg_file, args)
-        manifest = _manifest(config, spec, template, args.bundle)
     split = _split_for(graph, args.bundle, cfg_file, args)
     k_icl = args.k_icl if args.k_icl is not None else config.k_icl
+    purify = getattr(args, "purify", None)
 
-    manifest = RunManifest(
-        config={**manifest.config, "strategy": strategy, "k_icl": k_icl,
-                "purify": getattr(args, "purify", None)},
-        seed=manifest.seed,
-        bundle_hash=manifest.bundle_hash,
-        template_hash=template.template_hash,
-        scorer_id=spec.scorer_id,
-    )
+    run = {"strategy": strategy, "k_icl": k_icl, "purify": purify}
+    if model is None:
+        manifest = _manifest(config, spec, template, args.bundle, extra=run)
+    else:
+        # the trained model's config, seed and bundle, this run's template and scorer
+        manifest = replace(trained, config={**trained.config, **run},
+                           template_hash=template.template_hash, scorer_id=spec.scorer_id,
+                           version=__version__, created_at=time.time())
     rows = run_strategy(
         strategy, graph, split, spec, template, model=model, k_icl=k_icl,
-        seed=config.seed, purify=getattr(args, "purify", None),
+        seed=config.seed, purify=purify,
         purify_budget=getattr(args, "purify_budget", None),
         single_thread=args.single_thread,
     )
@@ -268,12 +274,11 @@ def _run_and_report(strategy: str, args: argparse.Namespace, needs_model: bool) 
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    return _run_and_report(args.strategy, args, needs_model=True)
+    return _run_and_report(args)
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    needs_model = args.strategy in ("mv_askgnn", "npg")
-    return _run_and_report(args.strategy, args, needs_model=needs_model)
+    return _run_and_report(args)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -283,13 +288,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg_file = _load_config(args.config)
-    config = _train_config(cfg_file, args)
-    spec = _scorer_from_config(cfg_file, args)
-    template = _template(cfg_file, args)
-    graph = load_bundle(args.bundle)
-    split = _split_for(graph, args.bundle, cfg_file, args)
-    cache = FeedbackCache(args.cache) if args.cache else FeedbackCache()
+    config, spec, template, graph, split = _training_inputs(args)
+    cache = FeedbackCache(args.cache or None)
     values = [float(v) for v in args.values.split(",") if v != ""]
     results = sweep(args.axis, values, graph, split, spec, template, config, cache=cache)
     write_sweep_csv(results, args.out)
@@ -310,6 +310,12 @@ def _add_common(p: argparse.ArgumentParser, with_model: bool = False) -> None:
                    help="force fully serial execution for byte-reproducibility")
     if with_model:
         p.add_argument("--model", required=True, help="trained model directory")
+
+
+def _add_train_flags(p: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        typ = type(TrainConfig.__dataclass_fields__[name].default)
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ, default=None)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -338,10 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p)
     p.add_argument("--out", required=True, help="model output directory")
     p.add_argument("--cache", default=None, help="feedback cache JSONL path")
-    for name, typ in (("beta", float), ("epochs", int), ("rounds", int), ("k-feedback", int),
-                      ("k-icl", int), ("lr", float), ("hidden-dim", int), ("n-layers", int),
-                      ("tau", float)):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=typ, default=None)
+    _add_train_flags(p, TRAIN_FLAGS)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("feedback", help="run one feedback collection round")
@@ -349,12 +352,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--model", default=None, help="trained model directory (else fresh init)")
     p.add_argument("--cache", default=None)
     p.add_argument("--out", default=None, help="write the feedback set as JSON")
-    p.add_argument("--k-feedback", dest="k_feedback", type=int, default=None)
+    _add_train_flags(p, ("k_feedback",))
     p.set_defaults(fn=cmd_feedback)
 
     p = sub.add_parser("infer", help="trained-retriever inference on the test split")
     _add_common(p, with_model=True)
-    p.add_argument("--strategy", default="askgnn", choices=["askgnn"])
+    methods = [s for s, plan in STRATEGY_TABLE.items() if plan.purifiable]
+    p.add_argument("--strategy", default=methods[0], choices=methods)
     p.add_argument("--k-icl", dest="k_icl", type=int, default=None)
     p.add_argument("--purify", choices=["minority", "llm_select"], default=None)
     p.add_argument("--purify-budget", dest="purify_budget", type=int, default=None)
@@ -365,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("baseline", help="run a non-learned strategy")
     _add_common(p)
     p.add_argument("--strategy", required=True,
-                   choices=["zero_shot", "few_rand", "few_knn", "mv_knn", "mv_askgnn", "npg", "npl"])
+                   choices=[s for s in STRATEGY_TABLE if s not in methods])
     p.add_argument("--model", default=None, help="trained model directory (mv_askgnn, npg)")
     p.add_argument("--k-icl", dest="k_icl", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -378,13 +382,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("sweep", help="sweep beta or k_icl")
     _add_common(p)
-    p.add_argument("--axis", required=True, choices=["beta", "k_icl"])
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--cache", default=None)
     p.add_argument("--out", required=True, help="CSV output path")
-    for name, typ in (("epochs", int), ("rounds", int), ("k-feedback", int),
-                      ("lr", float), ("hidden-dim", int), ("n-layers", int), ("tau", float)):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=typ, default=None)
+    _add_train_flags(p, [f for f in TRAIN_FLAGS if f not in SWEEP_AXES])
     p.set_defaults(fn=cmd_sweep)
 
     args = parser.parse_args(argv)

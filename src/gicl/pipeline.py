@@ -13,8 +13,7 @@ import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -32,11 +31,48 @@ from .prompts import (
     purify_minority,
     render,
 )
-from .retrieval import Index, build_index, random_examples, retrieve_topk
-from .scoring import FeedbackCache, ScorerError, ScorerSpec, make_client
+from .retrieval import build_index, random_examples, retrieve_topk
+from .scoring import FeedbackCache, ScorerError, ScorerSpec, fan_out, make_client
 from .training import TrainConfig, TrainedModel, train
 
-STRATEGIES = ("askgnn", "zero_shot", "few_rand", "few_knn", "mv_knn", "mv_askgnn", "npg", "npl")
+# Where a strategy's ICL examples come from
+NO_EXAMPLES = "none"
+RANDOM = "random"  # k_icl uniform draws from the labeled nodes
+RAW_KNN = "raw_knn"  # k_icl nearest labeled nodes by raw feature cosine
+TRAINED_KNN = "trained_knn"  # k_icl nearest labeled nodes by trained embedding cosine
+HEAD_NEIGHBORS = "head_neighbors"  # graph neighbours, labeled by the trained head
+LLM_NEIGHBORS = "llm_neighbors"  # graph neighbours, labeled by zero-shot LLM answers
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """One row of the strategy table: every other fact about a strategy is derived from it."""
+
+    examples: str
+    vote: bool = False  # answer by majority vote over the examples, not by the LLM
+
+    @property
+    def needs_model(self) -> bool:
+        return self.examples in (TRAINED_KNN, HEAD_NEIGHBORS)
+
+    @property
+    def purifiable(self) -> bool:
+        """The paper's method: the LLM answers from trained retrieval, optionally purified."""
+        return self.examples == TRAINED_KNN and not self.vote
+
+
+STRATEGY_TABLE = {
+    "askgnn": Strategy(TRAINED_KNN),
+    "zero_shot": Strategy(NO_EXAMPLES),
+    "few_rand": Strategy(RANDOM),
+    "few_knn": Strategy(RAW_KNN),
+    "mv_knn": Strategy(RAW_KNN, vote=True),
+    "mv_askgnn": Strategy(TRAINED_KNN, vote=True),
+    "npg": Strategy(HEAD_NEIGHBORS),
+    "npl": Strategy(LLM_NEIGHBORS),
+}
+STRATEGIES = tuple(STRATEGY_TABLE)
+SWEEP_AXES = ("beta", "k_icl")
 
 
 @dataclass(frozen=True)
@@ -53,31 +89,13 @@ class RunManifest:
     def manifest_hash(self) -> str:
         """Digest of everything that determines the run output; excludes
         the creation timestamp so identical runs share a hash."""
-        payload = json.dumps(
-            {
-                "config": self.config,
-                "seed": self.seed,
-                "bundle_hash": self.bundle_hash,
-                "template_hash": self.template_hash,
-                "scorer_id": self.scorer_id,
-                "version": self.version,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        fields = asdict(self)
+        del fields["created_at"]
+        payload = json.dumps(fields, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def save(self, path: str | Path) -> None:
-        obj = {
-            "config": self.config,
-            "seed": self.seed,
-            "bundle_hash": self.bundle_hash,
-            "template_hash": self.template_hash,
-            "scorer_id": self.scorer_id,
-            "version": self.version,
-            "created_at": self.created_at,
-            "manifest_hash": self.manifest_hash,
-        }
+        obj = {**asdict(self), "manifest_hash": self.manifest_hash}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -186,13 +204,6 @@ def _examples_from_ids(graph: TagGraph, ids: Sequence[int]) -> list[IclExample]:
     return out
 
 
-def _pseudo_examples(graph: TagGraph, ids: Sequence[int], labels: Sequence[int]) -> list[IclExample]:
-    return [
-        IclExample(text=graph.texts[i], label=graph.label_vocab[int(lab)])
-        for i, lab in zip(ids, labels)
-    ]
-
-
 def _llm_row(
     graph: TagGraph,
     template: PromptTemplate,
@@ -201,11 +212,10 @@ def _llm_row(
     example_ids: Sequence[int],
     examples: Sequence[IclExample],
     strategy: str,
-    max_chars_per_doc: int = 1200,
 ) -> EvalRow:
     """Render, complete, parse; transport failures become Unparsed rows."""
     gold = int(graph.labels[query_id])
-    prompt = render(template, examples, graph.texts[query_id], max_chars_per_doc=max_chars_per_doc)
+    prompt = render(template, examples, graph.texts[query_id])
     meta = {"query_id": query_id, "example_ids": list(example_ids)}
     try:
         completion = client.complete(prompt, meta=meta)
@@ -247,17 +257,9 @@ def _apply_purify(
         note = "purify fallback" if fell_back else ""
     else:
         raise ValueError(f"unknown purify mode {purify!r}")
-    remaining = list(zip(ids, examples))
-    kept_ids: list[int] = []
-    kept_examples: list[IclExample] = []
-    for sel in selected:
-        for j, (node_id, ex) in enumerate(remaining):
-            if ex is sel:
-                kept_ids.append(node_id)
-                kept_examples.append(ex)
-                remaining.pop(j)
-                break
-    return kept_ids, kept_examples, note
+    # both modes return distinct objects taken from ``examples``
+    node_of = {id(ex): node_id for node_id, ex in zip(ids, examples)}
+    return [node_of[id(ex)] for ex in selected], list(selected), note
 
 
 def run_strategy(
@@ -273,88 +275,59 @@ def run_strategy(
     purify_budget: int | None = None,
     client=None,
     single_thread: bool = False,
-    query_ids: Sequence[int] | None = None,
 ) -> list[EvalRow]:
     """Produce one EvalRow per test query under the chosen strategy."""
-    if strategy not in STRATEGIES:
+    plan = STRATEGY_TABLE.get(strategy)
+    if plan is None:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
-    if strategy in ("askgnn", "mv_askgnn", "npg") and model is None:
+    if plan.needs_model and model is None:
         raise ValueError(f"strategy {strategy!r} needs a trained model")
     if client is None:
         client = make_client(spec, graph)
-    queries = [int(q) for q in (split.test_ids if query_ids is None else query_ids)]
+    queries = [int(q) for q in split.test_ids]
+    serial = single_thread or plan.vote
+    source = plan.examples
+    if k_icl == 0 and source in (RANDOM, RAW_KNN, TRAINED_KNN) and not plan.vote:
+        source = NO_EXAMPLES  # an LLM strategy asked for no retrieved examples is zero-shot
 
-    trained_index: Index | None = None
-    raw_index: Index | None = None
-    if strategy in ("askgnn", "mv_askgnn"):
-        trained_index = build_index(model.embeddings.vectors, split.labeled_ids)
-    if strategy in ("few_knn", "mv_knn"):
-        raw_index = build_index(graph.features, split.labeled_ids)
-    npg_labels = (
-        np.argmax(classify_logits(model.embeddings, model.params), axis=1)
-        if strategy == "npg"
-        else None
-    )
-    npl_memo: dict[int, int | None] = {}
+    def llm_row(q: int, ids: Sequence[int], examples: Sequence[IclExample]) -> EvalRow:
+        return _llm_row(graph, template, client, q, ids, examples, strategy)
 
-    def npl_pseudo(node: int) -> int | None:
-        if node not in npl_memo:
-            prompt = render(template, [], graph.texts[node])
-            try:
-                completion = client.complete(prompt, meta={"query_id": node, "example_ids": []})
-                npl_memo[node] = parse_answer(completion, graph.label_vocab)
-            except ScorerError:
-                npl_memo[node] = None
-        return npl_memo[node]
+    if source in (RAW_KNN, TRAINED_KNN):
+        vectors = model.embeddings.vectors if source == TRAINED_KNN else graph.features
+        index = build_index(vectors, split.labeled_ids)
+    elif source == HEAD_NEIGHBORS:
+        pseudo = np.argmax(classify_logits(model.embeddings, model.params), axis=1)
+    elif source == LLM_NEIGHBORS:
+        # each distinct neighbour is labeled once, by a zero-shot answer;
+        # neighbours the LLM gives no label are left out of the prompt
+        nodes = sorted({int(v) for q in queries for v in neighbors(graph, q)})
+        labels = fan_out(spec, lambda v: llm_row(v, [], []).predicted, nodes, serial)
+        pseudo = dict(zip(nodes, labels))
+
+    def examples_for(q: int) -> tuple[list[int], list[IclExample]]:
+        if source == NO_EXAMPLES:
+            return [], []
+        if source in (HEAD_NEIGHBORS, LLM_NEIGHBORS):
+            ids = [int(v) for v in neighbors(graph, q) if pseudo[int(v)] is not None]
+            return ids, [IclExample(graph.texts[v], graph.label_vocab[int(pseudo[v])]) for v in ids]
+        if source == RANDOM:
+            ids = random_examples(split.labeled_ids, k_icl, seed, query_id=q).node_ids()
+        else:
+            ids = retrieve_topk(index, vectors[q], k_icl, query_id=q).node_ids()
+        return ids, _examples_from_ids(graph, ids)
 
     def one(q: int) -> EvalRow:
+        ids, examples = examples_for(q)
+        if plan.vote:
+            return _mv_row(graph, q, examples, strategy)
         note = ""
-        if strategy == "zero_shot" or (k_icl == 0 and strategy in ("askgnn", "few_rand", "few_knn")):
-            return _llm_row(graph, template, client, q, [], [], strategy)
-        if strategy == "few_rand":
-            res = random_examples(split.labeled_ids, k_icl, seed, query_id=q)
-            return _llm_row(graph, template, client, q, res.node_ids(), _examples_from_ids(graph, res.node_ids()), strategy)
-        if strategy in ("few_knn", "mv_knn"):
-            res = retrieve_topk(raw_index, graph.features[q], k_icl, query_id=q, strategy=strategy)
-            examples = _examples_from_ids(graph, res.node_ids())
-            if strategy == "mv_knn":
-                return _mv_row(graph, q, examples, strategy)
-            return _llm_row(graph, template, client, q, res.node_ids(), examples, strategy)
-        if strategy in ("askgnn", "mv_askgnn"):
-            res = retrieve_topk(
-                trained_index, model.embeddings.vectors[q], k_icl, query_id=q, strategy=strategy
-            )
-            examples = _examples_from_ids(graph, res.node_ids())
-            ids = list(res.node_ids())
-            if strategy == "mv_askgnn":
-                return _mv_row(graph, q, examples, strategy)
+        if plan.purifiable:
             ids, examples, note = _apply_purify(ids, examples, purify, purify_budget, client)
-            row = _llm_row(graph, template, client, q, ids, examples, strategy)
-            return row if not note else EvalRow(
-                row.query_id, row.gold, row.predicted, row.strategy, row.n_icl, row.parsed, note
-            )
-        if strategy in ("npg", "npl"):
-            neigh = [int(v) for v in neighbors(graph, q)]
-            if strategy == "npg":
-                pseudo = [int(npg_labels[v]) for v in neigh]
-            else:
-                raw = [(v, npl_pseudo(v)) for v in neigh]
-                neigh = [v for v, lab in raw if lab is not None]
-                pseudo = [lab for _, lab in raw if lab is not None]
-            examples = _pseudo_examples(graph, neigh, pseudo)
-            return _llm_row(graph, template, client, q, neigh, examples, strategy)
-        raise AssertionError(strategy)
+        row = llm_row(q, ids, examples)
+        return replace(row, note=note) if note else row
 
-    parallel = (
-        not single_thread
-        and spec.kind == "http"
-        and spec.max_parallel > 1
-        and strategy not in ("mv_knn", "mv_askgnn")
-    )
-    if parallel and len(queries) > 1:
-        with ThreadPoolExecutor(max_workers=spec.max_parallel) as pool:
-            return list(pool.map(one, queries))
-    return [one(q) for q in queries]
+    return fan_out(spec, one, queries, serial)
 
 
 def sweep(
@@ -373,7 +346,7 @@ def sweep(
     A beta sweep shares the feedback cache across runs; a k_icl sweep trains
     once and only re-runs inference.
     """
-    if axis not in ("beta", "k_icl"):
+    if axis not in SWEEP_AXES:
         raise ValueError("sweep axis must be 'beta' or 'k_icl'")
     if not values:
         raise ValueError("sweep needs at least one value")
@@ -387,7 +360,7 @@ def sweep(
     for value in values:
         try:
             if axis == "beta":
-                cfg = TrainConfig.from_dict({**base_config.to_dict(), "beta": float(value)})
+                cfg = replace(base_config, beta=float(value))
                 model = train(graph, split, spec, template, cfg, cache=cache)
                 k = cfg.k_icl
             else:

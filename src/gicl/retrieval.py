@@ -8,21 +8,16 @@ returns everything.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-from .graphstore import TagGraph
 
 
 @dataclass(frozen=True)
 class RetrievalResult:
     query_id: int
     hits: tuple[tuple[int, float], ...]
-    strategy: str = "topk"
 
     def node_ids(self) -> list[int]:
         return [h[0] for h in self.hits]
@@ -66,64 +61,20 @@ def retrieve_topk(
     query_embedding: np.ndarray,
     k: int,
     query_id: int = -1,
-    exclude: Sequence[int] = (),
-    strategy: str = "topk",
 ) -> RetrievalResult:
-    """The k most cosine-similar labeled nodes, query and exclusions removed."""
+    """The k most cosine-similar labeled nodes, the query itself removed."""
     if k < 1:
         raise ValueError("k must be >= 1")
     q = _normalize_rows(np.asarray(query_embedding, dtype=np.float64).reshape(1, -1))[0]
     scores = index.unit_rows @ q
 
-    drop = set(int(e) for e in exclude)
-    drop.add(int(query_id))
-    keep = ~np.isin(index.ids, np.array(sorted(drop), dtype=np.int64))
+    keep = index.ids != int(query_id)
     ids = index.ids[keep]
     scores = scores[keep]
 
     order = np.lexsort((ids, -scores))[: min(k, ids.size)]
     hits = tuple((int(ids[i]), float(scores[i])) for i in order)
-    return RetrievalResult(query_id=int(query_id), hits=hits, strategy=strategy)
-
-
-def knn_raw_features(
-    graph: TagGraph,
-    query_id: int,
-    k: int,
-    labeled_ids: Iterable[int] | None = None,
-) -> RetrievalResult:
-    """Cosine k-NN over raw bundle features, bypassing the encoder."""
-    pool = graph.labeled_node_ids() if labeled_ids is None else labeled_ids
-    index = build_index(graph.features, pool)
-    return retrieve_topk(
-        index, graph.features[query_id], k, query_id=query_id, strategy="few_knn"
-    )
-
-
-def save_results_jsonl(results: Iterable[RetrievalResult], path: str | Path) -> None:
-    """One JSON object per query: {"query", "hits": [[id, score], ...], "strategy"}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for res in results:
-            fh.write(json.dumps({
-                "query": res.query_id,
-                "hits": [[i, s] for i, s in res.hits],
-                "strategy": res.strategy,
-            }) + "\n")
-
-
-def load_results_jsonl(path: str | Path) -> list[RetrievalResult]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                out.append(RetrievalResult(
-                    query_id=int(obj["query"]),
-                    hits=tuple((int(i), float(s)) for i, s in obj["hits"]),
-                    strategy=obj.get("strategy", "topk"),
-                ))
-    return out
+    return RetrievalResult(query_id=int(query_id), hits=hits)
 
 
 def random_examples(
@@ -141,4 +92,4 @@ def random_examples(
     take = min(k, ids.size)
     picked = rng.choice(ids, size=take, replace=False)
     hits = tuple((int(i), 0.0) for i in picked)
-    return RetrievalResult(query_id=int(query_id), hits=hits, strategy="few_rand")
+    return RetrievalResult(query_id=int(query_id), hits=hits)

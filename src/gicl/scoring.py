@@ -31,14 +31,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import requests
 
 from .graphstore import UNLABELED, TagGraph
 from .prompts import PromptTemplate, render
-from .retrieval import RetrievalResult
+from .retrieval import RetrievalResult, _normalize_rows
 
 
 class ScorerError(Exception):
@@ -209,9 +209,7 @@ class OracleClient:
         self.spec = spec
         self.graph = graph
         self.calls = 0
-        feats = graph.features.astype(np.float64)
-        norms = np.linalg.norm(feats, axis=1, keepdims=True)
-        self._unit = feats / np.where(norms > 0, norms, 1.0)
+        self._unit = _normalize_rows(graph.features)
 
     def _help(self, query_id: int, example_ids: Sequence[int]) -> float:
         best = 0.0
@@ -346,6 +344,15 @@ class HttpClient:
             raise ScorerError("server response lacks completion text") from exc
 
 
+def fan_out(spec: ScorerSpec, fn: Callable, items: Sequence, serial: bool = False) -> list:
+    """``[fn(x) for x in items]``, on a pool of ``spec.max_parallel`` threads
+    when the scorer is HTTP (calls wait on the network) and ``serial`` is not set."""
+    if not serial and spec.kind == "http" and spec.max_parallel > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=spec.max_parallel) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def make_client(spec: ScorerSpec, graph: TagGraph | None = None):
     if spec.kind == "oracle":
         if graph is None:
@@ -390,7 +397,6 @@ def rank_candidates(
     template: PromptTemplate,
     cache: FeedbackCache,
     client=None,
-    max_chars_per_doc: int = 1200,
 ) -> RankOutcome:
     """Score each candidate's per-class perplexity and rank by utility.
 
@@ -427,7 +433,6 @@ def rank_candidates(
             template,
             [(graph.texts[e], graph.label_vocab[int(graph.labels[e])])],
             query_text,
-            max_chars_per_doc=max_chars_per_doc,
         )
         meta = {"query_id": query_id, "example_ids": [e], "class_index": c}
         try:
@@ -436,13 +441,7 @@ def rank_candidates(
             return pair, None
         return pair, ppl(lps)
 
-    workers = spec.max_parallel if (spec.kind == "http" and spec.max_parallel > 1) else 1
-    if workers > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(score_one, todo))
-    else:
-        results = [score_one(pair) for pair in todo]
-    for (e, c), value in results:
+    for (e, c), value in fan_out(spec, score_one, todo):
         if value is not None:
             ppls[(e, c)] = value
             cache.put(sid, th, query_id, e, c, value)

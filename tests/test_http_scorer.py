@@ -5,6 +5,8 @@ import pytest
 
 from stubserver import StubScorerServer, echo_response, fake_logprob, tokenize
 
+from gicl.graphstore import neighbors, sample_label_fraction, synth_sbm
+from gicl.pipeline import run_strategy
 from gicl.prompts import DEFAULT_TEMPLATE
 from gicl.scoring import (
     FeedbackCache,
@@ -153,3 +155,19 @@ class TestCollectionWithFaults:
                 DEFAULT_TEMPLATE, FeedbackCache(),
             )
         assert serial.ranked == parallel.ranked
+
+
+class TestStrategiesOverHttp:
+    def test_npl_request_count_does_not_depend_on_thread_count(self):
+        # one zero-shot request per distinct neighbour of a test node plus one
+        # answer per test node, however many threads send them
+        graph = synth_sbm(n_nodes=200, n_classes=4, p_in=0.1, p_out=0.01, d=8, noise=0.3, seed=3)
+        split = sample_label_fraction(graph, 0.3, seed=1)
+        distinct = {int(v) for q in split.test_ids for v in neighbors(graph, int(q))}
+        expected = len(distinct) + len(split.test_ids)
+        for max_parallel in (1, 4):
+            with StubScorerServer() as server:
+                spec = spec_for(server, max_parallel=max_parallel)
+                rows = run_strategy("npl", graph, split, spec, DEFAULT_TEMPLATE)
+                assert len(server.requests) == expected, max_parallel
+            assert len(rows) == len(split.test_ids)

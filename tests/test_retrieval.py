@@ -1,24 +1,19 @@
-import json
-
 import numpy as np
 import pytest
 
 from gicl.retrieval import (
     RetrievalResult,
     build_index,
-    knn_raw_features,
     random_examples,
     retrieve_topk,
 )
 
 
-def sort_oracle(ids, vectors, query, k, exclude=()):
+def sort_oracle(ids, vectors, query, k):
     """Full sort by (cosine desc, id asc) — the brute-force reference."""
     qu = query / (np.linalg.norm(query) or 1.0)
     scored = []
     for i in ids:
-        if i in exclude:
-            continue
         v = vectors[i].astype(np.float64)
         v = v / (np.linalg.norm(v) or 1.0)
         scored.append((i, float(v @ qu)))
@@ -80,8 +75,8 @@ class TestRetrieveTopk:
     def test_query_and_exclusions_never_returned(self):
         vecs = np.tile(np.array([[1.0, 0.0]]), (6, 1))
         index = build_index(vecs, range(6))
-        res = retrieve_topk(index, np.array([1.0, 0.0]), 10, query_id=2, exclude=[4])
-        assert res.node_ids() == [0, 1, 3, 5]
+        res = retrieve_topk(index, np.array([1.0, 0.0]), 10, query_id=2)
+        assert res.node_ids() == [0, 1, 3, 4, 5]
         assert res.query_id == 2
 
     def test_k_must_be_positive(self):
@@ -109,23 +104,19 @@ class TestRetrieveTopk:
 
 
 class TestKnnRawFeatures:
-    def test_equals_retrieve_topk_on_features(self, noisy_sbm):
-        labeled = list(range(0, 60, 2))
-        index = build_index(noisy_sbm.features, labeled)
-        for q in (1, 5, 33):
-            direct = retrieve_topk(index, noisy_sbm.features[q], 6, query_id=q)
-            via = knn_raw_features(noisy_sbm, q, 6, labeled_ids=labeled)
-            assert via.node_ids() == direct.node_ids()
+    """k-NN over raw bundle features, the path few_knn and mv_knn run."""
 
     def test_zero_noise_neighbors_share_class(self, clean_sbm):
+        index = build_index(clean_sbm.features, clean_sbm.labeled_node_ids())
         for q in range(0, clean_sbm.n_nodes, 7):
-            res = knn_raw_features(clean_sbm, q, 4)
+            res = retrieve_topk(index, clean_sbm.features[q], 4, query_id=q)
             for e in res.node_ids():
                 assert clean_sbm.labels[e] == clean_sbm.labels[q]
 
     def test_k_beyond_pool_returns_everything_sorted(self, clean_sbm):
         labeled = [0, 1, 2]
-        res = knn_raw_features(clean_sbm, 5, 50, labeled_ids=labeled)
+        index = build_index(clean_sbm.features, labeled)
+        res = retrieve_topk(index, clean_sbm.features[5], 50, query_id=5)
         assert sorted(res.node_ids()) == labeled
         scores = res.scores()
         assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
@@ -165,15 +156,3 @@ def test_result_is_frozen():
     with pytest.raises(AttributeError):
         res.query_id = 7
 
-
-def test_results_jsonl_roundtrip(tmp_path):
-    from gicl.retrieval import load_results_jsonl, save_results_jsonl
-
-    results = [
-        RetrievalResult(query_id=1, hits=((2, 0.5), (3, 0.25)), strategy="topk"),
-        RetrievalResult(query_id=9, hits=(), strategy="few_knn"),
-    ]
-    save_results_jsonl(results, tmp_path / "r.jsonl")
-    lines = (tmp_path / "r.jsonl").read_text().splitlines()
-    assert json.loads(lines[0]) == {"query": 1, "hits": [[2, 0.5], [3, 0.25]], "strategy": "topk"}
-    assert load_results_jsonl(tmp_path / "r.jsonl") == results
