@@ -20,8 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,12 +115,10 @@ def _training_inputs(args: argparse.Namespace):
 
 
 def _manifest(config: TrainConfig, spec: ScorerSpec, template: PromptTemplate,
-              bundle: str, extra: dict | None = None) -> RunManifest:
-    cfg = config.to_dict()
-    if extra:
-        cfg.update(extra)
+              bundle: str, extra: dict) -> RunManifest:
+    """The run's config is the TrainConfig plus ``extra`` (fraction, strategy, ...)."""
     return RunManifest(
-        config=cfg,
+        config={**asdict(config), **extra},
         seed=config.seed,
         bundle_hash=bundle_hash(bundle),
         template_hash=template.template_hash,
@@ -226,14 +223,18 @@ def _run_and_report(args: argparse.Namespace) -> int:
     template = _template(cfg_file, args)
     graph = load_bundle(args.bundle)
 
-    model = None
+    model, extra = None, {}
     if STRATEGY_TABLE[strategy].needs_model:
         if not getattr(args, "model", None):
             raise ValueError(f"strategy {strategy!r} needs --model")
         model, trained = _load_model(args.model)
+        if trained.bundle_hash != bundle_hash(args.bundle):
+            raise ValueError(f"model {args.model} was trained on bundle {trained.bundle_hash}, "
+                             f"but {args.bundle} hashes to {bundle_hash(args.bundle)}")
         config = model.config
-        # default the split to whatever the model was trained with
-        cfg_file.setdefault("fraction", trained.config.get("fraction", 0.1))
+        # the manifest records, and the split defaults to, the model's training fraction
+        extra["fraction"] = trained.config.get("fraction", 0.1)
+        cfg_file.setdefault("fraction", extra["fraction"])
         cfg_file.setdefault("seed", config.seed)
     else:
         config = _train_config(cfg_file, args)
@@ -241,14 +242,8 @@ def _run_and_report(args: argparse.Namespace) -> int:
     k_icl = args.k_icl if args.k_icl is not None else config.k_icl
     purify = getattr(args, "purify", None)
 
-    run = {"strategy": strategy, "k_icl": k_icl, "purify": purify}
-    if model is None:
-        manifest = _manifest(config, spec, template, args.bundle, extra=run)
-    else:
-        # the trained model's config, seed and bundle, this run's template and scorer
-        manifest = replace(trained, config={**trained.config, **run},
-                           template_hash=template.template_hash, scorer_id=spec.scorer_id,
-                           version=__version__, created_at=time.time())
+    extra.update(strategy=strategy, k_icl=k_icl, purify=purify)
+    manifest = _manifest(config, spec, template, args.bundle, extra=extra)
     rows = run_strategy(
         strategy, graph, split, spec, template, model=model, k_icl=k_icl,
         seed=config.seed, purify=purify,

@@ -12,14 +12,13 @@ between layers and only fires when the training flag is set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nncore
-from .graphstore import TagGraph
+from .graphstore import TagGraph, read_matrix, write_matrix
 from .nncore import ParamSet, RowAggregator, Tape, Tensor2
 
 
@@ -43,7 +42,6 @@ class EmbeddingTable:
     """Final-layer node representations, one row per node."""
 
     vectors: np.ndarray
-    l2_normalized: bool = True
 
     @property
     def n_nodes(self) -> int:
@@ -55,27 +53,11 @@ class EmbeddingTable:
 
     def save(self, path_prefix: str | Path) -> None:
         """Binary + JSON header pair, same layout as bundle features."""
-        prefix = Path(path_prefix)
-        self.vectors.astype("<f4").tofile(prefix.with_suffix(".bin"))
-        header = {
-            "rows": int(self.vectors.shape[0]),
-            "cols": int(self.vectors.shape[1]),
-            "dtype": "f32le",
-            "layout": "row-major",
-            "l2_normalized": self.l2_normalized,
-        }
-        with open(prefix.with_suffix(".json"), "w", encoding="utf-8") as fh:
-            json.dump(header, fh, sort_keys=True)
+        write_matrix(Path(path_prefix), self.vectors)
 
     @classmethod
     def load(cls, path_prefix: str | Path) -> "EmbeddingTable":
-        prefix = Path(path_prefix)
-        with open(prefix.with_suffix(".json"), encoding="utf-8") as fh:
-            header = json.load(fh)
-        vecs = np.fromfile(prefix.with_suffix(".bin"), dtype="<f4").reshape(
-            header["rows"], header["cols"]
-        )
-        return cls(vectors=vecs, l2_normalized=bool(header.get("l2_normalized", False)))
+        return cls(vectors=read_matrix(Path(path_prefix)))
 
 
 def _layer_dims(config: EncoderConfig) -> list[tuple[int, int]]:
@@ -133,20 +115,11 @@ def encode_on_tape(
     return nncore.l2_normalize_rows(tape, h)
 
 
-def encode_all(
-    graph: TagGraph,
-    params: ParamSet,
-    config: EncoderConfig,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> EmbeddingTable:
-    """Encode every node; deterministic and repeatable when training is off."""
-    tape = Tape()
+def encode_all(graph: TagGraph, params: ParamSet, config: EncoderConfig) -> EmbeddingTable:
+    """Encode every node in eval mode (no dropout); bitwise repeatable."""
     feats = Tensor2(graph.features.astype(params.dtype))
-    out = encode_on_tape(
-        tape, feats, neighbor_aggregator(graph), params, config, training=training, rng=rng
-    )
-    return EmbeddingTable(vectors=out.data.copy(), l2_normalized=True)
+    out = encode_on_tape(Tape(), feats, neighbor_aggregator(graph), params, config)
+    return EmbeddingTable(vectors=out.data.copy())
 
 
 def logits_on_tape(tape: Tape, embeddings: Tensor2, params: ParamSet) -> Tensor2:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ BUNDLE_FILES = ("nodes.jsonl", "edges.tsv", "features.bin", "features.json", "la
 
 
 class BundleError(Exception):
-    """Raised when a graph bundle is missing, malformed, or inconsistent."""
+    """Raised when a graph bundle or matrix file is missing, malformed, or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,16 @@ class TagGraph:
     def labeled_node_ids(self) -> np.ndarray:
         return np.flatnonzero(self.labels != UNLABELED)
 
+    @cached_property
+    def content_hash(self) -> str:
+        """Digest of everything a scorer sees of the graph: texts, labels,
+        label vocabulary and features (edges excluded). The texts fix the
+        node count, so the two arrays' shapes follow from their lengths."""
+        digest = hashlib.sha256(json.dumps([self.texts, self.label_vocab]).encode("utf-8"))
+        digest.update(self.labels.tobytes())
+        digest.update(self.features.tobytes())
+        return digest.hexdigest()[:16]
+
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -154,6 +165,37 @@ def neighbors(graph: TagGraph, node: int) -> np.ndarray:
     return graph.csr_targets[lo:hi]
 
 
+def write_matrix(prefix: Path, matrix: np.ndarray) -> None:
+    """Write ``prefix.bin`` (row-major little-endian float32) and its
+    ``prefix.json`` header."""
+    matrix.astype("<f4").tofile(prefix.with_suffix(".bin"))
+    header = {"rows": matrix.shape[0], "cols": matrix.shape[1], "dtype": "f32le",
+              "layout": "row-major"}
+    with open(prefix.with_suffix(".json"), "w", encoding="utf-8") as fh:
+        json.dump(header, fh)
+
+
+def read_matrix(prefix: Path, expected_rows: int | None = None) -> np.ndarray:
+    """Read a matrix written by write_matrix, checking its header and size.
+    ``expected_rows``, a bundle's nodes.jsonl line count, is checked first."""
+    header_path, bin_path = prefix.with_suffix(".json"), prefix.with_suffix(".bin")
+    with open(header_path, encoding="utf-8") as fh:
+        header = json.load(fh)
+    rows, cols = int(header["rows"]), int(header["cols"])
+    if header.get("dtype") != "f32le" or header.get("layout") != "row-major":
+        raise BundleError(f"{header_path}: only f32le row-major features are supported")
+    if expected_rows is not None and rows != expected_rows:
+        raise BundleError(
+            f"{header_path.name} declares rows={rows} but nodes.jsonl has {expected_rows} lines"
+        )
+    raw = np.fromfile(bin_path, dtype="<f4")
+    if raw.size != rows * cols:
+        raise BundleError(
+            f"{bin_path.name} holds {raw.size} values, expected {rows}x{cols}={rows * cols}"
+        )
+    return raw.reshape(rows, cols)
+
+
 def load_bundle(path: str | Path, symmetrize: bool = True) -> TagGraph:
     """Load and validate a graph bundle directory."""
     root = Path(path)
@@ -195,21 +237,7 @@ def load_bundle(path: str | Path, symmetrize: bool = True) -> TagGraph:
                 raise BundleError(f"nodes.jsonl line {lineno}: unknown label {raw_label!r}")
     n_nodes = len(texts)
 
-    with open(root / "features.json", encoding="utf-8") as fh:
-        header = json.load(fh)
-    rows, cols = int(header["rows"]), int(header["cols"])
-    if header.get("dtype") != "f32le" or header.get("layout") != "row-major":
-        raise BundleError(f"{root / 'features.json'}: only f32le row-major features are supported")
-    if rows != n_nodes:
-        raise BundleError(
-            f"features.json declares rows={rows} but nodes.jsonl has {n_nodes} lines"
-        )
-    raw = np.fromfile(root / "features.bin", dtype="<f4")
-    if raw.size != rows * cols:
-        raise BundleError(
-            f"features.bin holds {raw.size} values, expected {rows}x{cols}={rows * cols}"
-        )
-    features = raw.reshape(rows, cols)
+    features = read_matrix(root / "features", expected_rows=n_nodes)
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         r, c = bad[0]
@@ -263,12 +291,7 @@ def write_bundle(graph: TagGraph, path: str | Path) -> None:
             for dst in neighbors(graph, src):
                 if graph.directed or src < dst:
                     fh.write(f"{src}\t{int(dst)}\n")
-    graph.features.astype("<f4").tofile(root / "features.bin")
-    with open(root / "features.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {"rows": graph.n_nodes, "cols": graph.feature_dim, "dtype": "f32le", "layout": "row-major"},
-            fh,
-        )
+    write_matrix(root / "features", graph.features)
     with open(root / "labels.json", "w", encoding="utf-8") as fh:
         json.dump(list(graph.label_vocab), fh)
 
@@ -315,12 +338,11 @@ def sample_label_fraction(
     fraction: float,
     seed: int,
     test_ids: np.ndarray | None = None,
-    test_fraction: float = 0.2,
 ) -> SplitSpec:
     """Stratified sample of the labeled nodes to use as supervision.
 
     When no test set is supplied, one is first carved out of the labeled
-    nodes (``test_fraction`` per class); the supervision sample is then
+    nodes (a fifth per class); the supervision sample is then
     drawn from the remainder. Labeled nodes that land in neither set are
     discarded from supervision. Deterministic for a given seed.
     """
@@ -336,7 +358,7 @@ def sample_label_fraction(
 
     rng = np.random.default_rng(seed)
     if test_ids is None:
-        test_ids = _stratified_sample(rng, all_labeled, graph.labels, test_fraction)
+        test_ids = _stratified_sample(rng, all_labeled, graph.labels, 0.2)
     else:
         test_ids = np.asarray(test_ids, dtype=np.int64)
     pool = np.setdiff1d(all_labeled, test_ids)

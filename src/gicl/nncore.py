@@ -224,15 +224,9 @@ class RowAggregator:
             np.dtype(dt): (matrix.astype(dt), matrix.T.tocsr().astype(dt)) for dt in (np.float32, np.float64)
         }
 
-    @classmethod
-    def from_groups(cls, groups: Sequence[Sequence[int]], n_in: int) -> "RowAggregator":
-        targets = [m for members in groups for m in members]
-        return cls(np.cumsum([0] + [len(members) for members in groups]), targets, n_in)
 
-
-def mean_rows(tape: Tape, x: Tensor2, groups: Sequence[Sequence[int]] | RowAggregator) -> Tensor2:
+def mean_rows(tape: Tape, x: Tensor2, agg: RowAggregator) -> Tensor2:
     """Group-wise row means; empty groups yield zero rows."""
-    agg = groups if isinstance(groups, RowAggregator) else RowAggregator.from_groups(groups, x.rows)
     if agg.n_in != x.rows:
         raise ValueError(f"mean_rows: aggregator expects {agg.n_in} rows, got {x.rows}")
     matrix, matrix_t = agg.by_dtype[x.data.dtype]
@@ -493,14 +487,10 @@ class ParamSet:
         return params
 
 
-def adam_step(
-    params: ParamSet,
-    grads: dict[str, Array],
-    lr: float = 0.01,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
+def adam_step(params: ParamSet, grads: dict[str, Array], lr: float = 0.01) -> None:
     """One in-place Adam update with bias correction."""
     params.step += 1
     t = params.step
@@ -510,10 +500,10 @@ def adam_step(
             raise ValueError(f"adam_step: gradient shape {g.shape} != param shape {p.data.shape} for {name!r}")
         m = params.m[name]
         v = params.v[name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        mhat = m / (1 - beta1**t)
-        vhat = v / (1 - beta2**t)
-        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * g * g
+        mhat = m / (1 - BETA1**t)
+        vhat = v / (1 - BETA2**t)
+        p.data -= (lr * mhat / (np.sqrt(vhat) + EPS)).astype(p.data.dtype)

@@ -339,9 +339,8 @@ def sweep(
     template: PromptTemplate,
     base_config: TrainConfig,
     cache: FeedbackCache | None = None,
-    strategy: str = "askgnn",
 ) -> list[dict]:
-    """One (train+)infer run per value; per-value failures do not stop the sweep.
+    """One (train+)askgnn run per value; per-value failures do not stop the sweep.
 
     A beta sweep shares the feedback cache across runs; a k_icl sweep trains
     once and only re-runs inference.
@@ -367,7 +366,7 @@ def sweep(
                 model, cfg = shared_model, base_config
                 k = int(value)
             rows = run_strategy(
-                strategy, graph, split, spec, template, model=model,
+                "askgnn", graph, split, spec, template, model=model,
                 k_icl=k, seed=cfg.seed, single_thread=True,
             )
             summary = evaluate_accuracy(rows)

@@ -74,6 +74,9 @@ def load_template(name_or_path: str | Path) -> PromptTemplate:
     return PromptTemplate(main=main, example=example, answer_cue=cue)
 
 
+MAX_CHARS_PER_DOC = 1200  # every document in a prompt is cut to this many characters
+
+
 def truncate_at_whitespace(text: str, limit: int) -> str:
     """Clip to at most ``limit`` chars, cutting at a whitespace boundary."""
     if limit <= 0 or len(text) <= limit:
@@ -90,34 +93,21 @@ def render(
     template: PromptTemplate,
     examples: Sequence[IclExample | tuple[str, str]],
     query_text: str,
-    max_chars_per_doc: int = 1200,
-    max_chars_total: int | None = None,
 ) -> str:
     """Fill the template: examples in given (rank) order, then the answer cue.
 
-    Each document is truncated to ``max_chars_per_doc`` at a whitespace
-    boundary. When ``max_chars_total`` is set and exceeded, lowest-ranked
-    examples are dropped first until the prompt fits.
+    Each document is truncated to ``MAX_CHARS_PER_DOC`` at a whitespace
+    boundary.
     """
-    query = truncate_at_whitespace(query_text, max_chars_per_doc)
-
-    def build(n_examples: int) -> str:
-        blocks = [
-            template.example.replace(
-                "{text}", truncate_at_whitespace(str(text), max_chars_per_doc)
-            ).replace("{label}", str(label))
-            for text, label in examples[:n_examples]
-        ]
-        body = template.main.replace("{examples}", "".join(blocks)).replace("{query}", query)
-        return body + template.answer_cue
-
-    n = len(examples)
-    prompt = build(n)
-    if max_chars_total is not None:
-        while n > 0 and len(prompt) > max_chars_total:
-            n -= 1
-            prompt = build(n)
-    return prompt
+    blocks = [
+        template.example.replace(
+            "{text}", truncate_at_whitespace(str(text), MAX_CHARS_PER_DOC)
+        ).replace("{label}", str(label))
+        for text, label in examples
+    ]
+    query = truncate_at_whitespace(query_text, MAX_CHARS_PER_DOC)
+    body = template.main.replace("{examples}", "".join(blocks)).replace("{query}", query)
+    return body + template.answer_cue
 
 
 def parse_answer(completion_text: str, label_vocab: Sequence[str]) -> int | None:
@@ -150,18 +140,16 @@ def majority_vote(examples: Sequence[IclExample | tuple[str, str]]) -> str:
 
 
 def purify_minority(
-    examples: Sequence[IclExample | tuple[str, str]], min_count: int = 2
+    examples: Sequence[IclExample | tuple[str, str]],
 ) -> list[IclExample | tuple[str, str]]:
-    """Drop examples whose label appears fewer than min_count times.
+    """Drop examples whose label appears only once.
 
     If that would remove everything, the input is returned unchanged.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
     counts: dict[str, int] = {}
     for _, label in examples:
         counts[label] = counts.get(label, 0) + 1
-    kept = [ex for ex in examples if counts[ex[1]] >= min_count]
+    kept = [ex for ex in examples if counts[ex[1]] >= 2]
     return kept if kept else list(examples)
 
 

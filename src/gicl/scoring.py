@@ -16,8 +16,8 @@ Two scorer kinds sit behind one client interface:
   monotonically with that help.
 
 Every perplexity is cached in an append-only JSONL file keyed by
-(scorer id, template hash, query, example, class); warm-cache collection
-issues zero scorer calls.
+(scorer id, template hash, graph content hash, query, example, class);
+warm-cache collection issues zero scorer calls.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import requests
 
 from .graphstore import UNLABELED, TagGraph
 from .prompts import PromptTemplate, render
-from .retrieval import RetrievalResult, _normalize_rows
+from .retrieval import _normalize_rows
 
 
 class ScorerError(Exception):
@@ -151,8 +151,9 @@ def synthetic_oracle_ppl(
 # response cache
 
 
-def cache_key(scorer_id: str, template_hash: str, query_id: int, example_id: int, class_index: int) -> str:
-    payload = f"{scorer_id}|{template_hash}|{query_id}|{example_id}|{class_index}"
+def cache_key(scorer_id: str, template_hash: str, graph_hash: str, query_id: int, example_id: int,
+              class_index: int) -> str:
+    payload = f"{scorer_id}|{template_hash}|{graph_hash}|{query_id}|{example_id}|{class_index}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
@@ -178,11 +179,13 @@ class FeedbackCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(self, scorer_id: str, template_hash: str, q: int, e: int, c: int) -> float | None:
-        return self._data.get(cache_key(scorer_id, template_hash, q, e, c))
+    def get(self, scorer_id: str, template_hash: str, graph_hash: str, q: int, e: int,
+            c: int) -> float | None:
+        return self._data.get(cache_key(scorer_id, template_hash, graph_hash, q, e, c))
 
-    def put(self, scorer_id: str, template_hash: str, q: int, e: int, c: int, value: float) -> None:
-        key = cache_key(scorer_id, template_hash, q, e, c)
+    def put(self, scorer_id: str, template_hash: str, graph_hash: str, q: int, e: int, c: int,
+            value: float) -> None:
+        key = cache_key(scorer_id, template_hash, graph_hash, q, e, c)
         with self._lock:
             if key in self._data:
                 return
@@ -254,6 +257,9 @@ class OracleClient:
 class HttpClient:
     """Completions-API scorer with bounded retries and echo-logprob parsing.
 
+    Transport errors, 429 and 5xx are retried with exponential backoff; any
+    other non-200 status cannot succeed on a resend and fails at once.
+
     Safe to share across the configured number of worker threads; the call
     counters are lock-protected so tests can assert on them exactly.
     """
@@ -288,6 +294,8 @@ class HttpClient:
                 if resp.status_code == 200:
                     return resp.json()
                 last_error = ScorerError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                if resp.status_code != 429 and resp.status_code < 500:
+                    raise last_error
             except requests.RequestException as exc:
                 last_error = exc
             if attempt < self.spec.retries:
@@ -329,12 +337,12 @@ class HttpClient:
             raise ScorerError("continuation token without a log-probability")
         return [float(logp) for _, logp in picked]
 
-    def complete(self, prompt: str, meta: dict | None = None, max_tokens: int = 16) -> str:
+    def complete(self, prompt: str, meta: dict | None = None) -> str:
         self._bump("calls")
         body = {
             "model": self.spec.model,
             "prompt": prompt,
-            "max_tokens": max_tokens,
+            "max_tokens": 16,
             "temperature": 0,
         }
         data = self._post(body)
@@ -392,7 +400,7 @@ def class_verbalization(label: str) -> str:
 def rank_candidates(
     graph: TagGraph,
     query_id: int,
-    candidates: RetrievalResult | Sequence[int],
+    candidates: Sequence[int],
     spec: ScorerSpec,
     template: PromptTemplate,
     cache: FeedbackCache,
@@ -404,7 +412,7 @@ def rank_candidates(
     skip the scorer entirely; candidates with any unscorable class are
     reported in ``failed`` and left out of the ranking.
     """
-    ids = list(candidates.node_ids()) if isinstance(candidates, RetrievalResult) else [int(c) for c in candidates]
+    ids = [int(c) for c in candidates]
     if not ids:
         raise ValueError("rank_candidates needs a non-empty candidate set")
     gold = int(graph.labels[query_id])
@@ -413,7 +421,7 @@ def rank_candidates(
     if client is None:
         client = make_client(spec, graph)
 
-    sid, th = spec.scorer_id, template.template_hash
+    scope = (spec.scorer_id, template.template_hash, graph.content_hash)
     n_classes = graph.n_classes
     query_text = graph.texts[query_id]
 
@@ -421,7 +429,7 @@ def rank_candidates(
     ppls: dict[tuple[int, int], float] = {}
     for e in ids:
         for c in range(n_classes):
-            hit = cache.get(sid, th, query_id, e, c)
+            hit = cache.get(*scope, query_id, e, c)
             if hit is None:
                 todo.append((e, c))
             else:
@@ -444,7 +452,7 @@ def rank_candidates(
     for (e, c), value in fan_out(spec, score_one, todo):
         if value is not None:
             ppls[(e, c)] = value
-            cache.put(sid, th, query_id, e, c, value)
+            cache.put(*scope, query_id, e, c, value)
 
     scored: list[tuple[float, int]] = []  # (-utility, example id): best first, ties by id
     failed: list[int] = []

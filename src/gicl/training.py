@@ -14,7 +14,7 @@ softmax cross-entropy of the linear head over the supervised nodes.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -75,9 +75,6 @@ class TrainConfig:
             dropout=self.dropout,
         )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
         known = {f for f in cls.__dataclass_fields__}
@@ -135,7 +132,7 @@ def positive_weights(ranked: RankedSet, mode: str, top_m: int) -> np.ndarray:
 def feedback_loss(
     tape: Tape,
     embeddings: Tensor2,
-    feedback: FeedbackSet | dict[int, RankedSet],
+    feedback: FeedbackSet,
     config: TrainConfig,
 ) -> Tensor2:
     """Listwise softmax loss over each query's candidates at temperature tau.
@@ -145,7 +142,7 @@ def feedback_loss(
     total positive weight. Embedding rows must already be L2-normalized so
     the similarity is a cosine.
     """
-    by_query = feedback.by_query if isinstance(feedback, FeedbackSet) else feedback
+    by_query = feedback.by_query
     queries = [q for q, r in sorted(by_query.items()) if len(r) > 0]
     if not queries:
         raise ValueError("feedback_loss: no query has a scored candidate")
@@ -199,7 +196,7 @@ def collect_feedback_round(
     rank them by scored utility. Aborts when scored coverage falls below the
     configured floor (partial results stay cached)."""
     enc = config.encoder_config(graph)
-    table = encode_all(graph, params, enc, training=False)
+    table = encode_all(graph, params, enc)
     index = build_index(table.vectors, split.labeled_ids)
     if client is None:
         client = make_client(spec, graph)
@@ -212,7 +209,7 @@ def collect_feedback_round(
         hits = retrieve_topk(index, table.vectors[q], config.k_feedback, query_id=q)
         if len(hits) == 0:
             continue
-        outcome = rank_candidates(graph, q, hits, spec, template, cache, client=client)
+        outcome = rank_candidates(graph, q, hits.node_ids(), spec, template, cache, client=client)
         n_scored += len(outcome.ranked)
         n_unscored += len(outcome.failed)
         if len(outcome.ranked):
@@ -283,5 +280,5 @@ def train(
                 }
             )
 
-    final = encode_all(graph, params, enc, training=False)
+    final = encode_all(graph, params, enc)
     return TrainedModel(params=params, config=config, embeddings=final, log=log)

@@ -4,8 +4,9 @@ Replays deterministic echo responses: the request's full prompt is split
 into tokens that keep their leading whitespace (so a continuation that
 starts with a space begins exactly at the prompt/continuation boundary),
 and each token gets a reproducible fake log-probability. Individual
-requests can be failed with HTTP 500 through a predicate, to exercise the
-retry and partial-failure paths.
+requests can be failed through ``fail_when(body)``, to exercise the retry
+and partial-failure paths: it returns an HTTP status code to fail with,
+True for 500, or a false value to answer normally.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ class StubScorerServer:
                 body["_auth"] = self.headers.get("Authorization", "")
                 with outer._lock:
                     outer.requests.append(body)
-                if outer.fail_when(body):
-                    self.send_response(500)
+                status = outer.fail_when(body)
+                if status:
+                    self.send_response(500 if status is True else status)
                     self.end_headers()
                     self.wfile.write(b"injected fault")
                     return

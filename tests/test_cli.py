@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from gicl.cli import main
+from gicl.graphstore import bundle_hash
 
 
 def run(argv, capsys):
@@ -120,6 +121,20 @@ class TestInferAndBaselines:
                      "--out", str(tmp_path / "r"), "--scorer-kind", "oracle"])
         assert code == 1
         assert "--model" in capsys.readouterr().err
+
+    def test_model_on_another_bundle_is_refused(self, bundle, model_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        run(["synth", "--n", "150", "--classes", "3", "--pin", "0.2", "--pout", "0.01",
+             "--dim", "8", "--noise", "0.3", "--seed", "6", "--out", str(other)], capsys)
+        trained = json.loads((model_dir / "manifest.json").read_text())["bundle_hash"]
+        out = tmp_path / "reports"
+        for argv in (["infer"], ["infer", "--force"], ["baseline", "--strategy", "mv_askgnn"]):
+            code = main([*argv, "--bundle", str(other), "--model", str(model_dir),
+                         "--out", str(out), "--scorer-kind", "oracle", "--single-thread"])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert trained in err and bundle_hash(other) in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_feedback_command_writes_set(self, bundle, model_dir, tmp_path, capsys):
         cache = tmp_path / "cache.jsonl"

@@ -6,9 +6,12 @@ from gicl.encoder import (
     EncoderConfig,
     classify_logits,
     encode_all,
+    encode_on_tape,
     init_params,
+    neighbor_aggregator,
 )
-from gicl.graphstore import TagGraph, _build_csr
+from gicl.graphstore import BundleError, TagGraph, _build_csr
+from gicl.nncore import Tape, Tensor2
 
 
 def graph_from_edges(n, edges, features, labels=None, n_classes=2):
@@ -72,7 +75,6 @@ class TestEncodeAll:
         table = encode_all(g, params, cfg)
         expected = np.array([[1.0, 1.0], [1.0, 1.0]]) / np.sqrt(2)
         np.testing.assert_allclose(table.vectors, expected, atol=1e-6)
-        assert table.l2_normalized
 
     def test_isolated_node_sees_only_itself(self):
         feats = np.eye(4, 4)
@@ -127,11 +129,14 @@ class TestEncodeAll:
     def test_training_mode_needs_rng_and_differs(self, noisy_sbm):
         cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=2, hidden_dim=16, dropout=0.5)
         params = init_params(cfg, seed=6)
+        feats, agg = Tensor2(noisy_sbm.features), neighbor_aggregator(noisy_sbm)
         with pytest.raises(ValueError, match="rng"):
-            encode_all(noisy_sbm, params, cfg, training=True)
-        a = encode_all(noisy_sbm, params, cfg, training=True, rng=np.random.default_rng(1))
-        b = encode_all(noisy_sbm, params, cfg, training=False)
-        assert not np.array_equal(a.vectors, b.vectors)
+            encode_on_tape(Tape(), feats, agg, params, cfg, training=True)
+        a = encode_on_tape(Tape(), feats, agg, params, cfg, training=True,
+                           rng=np.random.default_rng(1))
+        b = encode_on_tape(Tape(), feats, agg, params, cfg, training=False)
+        assert not np.array_equal(a.data, b.data)
+        assert np.array_equal(b.data, encode_all(noisy_sbm, params, cfg).vectors)
 
     def test_last_layer_is_linear(self):
         # negative entries survive in the final embedding (no terminal ReLU)
@@ -196,5 +201,12 @@ def test_embedding_table_export_roundtrip(tmp_path, noisy_sbm):
     table = encode_all(noisy_sbm, params, cfg)
     table.save(tmp_path / "emb")
     back = EmbeddingTable.load(tmp_path / "emb")
-    assert back.l2_normalized
     assert np.array_equal(back.vectors, table.vectors)
+
+
+def test_embedding_table_load_rejects_truncated_payload(tmp_path):
+    EmbeddingTable(vectors=np.ones((4, 3), np.float32)).save(tmp_path / "emb")
+    payload = (tmp_path / "emb.bin").read_bytes()
+    (tmp_path / "emb.bin").write_bytes(payload[:-8])  # two float32 values short
+    with pytest.raises(BundleError, match=r"emb\.bin holds 10 values, expected 4x3=12"):
+        EmbeddingTable.load(tmp_path / "emb")

@@ -140,6 +140,17 @@ class TestRoundTrip:
         assert bundle_hash(tmp_path / "one") == bundle_hash(tmp_path / "two")
         assert bundle_hash(tmp_path / "one") != bundle_hash(tmp_path / "three")
 
+    def test_content_hash_survives_round_trip_and_tracks_content(self, tmp_path, noisy_sbm):
+        write_bundle(noisy_sbm, tmp_path / "out")
+        assert load_bundle(tmp_path / "out").content_hash == noisy_sbm.content_hash
+        texts = ("changed",) + noisy_sbm.texts[1:]
+        edited = TagGraph(
+            n_nodes=noisy_sbm.n_nodes, csr_offsets=noisy_sbm.csr_offsets,
+            csr_targets=noisy_sbm.csr_targets, features=noisy_sbm.features, texts=texts,
+            labels=noisy_sbm.labels, label_vocab=noisy_sbm.label_vocab,
+        )
+        assert edited.content_hash != noisy_sbm.content_hash
+
     def test_split_file_roundtrip(self, tmp_path):
         nodes = [{"id": i, "text": "t", "label": "a"} for i in range(4)]
         write_raw_bundle(tmp_path / "b", nodes, [], np.zeros((4, 2)), ["a"],

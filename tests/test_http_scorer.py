@@ -105,6 +105,21 @@ class TestRetries:
             assert len(got) == 1
             assert client.attempts == 3
 
+    def test_client_error_is_not_retried(self):
+        with StubScorerServer(fail_when=lambda body: 401) as server:
+            client = HttpClient(spec_for(server, retries=3))
+            with pytest.raises(ScorerError, match="HTTP 401"):
+                client.token_logprobs("p:", " c")
+            assert client.attempts == 1
+            assert len(server.requests) == 1
+
+    def test_rate_limit_is_retried(self):
+        with StubScorerServer(fail_when=lambda body: 429) as server:
+            client = HttpClient(spec_for(server, retries=2))
+            with pytest.raises(ScorerError, match="after 3 attempts.*HTTP 429"):
+                client.token_logprobs("p:", " c")
+            assert len(server.requests) == 3
+
     def test_connection_refused_raises_after_retries(self):
         spec = ScorerSpec(kind="http", endpoint="http://127.0.0.1:9", retries=1, backoff=0.0, timeout=0.5)
         client = HttpClient(spec)

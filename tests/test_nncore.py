@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import finite_difference_grads, gradcheck_errors
 from gicl import nncore
-from gicl.nncore import ParamSet, Tape, Tensor2, adam_step, backward, tensor
+from gicl.nncore import ParamSet, RowAggregator, Tape, Tensor2, adam_step, backward, tensor
 
 
 def leaf(values, dtype=np.float64):
@@ -49,28 +49,32 @@ class TestLinear:
 
 
 class TestMeanRows:
+    # groups in CSR form: group g averages rows targets[offsets[g]:offsets[g + 1]]
     def test_singleton_groups_are_identity(self):
         tape = Tape()
         x = leaf([[1.0, 2.0], [3.0, 4.0]])
-        out = nncore.mean_rows(tape, x, [[0], [1]])
+        out = nncore.mean_rows(tape, x, RowAggregator(np.array([0, 1, 2]), [0, 1], 2))
         assert np.array_equal(out.data, x.data)
 
     def test_pair_mean(self):
         tape = Tape()
         x = leaf([[1.0, 3.0], [3.0, 1.0]])
-        out = nncore.mean_rows(tape, x, [[0, 1]])
+        out = nncore.mean_rows(tape, x, RowAggregator(np.array([0, 2]), [0, 1], 2))
         assert out.data.tolist() == [[2.0, 2.0]]
 
     def test_empty_group_gives_zero_row(self):
         tape = Tape()
         x = leaf([[5.0, 5.0]])
-        out = nncore.mean_rows(tape, x, [[], [0]])
+        out = nncore.mean_rows(tape, x, RowAggregator(np.array([0, 0, 1]), [0], 1))
         assert out.data.tolist() == [[0.0, 0.0], [5.0, 5.0]]
 
     def test_index_out_of_range(self):
-        tape = Tape()
         with pytest.raises(IndexError):
-            nncore.mean_rows(tape, leaf(np.ones((2, 2))), [[0, 7]])
+            RowAggregator(np.array([0, 2]), [0, 7], 2)
+
+    def test_row_count_mismatch(self):
+        with pytest.raises(ValueError, match="expects 2 rows"):
+            nncore.mean_rows(Tape(), leaf(np.ones((3, 2))), RowAggregator(np.array([0, 1]), [0], 2))
 
 
 class TestElementwise:
@@ -230,7 +234,7 @@ def _loss_builders():
         "linear": lambda t, p: quadratic_readout(t, nncore.linear(t, p["x"], p["w"])),
         "linear_bias": lambda t, p: quadratic_readout(t, nncore.linear(t, p["x"], p["w"], p["b"])),
         "mean_rows": lambda t, p: quadratic_readout(
-            t, nncore.mean_rows(t, p["x"], [[0, 1], [2], [], [3, 4, 0]])
+            t, nncore.mean_rows(t, p["x"], RowAggregator(np.array([0, 2, 3, 3, 6]), [0, 1, 2, 3, 4, 0], 5))
         ),
         "relu": lambda t, p: quadratic_readout(t, nncore.relu(t, p["x"])),
         "l2_normalize": lambda t, p: quadratic_readout(

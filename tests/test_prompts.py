@@ -74,19 +74,11 @@ class TestRender:
     def test_long_document_truncated_at_whitespace(self):
         words = ("word " * 800).strip()  # 4000 chars
         t = PromptTemplate(main="{examples}{query}", example="{text} {label}", answer_cue="")
-        out = render(t, [(words, "A")], "q", max_chars_per_doc=1200)
+        out = render(t, [(words, "A")], "q")
         rendered_doc = out[: out.index(" A")]
         assert len(rendered_doc) <= 1200
         assert not rendered_doc[-1].isspace()
         assert words.startswith(rendered_doc)
-
-    def test_total_budget_drops_lowest_ranked_first(self):
-        t = PromptTemplate(main="{examples}{query}", example="<{text}{label}>", answer_cue="")
-        examples = [("", "A"), ("", "B"), ("", "C")]
-        full = render(t, examples, "q")
-        assert full == "<A><B><C>q"
-        capped = render(t, examples, "q", max_chars_total=7)
-        assert capped == "<A><B>q"
 
     def test_deterministic(self):
         args = (DEFAULT_TEMPLATE, [("text one", "A"), ("text two", "B")], "query body")
@@ -166,16 +158,12 @@ class TestMajorityVote:
 
 class TestPurify:
     def test_minority_removed(self):
-        out = purify_minority([("t", "A"), ("u", "A"), ("v", "B")], min_count=2)
+        out = purify_minority([("t", "A"), ("u", "A"), ("v", "B")])
         assert [e[1] for e in out] == ["A", "A"]
 
     def test_all_distinct_guard_returns_input(self):
         examples = [("t", "A"), ("u", "B"), ("v", "C")]
-        assert purify_minority(examples, min_count=2) == examples
-
-    def test_min_count_one_is_identity(self):
-        examples = [("t", "A"), ("u", "B")]
-        assert purify_minority(examples, min_count=1) == examples
+        assert purify_minority(examples) == examples
 
     def test_llm_select_full_budget_is_identity(self):
         examples = [IclExample("a", "A"), IclExample("b", "B")]

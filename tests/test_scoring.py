@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gicl.graphstore import synth_sbm
 from gicl.prompts import DEFAULT_TEMPLATE
-from gicl.retrieval import retrieve_topk, build_index
 from gicl.scoring import (
     FeedbackCache,
     OracleClient,
@@ -123,45 +123,46 @@ class TestSyntheticOracle:
 class TestFeedbackCache:
     def test_put_get_roundtrip(self):
         cache = FeedbackCache()
-        cache.put("sid", "th", 1, 2, 3, 4.5)
-        assert cache.get("sid", "th", 1, 2, 3) == 4.5
-        assert cache.get("sid", "th", 1, 2, 4) is None
+        cache.put("sid", "th", "g", 1, 2, 3, 4.5)
+        assert cache.get("sid", "th", "g", 1, 2, 3) == 4.5
+        assert cache.get("sid", "th", "g", 1, 2, 4) is None
 
     def test_keys_are_content_addressed(self):
-        assert cache_key("s", "t", 1, 2, 3) == cache_key("s", "t", 1, 2, 3)
-        assert cache_key("s", "t", 1, 2, 3) != cache_key("s2", "t", 1, 2, 3)
-        assert cache_key("s", "t", 1, 2, 3) != cache_key("s", "t2", 1, 2, 3)
+        assert cache_key("s", "t", "g", 1, 2, 3) == cache_key("s", "t", "g", 1, 2, 3)
+        assert cache_key("s", "t", "g", 1, 2, 3) != cache_key("s2", "t", "g", 1, 2, 3)
+        assert cache_key("s", "t", "g", 1, 2, 3) != cache_key("s", "t2", "g", 1, 2, 3)
+        assert cache_key("s", "t", "g", 1, 2, 3) != cache_key("s", "t", "g2", 1, 2, 3)
 
     def test_persists_floats_exactly(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
         value = math.exp(0.1 + 2.0 * (1 - 0.12345678901234))
-        cache.put("sid", "th", 7, 8, 0, value)
+        cache.put("sid", "th", "g", 7, 8, 0, value)
         reloaded = FeedbackCache(path)
-        assert reloaded.get("sid", "th", 7, 8, 0) == value
+        assert reloaded.get("sid", "th", "g", 7, 8, 0) == value
 
     def test_appends_not_rewrites(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
-        cache.put("s", "t", 0, 0, 0, 1.0)
+        cache.put("s", "t", "g", 0, 0, 0, 1.0)
         first = path.read_text()
-        cache.put("s", "t", 0, 0, 1, 2.0)
+        cache.put("s", "t", "g", 0, 0, 1, 2.0)
         assert path.read_text().startswith(first)
         assert len(path.read_text().splitlines()) == 2
 
     def test_duplicate_put_ignored(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
-        cache.put("s", "t", 0, 0, 0, 1.0)
-        cache.put("s", "t", 0, 0, 0, 99.0)
-        assert cache.get("s", "t", 0, 0, 0) == 1.0
+        cache.put("s", "t", "g", 0, 0, 0, 1.0)
+        cache.put("s", "t", "g", 0, 0, 0, 99.0)
+        assert cache.get("s", "t", "g", 0, 0, 0) == 1.0
         assert len(path.read_text().splitlines()) == 1
 
     def test_record_schema(self, tmp_path):
         import json
 
         path = tmp_path / "cache.jsonl"
-        FeedbackCache(path).put("sid", "th", 3, 9, 1, 2.5)
+        FeedbackCache(path).put("sid", "th", "g", 3, 9, 1, 2.5)
         record = json.loads(path.read_text())
         assert set(record) == {"k", "q", "e", "c", "ppl", "sid", "th"}
         assert record["q"] == 3 and record["e"] == 9 and record["c"] == 1
@@ -247,6 +248,16 @@ class TestRankCandidates:
         assert client.calls == before
         assert len(again.ranked) == 3
 
+    def test_cache_shared_across_graphs_keeps_each_graphs_utilities(self):
+        spec = ScorerSpec(kind="oracle")
+        graph_a, graph_b = (synth_sbm(200, 4, 0.1, 0.01, 8, 0.6, seed=s) for s in (1, 2))
+        shared = FeedbackCache()
+        rank_candidates(graph_a, 0, [1, 2, 3], spec, DEFAULT_TEMPLATE, shared)
+        through_shared = rank_candidates(graph_b, 0, [1, 2, 3], spec, DEFAULT_TEMPLATE, shared)
+        fresh = rank_candidates(graph_b, 0, [1, 2, 3], spec, DEFAULT_TEMPLATE, FeedbackCache())
+        assert through_shared.ranked == fresh.ranked
+        assert len(shared) == 2 * 3 * graph_a.n_classes
+
     def test_ties_break_by_example_id(self, clean_sbm):
         cache = FeedbackCache()
         spec = ScorerSpec(kind="oracle")
@@ -285,9 +296,3 @@ class TestRankCandidates:
         outcome = rank_candidates(clean_sbm, 0, [1, 2, 3], spec, DEFAULT_TEMPLATE, FeedbackCache(), client=client)
         assert outcome.failed == (3,)
         assert set(outcome.ranked.example_ids) == {1, 2}
-
-    def test_retrieval_result_accepted_directly(self, clean_sbm):
-        index = build_index(clean_sbm.features, list(range(1, 20)))
-        hits = retrieve_topk(index, clean_sbm.features[0], 5, query_id=0)
-        outcome = rank_candidates(clean_sbm, 0, hits, ScorerSpec(kind="oracle"), DEFAULT_TEMPLATE, FeedbackCache())
-        assert set(outcome.ranked.example_ids) == set(hits.node_ids())

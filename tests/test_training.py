@@ -340,10 +340,9 @@ class TestTrain:
 
         original = training_mod.encode_all
 
-        def spy(graph, params, config, training=False, rng=None):
-            table = original(graph, params, config, training=training, rng=rng)
-            if not training:
-                seen_vectors.append(table.vectors.copy())
+        def spy(graph, params, config):
+            table = original(graph, params, config)
+            seen_vectors.append(table.vectors.copy())
             return table
 
         monkeypatch.setattr(training_mod, "encode_all", spy)
