@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .encoder import EmbeddingTable, init_params
 from .graphstore import (
+    SplitSpec,
     TagGraph,
     bundle_hash,
     load_bundle,
@@ -56,92 +57,74 @@ from .training import TrainConfig, TrainedModel, collect_feedback_round, train
 TRAIN_FLAGS = ("beta", "epochs", "rounds", "k_feedback", "k_icl", "lr", "hidden_dim", "n_layers",
                "tau")
 
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _scorer_from_config(cfg: dict, args: argparse.Namespace) -> ScorerSpec:
-    raw = dict(cfg.get("scorer", {}))
-    if getattr(args, "scorer_kind", None):
-        raw["kind"] = args.scorer_kind
-    if getattr(args, "endpoint", None):
-        raw["endpoint"] = args.endpoint
-    if getattr(args, "model_name", None):
-        raw["model"] = args.model_name
-    if getattr(args, "single_thread", False):
-        raw["max_parallel"] = 1
-    known = {f for f in ScorerSpec.__dataclass_fields__}
-    return ScorerSpec(**{k: v for k, v in raw.items() if k in known})
+# Parsed options a manifest leaves out: those that change no result, the inputs it
+# records by digest or through the values they resolve to, and the subcommand's entries.
+UNRECORDED = frozenset({"out", "force", "single_thread", "cache",
+                        "bundle", "template", "scorer_kind", "endpoint", "model_name",
+                        "config", "model", "command", "fn"})
+# scorer flags and the ScorerSpec fields they set
+SCORER_FLAGS = {"scorer_kind": "kind", "endpoint": "endpoint", "model_name": "model"}
 
 
-def _train_config(cfg: dict, args: argparse.Namespace) -> TrainConfig:
-    raw = {k: v for k, v in cfg.items() if k in TrainConfig.__dataclass_fields__}
-    for name in TrainConfig.__dataclass_fields__:
-        value = getattr(args, name, None)
-        if value is not None:
-            raw[name] = value
-    return TrainConfig(**raw)
+@dataclass(frozen=True)
+class RunInputs:
+    config: TrainConfig
+    spec: ScorerSpec
+    template: PromptTemplate
+    graph: TagGraph
+    split: SplitSpec
+    model: TrainedModel | None
+    manifest: RunManifest
 
 
-def _template(cfg: dict, args: argparse.Namespace) -> PromptTemplate:
-    name = getattr(args, "template", None) or cfg.get("template")
-    return load_template(name) if name else DEFAULT_TEMPLATE
+def resolve_inputs(args: argparse.Namespace) -> RunInputs:
+    """Every input of a train, feedback, sweep, infer or baseline run.
 
-
-def _split_for(graph: TagGraph, bundle: str, cfg: dict, args: argparse.Namespace):
-    fraction = getattr(args, "fraction", None)
-    if fraction is None:
-        fraction = cfg.get("fraction", 0.1)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = cfg.get("seed", 0)
-    preset = load_split_file(bundle)
-    test_ids = preset["test"] if preset is not None and preset["test"].size else None
-    return sample_label_fraction(graph, float(fraction), int(seed), test_ids=test_ids)
-
-
-def _training_inputs(args: argparse.Namespace):
-    """Train config, scorer, template, graph and split, loaded in that order."""
-    cfg_file = _load_config(args.config)
-    config = _train_config(cfg_file, args)
-    spec = _scorer_from_config(cfg_file, args)
-    template = _template(cfg_file, args)
+    Each value comes from the first source that sets it: its flag, the
+    --model's training manifest, the --config file, the default.
+    """
+    file_cfg = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+    mdir = Path(args.model) if getattr(args, "model", None) else None
+    trained = RunManifest.load(mdir / "manifest.json") if mdir else None
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    settings = {**file_cfg, **(trained.config if trained else {}), **flags}
+    config = TrainConfig(**{k: v for k, v in settings.items()
+                            if k in TrainConfig.__dataclass_fields__})
+    scorer = {**file_cfg.get("scorer", {}),
+              **{field: flags[flag] for flag, field in SCORER_FLAGS.items() if flag in flags}}
+    if args.single_thread:
+        scorer["max_parallel"] = 1
+    spec = ScorerSpec(**{k: v for k, v in scorer.items() if k in ScorerSpec.__dataclass_fields__})
+    name = settings.get("template")
+    template = load_template(name) if name else DEFAULT_TEMPLATE
     graph = load_bundle(args.bundle)
-    return config, spec, template, graph, _split_for(graph, args.bundle, cfg_file, args)
-
-
-def _manifest(config: TrainConfig, spec: ScorerSpec, template: PromptTemplate,
-              bundle: str, extra: dict) -> RunManifest:
-    """The run's config is the TrainConfig plus ``extra`` (fraction, strategy, ...)."""
-    return RunManifest(
-        config={**asdict(config), **extra},
+    preset = load_split_file(args.bundle)
+    test_ids = preset["test"] if preset is not None and preset["test"].size else None
+    split = sample_label_fraction(graph, float(settings.get("fraction", 0.1)), config.seed,
+                                  test_ids=test_ids)
+    digest = bundle_hash(args.bundle)
+    if "strategy" in flags and STRATEGY_TABLE[args.strategy].needs_model:
+        if trained is None:
+            raise ValueError(f"strategy {args.strategy!r} needs --model")
+        if trained.bundle_hash != digest:
+            raise ValueError(f"model {args.model} was trained on bundle {trained.bundle_hash}, "
+                             f"but {args.bundle} hashes to {digest}")
+    model = None
+    if mdir:
+        model = TrainedModel(params=ParamSet.load(mdir / "params.bin"), config=config,
+                             embeddings=EmbeddingTable.load(mdir / "embeddings"))
+    recorded = {k: v for k, v in vars(args).items() if k not in UNRECORDED}
+    manifest = RunManifest(
+        config={**recorded, **asdict(config), "fraction": float(split.fraction)},
         seed=config.seed,
-        bundle_hash=bundle_hash(bundle),
+        bundle_hash=digest,
         template_hash=template.template_hash,
         scorer_id=spec.scorer_id,
     )
-
-
-def _load_model(model_dir: str) -> tuple[TrainedModel, RunManifest]:
-    mdir = Path(model_dir)
-    manifest = RunManifest.load(mdir / "manifest.json")
-    config = TrainConfig.from_dict(manifest.config)
-    params = ParamSet.load(mdir / "params.bin")
-    embeddings = EmbeddingTable.load(mdir / "embeddings")
-    return TrainedModel(params=params, config=config, embeddings=embeddings, log=[]), manifest
-
-
-def _save_model(model: TrainedModel, manifest: RunManifest, out_dir: str) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    model.params.save(out / "params.bin")
-    model.embeddings.save(out / "embeddings")
-    model.write_log(out / "train_log.csv")
-    manifest.save(out / "manifest.json")
+    return RunInputs(config, spec, template, graph, split, model, manifest)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -174,32 +157,32 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config, spec, template, graph, split = _training_inputs(args)
+    run = resolve_inputs(args)
     cache = FeedbackCache(args.cache or None)
-    model = train(graph, split, spec, template, config, cache=cache)
-    manifest = _manifest(config, spec, template, args.bundle,
-                         extra={"fraction": float(split.fraction)})
-    _save_model(model, manifest, args.out)
+    model = train(run.graph, run.split, run.spec, run.template, run.config, cache=cache)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    model.params.save(out / "params.bin")
+    model.embeddings.save(out / "embeddings")
+    model.write_log(out / "train_log.csv")
+    run.manifest.save(out / "manifest.json")
     print(json.dumps({
         "out": str(args.out),
-        "manifest_hash": manifest.manifest_hash,
+        "manifest_hash": run.manifest.manifest_hash,
         "final_loss": model.log[-1]["loss_total"] if model.log else None,
     }))
     return 0
 
 
 def cmd_feedback(args: argparse.Namespace) -> int:
-    config, spec, template, graph, split = _training_inputs(args)
-    if args.model:
-        model, _ = _load_model(args.model)
-        params = model.params
-        config = model.config
-        if args.k_feedback is not None:
-            config = replace(config, k_feedback=args.k_feedback)
+    run = resolve_inputs(args)
+    if run.model:
+        params = run.model.params
     else:
-        params = init_params(config.encoder_config(graph), config.seed)
+        params = init_params(run.config.encoder_config(run.graph), run.config.seed)
     cache = FeedbackCache(args.cache or None)
-    feedback = collect_feedback_round(graph, split, params, config, spec, template, cache)
+    feedback = collect_feedback_round(run.graph, run.split, params, run.config, run.spec,
+                                      run.template, cache)
     payload = {
         "round": feedback.round_index,
         "coverage": feedback.coverage,
@@ -217,36 +200,11 @@ def cmd_feedback(args: argparse.Namespace) -> int:
 
 
 def _run_and_report(args: argparse.Namespace) -> int:
-    strategy = args.strategy
-    cfg_file = _load_config(args.config)
-    spec = _scorer_from_config(cfg_file, args)
-    template = _template(cfg_file, args)
-    graph = load_bundle(args.bundle)
-
-    model, extra = None, {}
-    if STRATEGY_TABLE[strategy].needs_model:
-        if not getattr(args, "model", None):
-            raise ValueError(f"strategy {strategy!r} needs --model")
-        model, trained = _load_model(args.model)
-        if trained.bundle_hash != bundle_hash(args.bundle):
-            raise ValueError(f"model {args.model} was trained on bundle {trained.bundle_hash}, "
-                             f"but {args.bundle} hashes to {bundle_hash(args.bundle)}")
-        config = model.config
-        # the manifest records, and the split defaults to, the model's training fraction
-        extra["fraction"] = trained.config.get("fraction", 0.1)
-        cfg_file.setdefault("fraction", extra["fraction"])
-        cfg_file.setdefault("seed", config.seed)
-    else:
-        config = _train_config(cfg_file, args)
-    split = _split_for(graph, args.bundle, cfg_file, args)
-    k_icl = args.k_icl if args.k_icl is not None else config.k_icl
-    purify = getattr(args, "purify", None)
-
-    extra.update(strategy=strategy, k_icl=k_icl, purify=purify)
-    manifest = _manifest(config, spec, template, args.bundle, extra=extra)
+    run = resolve_inputs(args)
+    strategy, manifest = args.strategy, run.manifest
     rows = run_strategy(
-        strategy, graph, split, spec, template, model=model, k_icl=k_icl,
-        seed=config.seed, purify=purify,
+        strategy, run.graph, run.split, run.spec, run.template, model=run.model,
+        k_icl=run.config.k_icl, seed=run.config.seed, purify=getattr(args, "purify", None),
         purify_budget=getattr(args, "purify_budget", None),
         single_thread=args.single_thread,
     )
@@ -283,10 +241,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config, spec, template, graph, split = _training_inputs(args)
+    run = resolve_inputs(args)
     cache = FeedbackCache(args.cache or None)
     values = [float(v) for v in args.values.split(",") if v != ""]
-    results = sweep(args.axis, values, graph, split, spec, template, config, cache=cache)
+    results = sweep(args.axis, values, run.graph, run.split, run.spec, run.template, run.config,
+                    cache=cache)
     write_sweep_csv(results, args.out)
     print(json.dumps({"axis": args.axis, "rows": len(results), "out": str(args.out)}))
     return 0
@@ -313,7 +272,7 @@ def _add_train_flags(p: argparse.ArgumentParser, names) -> None:
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ, default=None)
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gicl", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"gicl {__version__}")
@@ -383,8 +342,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", required=True, help="CSV output path")
     _add_train_flags(p, [f for f in TRAIN_FLAGS if f not in SWEEP_AXES])
     p.set_defaults(fn=cmd_sweep)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

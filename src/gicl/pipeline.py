@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -89,9 +89,9 @@ class RunManifest:
     def manifest_hash(self) -> str:
         """Digest of everything that determines the run output; excludes
         the creation timestamp so identical runs share a hash."""
-        fields = asdict(self)
-        del fields["created_at"]
-        payload = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        record = asdict(self)
+        del record["created_at"]
+        payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def save(self, path: str | Path) -> None:
@@ -103,16 +103,8 @@ class RunManifest:
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return cls(
-            config=obj["config"],
-            seed=obj["seed"],
-            bundle_hash=obj["bundle_hash"],
-            template_hash=obj["template_hash"],
-            scorer_id=obj["scorer_id"],
-            version=obj.get("version", __version__),
-            created_at=obj.get("created_at", 0.0),
-        )
+            obj = {"version": __version__, "created_at": 0.0, **json.load(fh)}
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -154,22 +146,29 @@ def write_report(
     overwrite: bool = False,
 ) -> None:
     """Emit the per-query CSV and summary JSON; never clobbers an old report."""
-    csv_path, json_path = Path(csv_path), Path(json_path)
-    if not overwrite:
-        for p in (csv_path, json_path):
-            if p.exists():
-                raise FileExistsError(f"{p}: reports are append-only, refusing to overwrite")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    mode = "w" if overwrite else "x"
+    files = []
+    try:
+        for path in (csv_path, json_path):
+            files.append(open(path, mode, newline="", encoding="utf-8"))
+    except OSError as exc:
+        for fh in files:  # leave nothing behind when either file cannot be opened
+            fh.close()
+            Path(fh.name).unlink()
+        if isinstance(exc, FileExistsError):
+            raise FileExistsError(
+                f"{exc.filename}: reports are append-only, refusing to overwrite") from None
+        raise
+    with files[0] as csv_fh, files[1] as json_fh:
+        writer = csv.writer(csv_fh, lineterminator="\n")
         writer.writerow(["query_id", "gold", "predicted", "strategy", "n_icl", "parsed", "note"])
         for r in rows:
             writer.writerow(
                 [r.query_id, r.gold, "" if r.predicted is None else r.predicted,
                  r.strategy, r.n_icl, int(r.parsed), r.note]
             )
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        json.dump(summary, json_fh, sort_keys=True, indent=2)
+        json_fh.write("\n")
 
 
 def read_report(csv_path: str | Path) -> list[EvalRow]:

@@ -161,18 +161,21 @@ class FeedbackCache:
     """Append-only JSONL perplexity cache, content-addressed by request key.
 
     One writer at a time (appends are serialized through a lock); reads are
-    plain dict lookups. Pass path=None for a purely in-memory cache.
+    plain dict lookups. Pass path=None for a purely in-memory cache. A torn
+    last line (no newline: its writer died) is skipped; the next append cuts it off.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._data: dict[str, float] = {}
         self._lock = threading.Lock()
+        self._torn_at: int | None = None  # file offset of a torn last line
         if self.path is not None and self.path.is_file():
             with open(self.path, encoding="utf-8") as fh:
                 for line in fh:
-                    line = line.strip()
-                    if line:
+                    if not line.endswith("\n"):
+                        self._torn_at = self.path.stat().st_size - len(line.encode("utf-8"))
+                    elif line.strip():
                         obj = json.loads(line)
                         self._data[obj["k"]] = float(obj["ppl"])
 
@@ -194,6 +197,9 @@ class FeedbackCache:
                 record = {"k": key, "q": q, "e": e, "c": c, "ppl": value,
                           "sid": scorer_id, "th": template_hash}
                 with open(self.path, "a", encoding="utf-8") as fh:
+                    if self._torn_at is not None:
+                        fh.truncate(self._torn_at)  # appends still go to the (new) end
+                        self._torn_at = None
                     fh.write(json.dumps(record) + "\n")
 
 

@@ -75,11 +75,6 @@ class TrainConfig:
             dropout=self.dropout,
         )
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in obj.items() if k in known})
-
 
 @dataclass
 class FeedbackSet:

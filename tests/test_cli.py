@@ -1,12 +1,15 @@
 """End-to-end command line runs on a small synthetic bundle."""
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
+from stubserver import StubScorerServer, echo_response
 
-from gicl.cli import main
-from gicl.graphstore import bundle_hash
+from gicl.cli import UNRECORDED, build_parser, main, resolve_inputs
+from gicl.graphstore import bundle_hash, load_bundle, sample_label_fraction
 
 
 def run(argv, capsys):
@@ -147,6 +150,22 @@ class TestInferAndBaselines:
         payload = json.loads(out.read_text())
         assert payload["queries"]
 
+    def test_feedback_with_model_collects_over_the_models_split(self, bundle, model_dir,
+                                                                capsys):
+        summary = run(["feedback", "--bundle", str(bundle), "--model", str(model_dir),
+                       "--scorer-kind", "oracle", "--single-thread"], capsys)
+        split = sample_label_fraction(load_bundle(bundle), 0.3, 2)  # TRAIN_FLAGS
+        assert summary["queries"] == len(split.query_train_ids)
+
+    def test_feedback_reads_a_model_trained_on_another_bundle(self, model_dir, tmp_path,
+                                                              capsys):
+        other = tmp_path / "other"
+        run(["synth", "--n", "150", "--classes", "3", "--pin", "0.2", "--pout", "0.01",
+             "--dim", "8", "--noise", "0.3", "--seed", "6", "--out", str(other)], capsys)
+        summary = run(["feedback", "--bundle", str(other), "--model", str(model_dir),
+                       "--scorer-kind", "oracle", "--single-thread"], capsys)
+        assert summary["queries"] > 0
+
     def test_sweep_emits_csv(self, bundle, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         summary = run(["sweep", "--bundle", str(bundle), "--axis", "k_icl",
@@ -173,6 +192,17 @@ class TestConfigFile:
         assert manifest["config"]["epochs"] == 5  # flag wins
         assert manifest["config"]["hidden_dim"] == 8  # file value kept
 
+    def test_flag_then_model_then_file(self, bundle, model_dir, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"fraction": 0.5, "seed": 9, "k_icl": 2, "tau": 0.5}))
+        args = build_parser().parse_args([
+            "infer", "--bundle", str(bundle), "--model", str(model_dir), "--config", str(cfg),
+            "--out", str(tmp_path), "--k-icl", "4"])
+        inputs = resolve_inputs(args)
+        assert inputs.config.k_icl == 4  # flag
+        assert inputs.split.fraction == 0.3 and inputs.config.seed == 2  # model, not file
+        assert inputs.config.tau == 1.0  # the model's value, not the file's
+
 
 class TestDeterminism:
     def test_train_and_infer_reports_are_byte_identical(self, bundle, tmp_path, capsys):
@@ -187,3 +217,92 @@ class TestDeterminism:
             json_path = Path(str(csv_path).replace(".csv", ".json"))
             reports.append((csv_path.name, csv_path.read_bytes(), json_path.read_bytes()))
         assert reports[0] == reports[1]
+
+
+def _two_values(action: argparse.Action) -> tuple[list[str], list[str]] | None:
+    """Two different settings of an option, or None when it takes a single value."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:
+        return [], [flag]
+    if action.choices is not None:
+        choices = list(action.choices)
+        return ([flag, choices[0]], [flag, choices[1]]) if len(choices) > 1 else None
+    a, b = {int: ("3", "5"), float: ("0.3", "0.6")}.get(action.type, ("a", "b"))
+    return [flag, a], [flag, b]
+
+
+class TestManifestCoverage:
+    @pytest.mark.parametrize("command", ["train", "infer", "baseline"])
+    def test_every_option_changes_the_hash_or_is_declared_unrecorded(self, bundle, model_dir,
+                                                                     tmp_path, command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        base = {
+            "train": ["train"],
+            "infer": ["infer", "--model", str(model_dir)],
+            "baseline": ["baseline", "--model", str(model_dir), "--strategy", "few_knn"],
+        }[command] + ["--bundle", str(bundle), "--out", str(tmp_path), "--scorer-kind", "oracle"]
+
+        def manifest_hash(extra: list[str]) -> str:
+            return resolve_inputs(parser.parse_args(base + extra)).manifest.manifest_hash
+
+        recorded = []
+        for action in sub.choices[command]._actions:
+            if isinstance(action, argparse._HelpAction) or action.dest in UNRECORDED:
+                continue
+            values = _two_values(action)
+            if values is None:
+                continue
+            a, b = values
+            assert manifest_hash(a) != manifest_hash(b), (
+                f"{command} {action.option_strings[0]} changes no manifest hash; "
+                f"record it or declare it in cli.UNRECORDED")
+            recorded.append(action.dest)
+        assert {"fraction", "seed", "k_icl"} <= set(recorded)
+
+    @pytest.mark.parametrize("argv, first, second", [
+        (["baseline", "--strategy", "few_knn"], ["--fraction", "0.1"], ["--fraction", "0.5"]),
+        (["infer", "--model", "MODEL", "--purify", "llm_select"],
+         ["--purify-budget", "2"], ["--purify-budget", "4"]),
+        (["infer", "--model", "MODEL"], [], ["--seed", "7"]),
+        (["infer", "--model", "MODEL"], [], ["--fraction", "0.6"]),
+    ])
+    def test_runs_that_differ_in_one_input_get_two_reports(self, bundle, model_dir, tmp_path,
+                                                           capsys, argv, first, second):
+        argv = [str(model_dir) if a == "MODEL" else a for a in argv]
+        common = ["--bundle", str(bundle), "--out", str(tmp_path), "--scorer-kind", "oracle",
+                  "--single-thread"]
+        one = run([*argv, *common, *first], capsys)
+        two = run([*argv, *common, *second], capsys)
+        assert one["manifest_hash"] != two["manifest_hash"]
+        assert len(list(tmp_path.glob("report-*.csv"))) == 2
+
+
+def _answer_first_label(body: dict) -> dict:
+    """Echo for scoring; for answers, the first label that occurs in the prompt."""
+    if body.get("max_tokens", 0) == 0:
+        return echo_response(body)
+    labels = re.findall(r"topic-\d+", body["prompt"])
+    return {"choices": [{"text": " " + (labels[0] if labels else "none"), "logprobs": None}]}
+
+
+class TestThreadCount:
+    def test_thread_count_changes_no_result(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        run(["synth", "--n", "80", "--classes", "3", "--pin", "0.2", "--pout", "0.02",
+             "--dim", "8", "--noise", "0.3", "--seed", "3", "--out", str(bundle)], capsys)
+        outputs = []
+        with StubScorerServer(respond=_answer_first_label) as server:
+            for threads in ([], ["--single-thread"]):  # max_parallel 8, then 1
+                mdir, rdir = tmp_path / f"model{len(threads)}", tmp_path / f"reports{len(threads)}"
+                common = ["--bundle", str(bundle), "--scorer-kind", "http", "--endpoint",
+                          server.endpoint, "--model-name", "stub", *threads]
+                run(["train", *common, "--out", str(mdir), "--fraction", "0.3", "--epochs", "3",
+                     "--hidden-dim", "8", "--n-layers", "1", "--k-feedback", "3"], capsys)
+                summary = run(["infer", *common, "--model", str(mdir), "--out", str(rdir),
+                               "--k-icl", "3"], capsys)
+                report = rdir / f"report-askgnn-{summary['manifest_hash']}.csv"
+                outputs.append(((mdir / "embeddings.bin").read_bytes(), report.read_bytes(),
+                                summary["manifest_hash"]))
+        assert summary["unparsed"] == 0
+        assert outputs[0] == outputs[1]

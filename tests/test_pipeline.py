@@ -78,6 +78,14 @@ class TestReports:
         with pytest.raises(FileExistsError):
             write_report(rows, summary, tmp_path / "r.csv", tmp_path / "r.json")
 
+    def test_report_refused_when_only_its_summary_exists(self, tmp_path):
+        (tmp_path / "r.json").write_text("{}")
+        with pytest.raises(FileExistsError, match="r.json"):
+            write_report([EvalRow(0, 0, 0, "s", 1, True)], {}, tmp_path / "r.csv",
+                         tmp_path / "r.json")
+        assert not (tmp_path / "r.csv").exists()
+        assert (tmp_path / "r.json").read_text() == "{}"
+
     def test_manifest_hash_ignores_timestamp(self):
         kw = dict(config={"beta": 0.2}, seed=1, bundle_hash="b", template_hash="t", scorer_id="s")
         a = RunManifest(**kw, created_at=1.0)
@@ -91,6 +99,14 @@ class TestReports:
         m.save(tmp_path / "m.json")
         back = RunManifest.load(tmp_path / "m.json")
         assert back.manifest_hash == m.manifest_hash
+
+    def test_manifest_without_version_or_time_loads(self, tmp_path):
+        old = {"config": {"k": 1}, "seed": 3, "bundle_hash": "b", "template_hash": "t",
+               "scorer_id": "s"}
+        (tmp_path / "m.json").write_text(json.dumps(old))
+        back = RunManifest.load(tmp_path / "m.json")
+        assert back.created_at == 0.0
+        assert back.manifest_hash == RunManifest(**old).manifest_hash
 
 
 class TestStrategies:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -167,6 +168,27 @@ class TestFeedbackCache:
         assert set(record) == {"k", "q", "e", "c", "ppl", "sid", "th"}
         assert record["q"] == 3 and record["e"] == 9 and record["c"] == 1
         assert record["ppl"] == 2.5 and record["sid"] == "sid" and record["th"] == "th"
+
+    def test_torn_last_line_is_skipped_and_next_put_starts_a_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        FeedbackCache(path).put("s", "t", "g", 0, 0, 0, 1.0)
+        whole = path.read_text()
+        path.write_text(whole + whole[:len(whole) // 2])  # a writer died mid-append
+        cache = FeedbackCache(path)
+        assert len(cache) == 1
+        cache.put("s", "t", "g", 0, 0, 1, 2.0)
+        assert path.read_text().startswith(whole)
+        assert len(path.read_text().splitlines()) == 2
+        reloaded = FeedbackCache(path)
+        assert reloaded.get("s", "t", "g", 0, 0, 0) == 1.0
+        assert reloaded.get("s", "t", "g", 0, 0, 1) == 2.0
+
+    def test_malformed_line_before_the_last_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        FeedbackCache(path).put("s", "t", "g", 0, 0, 0, 1.0)
+        path.write_text("{not json\n" + path.read_text())
+        with pytest.raises(json.JSONDecodeError):
+            FeedbackCache(path)
 
 
 class TestOracleClient:
