@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -158,8 +159,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     run = resolve_inputs(args)
-    cache = FeedbackCache(args.cache or None)
-    model = train(run.graph, run.split, run.spec, run.template, run.config, cache=cache)
+    with closing(FeedbackCache(args.cache or None)) as cache:
+        model = train(run.graph, run.split, run.spec, run.template, run.config, cache=cache)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.params.save(out / "params.bin")
@@ -180,9 +181,9 @@ def cmd_feedback(args: argparse.Namespace) -> int:
         params = run.model.params
     else:
         params = init_params(run.config.encoder_config(run.graph), run.config.seed)
-    cache = FeedbackCache(args.cache or None)
-    feedback = collect_feedback_round(run.graph, run.split, params, run.config, run.spec,
-                                      run.template, cache)
+    with closing(FeedbackCache(args.cache or None)) as cache:
+        feedback = collect_feedback_round(run.graph, run.split, params, run.config, run.spec,
+                                          run.template, cache)
     payload = {
         "round": feedback.round_index,
         "coverage": feedback.coverage,
@@ -242,10 +243,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     run = resolve_inputs(args)
-    cache = FeedbackCache(args.cache or None)
     values = [float(v) for v in args.values.split(",") if v != ""]
-    results = sweep(args.axis, values, run.graph, run.split, run.spec, run.template, run.config,
-                    cache=cache)
+    with closing(FeedbackCache(args.cache or None)) as cache:
+        results = sweep(args.axis, values, run.graph, run.split, run.spec, run.template,
+                        run.config, cache=cache)
     write_sweep_csv(results, args.out)
     print(json.dumps({"axis": args.axis, "rows": len(results), "out": str(args.out)}))
     return 0

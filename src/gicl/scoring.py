@@ -7,7 +7,8 @@ Two scorer kinds sit behind one client interface:
   log-probabilities enabled and zero generated tokens; the continuation's
   log-probs are the echoed tokens at or beyond the prompt/continuation
   character boundary. The API key is read from the ``GICL_API_KEY``
-  environment variable and sent as a bearer token.
+  environment variable and sent as a bearer token. Requests go over pooled
+  stdlib keep-alive connections; proxy settings and ``.netrc`` are not read.
 
 * ``oracle`` — a deterministic stand-in for desk-scale tests. Its negative
   log-likelihood for a class is a closed-form function of how much the ICL
@@ -23,18 +24,24 @@ warm-cache collection issues zero scorer calls.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
 import os
+import random
+import select
+import socket
+import ssl
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
 
 from .graphstore import UNLABELED, TagGraph
 from .prompts import PromptTemplate, render
@@ -62,6 +69,9 @@ class ScorerSpec:
             raise ValueError(f"unknown scorer kind {self.kind!r}")
         if self.kind == "http" and not self.endpoint:
             raise ValueError("http scorer needs an endpoint")
+        if self.kind == "http" and urlsplit(self.endpoint).scheme not in ("http", "https"):
+            raise ValueError("http scorer endpoint must be an http:// or https:// URL, "
+                             f"got {self.endpoint!r}")
 
     @property
     def scorer_id(self) -> str:
@@ -162,7 +172,9 @@ class FeedbackCache:
 
     One writer at a time (appends are serialized through a lock); reads are
     plain dict lookups. Pass path=None for a purely in-memory cache. A torn
-    last line (no newline: its writer died) is skipped; the next append cuts it off.
+    last line (no newline: its writer died) is skipped; the first append cuts it off.
+    The first append opens one handle that later appends reuse; each record is
+    flushed before ``put`` returns, and ``close`` releases the handle.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -170,6 +182,7 @@ class FeedbackCache:
         self._data: dict[str, float] = {}
         self._lock = threading.Lock()
         self._torn_at: int | None = None  # file offset of a torn last line
+        self._fh = None  # append handle, opened by the first put
         if self.path is not None and self.path.is_file():
             with open(self.path, encoding="utf-8") as fh:
                 for line in fh:
@@ -196,11 +209,20 @@ class FeedbackCache:
             if self.path is not None:
                 record = {"k": key, "q": q, "e": e, "c": c, "ppl": value,
                           "sid": scorer_id, "th": template_hash}
-                with open(self.path, "a", encoding="utf-8") as fh:
+                if self._fh is None:
+                    self._fh = open(self.path, "a", encoding="utf-8")
                     if self._torn_at is not None:
-                        fh.truncate(self._torn_at)  # appends still go to the (new) end
+                        self._fh.truncate(self._torn_at)  # appends still go to the (new) end
                         self._torn_at = None
-                    fh.write(json.dumps(record) + "\n")
+                self._fh.write(json.dumps(record) + "\n")
+                self._fh.flush()
+
+    def close(self) -> None:
+        """Close the append handle; a later put opens a new one."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +282,21 @@ class OracleClient:
         return self.graph.label_vocab[int(np.argmin(nlls))]
 
 
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for conn in connections:
+        conn.close()
+
+
 class HttpClient:
     """Completions-API scorer with bounded retries and echo-logprob parsing.
 
-    Transport errors, 429 and 5xx are retried with exponential backoff; any
-    other non-200 status cannot succeed on a resend and fails at once.
+    Transport errors, 429 and 5xx are retried with jittered exponential
+    backoff, as is a 200 whose body is not JSON; any other non-200 status
+    cannot succeed on a resend and fails at once.
 
+    Requests go over stdlib keep-alive connections. Idle ones wait in a
+    lock-guarded list shared by every thread, so they outlive the short-lived
+    pools of ``fan_out``; a connection that fails mid-request is dropped.
     Safe to share across the configured number of worker threads; the call
     counters are lock-protected so tests can assert on them exactly.
     """
@@ -275,7 +306,16 @@ class HttpClient:
         self.calls = 0
         self.attempts = 0
         self._count_lock = threading.Lock()
-        self._session = requests.Session()
+        url = urlsplit(spec.endpoint)
+        self._host, self._port = url.hostname, url.port
+        self._path = url.path.rstrip("/") + "/v1/completions"
+        # one context for every connection; it verifies the certificate and the hostname
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+        # callers never close a client, so its idle connections close when it is collected
+        weakref.finalize(self, _close_all, self._idle)
+        self._jitter = random.Random()  # private, so no seeded stream moves
 
     def _bump(self, attr: str) -> None:
         with self._count_lock:
@@ -288,24 +328,69 @@ class HttpClient:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, or a new unopened one."""
+        while True:
+            with self._idle_lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                break
+            # an idle socket that reads as ready holds the server's close (or
+            # bytes nobody asked for): sending on it would waste an attempt
+            poller = select.poll()
+            poller.register(conn.sock, select.POLLIN)
+            if not poller.poll(0):
+                return conn
+            conn.close()
+        if self._tls is None:
+            return http.client.HTTPConnection(self._host, self._port, timeout=self.spec.timeout)
+        return http.client.HTTPSConnection(self._host, self._port, timeout=self.spec.timeout,
+                                           context=self._tls)
+
+    def _send(self, payload: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """One POST; returns (status, whole body). Raises OSError or HTTPException."""
+        conn = self._connection()
+        try:
+            if conn.sock is None:
+                conn.connect()
+                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.request("POST", self._path, body=payload, headers=headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return resp.status, data
+
     def _post(self, body: dict) -> dict:
-        url = self.spec.endpoint.rstrip("/") + "/v1/completions"
+        payload = json.dumps(body).encode("utf-8")
+        headers = self._headers()
         last_error: Exception | None = None
         for attempt in range(self.spec.retries + 1):
             self._bump("attempts")
             try:
-                resp = self._session.post(
-                    url, json=body, headers=self._headers(), timeout=self.spec.timeout
-                )
-                if resp.status_code == 200:
-                    return resp.json()
-                last_error = ScorerError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                if resp.status_code != 429 and resp.status_code < 500:
-                    raise last_error
-            except requests.RequestException as exc:
+                status, data = self._send(payload, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
+            else:
+                if status == 200:
+                    try:
+                        return json.loads(data)
+                    except ValueError as exc:  # not JSON, or not UTF-8
+                        last_error = exc
+                else:
+                    text = data[:200].decode("utf-8", "replace")
+                    last_error = ScorerError(f"HTTP {status}: {text}")
+                    if status != 429 and status < 500:
+                        raise last_error
             if attempt < self.spec.retries:
-                time.sleep(self.spec.backoff * (2**attempt))
+                u = self._jitter.random()
+                time.sleep(self.spec.backoff * (2**attempt) * (0.5 + u / 2))
         raise ScorerError(
             f"transport failure after {self.spec.retries + 1} attempts: {last_error}"
         ) from last_error

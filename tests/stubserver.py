@@ -3,10 +3,16 @@
 Replays deterministic echo responses: the request's full prompt is split
 into tokens that keep their leading whitespace (so a continuation that
 starts with a space begins exactly at the prompt/continuation boundary),
-and each token gets a reproducible fake log-probability. Individual
-requests can be failed through ``fail_when(body)``, to exercise the retry
-and partial-failure paths: it returns an HTTP status code to fail with,
-True for 500, or a false value to answer normally.
+and each token gets a reproducible fake log-probability. A ``respond(body)``
+given in its place returns a dict sent as JSON, or bytes sent as they are.
+Individual requests can be failed through ``fail_when(body)``, to exercise
+the retry and partial-failure paths: it returns an HTTP status code to fail
+with, True for 500, or a false value to answer normally.
+
+By default the stub speaks HTTP/1.0 and closes each connection after one
+response. ``keep_alive=True`` switches to HTTP/1.1 keep-alive, and
+``idle_timeout`` (seconds) makes the server close a connection that has sat
+idle that long. ``connections`` counts the connections the stub accepted.
 """
 
 from __future__ import annotations
@@ -48,14 +54,23 @@ def echo_response(body: dict) -> dict:
 class StubScorerServer:
     """Threaded HTTP stub. Use as a context manager; endpoint gives the URL."""
 
-    def __init__(self, respond=None, fail_when=None):
+    def __init__(self, respond=None, fail_when=None, keep_alive=False, idle_timeout=None):
         self.respond = respond or echo_response
         self.fail_when = fail_when or (lambda body: False)
         self.requests: list[dict] = []
+        self.connections = 0
         self._lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+            timeout = idle_timeout
+
+            def setup(self):
+                super().setup()
+                with outer._lock:
+                    outer.connections += 1
+
             def do_POST(self):  # noqa: N802 - http.server API
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length))
@@ -65,11 +80,14 @@ class StubScorerServer:
                     outer.requests.append(body)
                 status = outer.fail_when(body)
                 if status:
+                    fault = b"injected fault"
                     self.send_response(500 if status is True else status)
+                    self.send_header("Content-Length", str(len(fault)))  # keep-alive needs it
                     self.end_headers()
-                    self.wfile.write(b"injected fault")
+                    self.wfile.write(fault)
                     return
-                payload = json.dumps(outer.respond(body)).encode("utf-8")
+                reply = outer.respond(body)
+                payload = reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8")
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))

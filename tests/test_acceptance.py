@@ -7,7 +7,9 @@ in a shared fixture and is budgeted at five minutes with no network use.
 
 import json
 import math
+import socket
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,6 @@ import pytest
 from conftest import finite_difference_grads, gradcheck_errors
 from stubserver import StubScorerServer, fake_logprob, tokenize
 
-import gicl.scoring as scoring_mod
 from gicl.cli import main as cli_main
 from gicl.encoder import encode_on_tape, init_params, neighbor_aggregator
 from gicl.graphstore import TagGraph, _build_csr, sample_label_fraction, synth_sbm
@@ -26,6 +27,7 @@ from gicl.prompts import DEFAULT_TEMPLATE
 from gicl.retrieval import build_index, retrieve_topk
 from gicl.scoring import (
     FeedbackCache,
+    HttpClient,
     ScorerSpec,
     make_client,
     ppl,
@@ -209,18 +211,27 @@ def best_possible_topk_utility(graph, split, k, unit_features) -> float:
     return float(np.mean(values))
 
 
-@pytest.fixture(scope="module")
-def synthetic_runs():
-    """Five seeded end-to-end runs at stock defaults, with the network barred."""
+@contextmanager
+def network_barred():
+    """Every socket connect raises, whichever transport opens the socket."""
 
     def refuse_network(*args, **kwargs):
         raise AssertionError("network call attempted during an oracle-only run")
 
-    original_post = scoring_mod.requests.Session.post
-    scoring_mod.requests.Session.post = refuse_network
+    original_connect = socket.socket.connect
+    socket.socket.connect = refuse_network
+    try:
+        yield
+    finally:
+        socket.socket.connect = original_connect
+
+
+@pytest.fixture(scope="module")
+def synthetic_runs():
+    """Five seeded end-to-end runs at stock defaults, with the network barred."""
     started = time.perf_counter()
     runs = []
-    try:
+    with network_barred():
         for seed in (1, 2, 3, 4, 5):
             graph = synth_sbm(n_nodes=1000, n_classes=5, p_in=0.05, p_out=0.005,
                               d=16, noise=0.6, seed=seed)
@@ -247,9 +258,15 @@ def synthetic_runs():
                 accs[strategy] = evaluate_accuracy(rows)["accuracy"]
             runs.append({"seed": seed, "u_init": u_init, "u_final": u_final,
                          "u_best": u_best, **accs})
-    finally:
-        scoring_mod.requests.Session.post = original_post
     return {"runs": runs, "elapsed": time.perf_counter() - started}
+
+
+def test_c5_network_bar_stops_the_http_client():
+    # the bar that C5's isolation rests on must stop the scorer's own transport
+    client = HttpClient(ScorerSpec(kind="http", endpoint="http://127.0.0.1:9", retries=0))
+    with network_barred(), pytest.raises(AssertionError, match="network call attempted"):
+        client.token_logprobs("p:", " c")
+    assert client.attempts == 1
 
 
 def test_c5_runtime_and_isolation(synthetic_runs):

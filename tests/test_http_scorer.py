@@ -1,5 +1,11 @@
 """HTTP scorer conformance against a local stub completions server."""
 
+import random
+import shutil
+import ssl
+import subprocess
+import time
+
 import numpy as np
 import pytest
 
@@ -125,6 +131,95 @@ class TestRetries:
         client = HttpClient(spec)
         with pytest.raises(ScorerError, match="after 2 attempts"):
             client.token_logprobs("p:", " c")
+
+    def test_non_json_success_body_is_retried(self):
+        with StubScorerServer(respond=lambda body: b"<html>overloaded</html>") as server:
+            client = HttpClient(spec_for(server, retries=2))
+            with pytest.raises(ScorerError, match="after 3 attempts"):
+                client.token_logprobs("p:", " c")
+            assert client.attempts == 3
+            assert len(server.requests) == 3
+
+    def test_backoff_sleeps_are_jittered_within_bounds(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        seeded_state = random.getstate()
+        with StubScorerServer(fail_when=lambda body: True) as server:
+            client = HttpClient(spec_for(server, retries=3, backoff=0.1))
+            with pytest.raises(ScorerError):
+                client.token_logprobs("p:", " c")
+        assert len(sleeps) == 3
+        for attempt, slept in enumerate(sleeps):
+            full = 0.1 * 2**attempt
+            assert full / 2 <= slept < full, (attempt, slept)
+        assert random.getstate() == seeded_state  # jitter draws from a private stream
+
+
+class TestSpecValidation:
+    def test_endpoint_without_http_scheme_rejected(self):
+        with pytest.raises(ValueError, match="http:// or https://"):
+            ScorerSpec(kind="http", endpoint="localhost:8000")
+
+
+class TestConnections:
+    def test_sequential_calls_share_one_connection(self):
+        with StubScorerServer(keep_alive=True) as server:
+            client = HttpClient(spec_for(server))
+            for i in range(5):
+                client.token_logprobs(f"p{i}:", " c")
+            assert server.connections == 1
+            assert client.attempts == client.calls == 5
+
+    def test_fan_out_pools_in_turn_reuse_connections(self, clean_sbm):
+        # each rank_candidates call runs its own thread pool; idle connections
+        # outlive it, so two calls open no more than one pool's worth
+        with StubScorerServer(keep_alive=True) as server:
+            spec = spec_for(server, max_parallel=3)
+            client = HttpClient(spec)
+            for query in (0, 1):
+                rank_candidates(clean_sbm, query, [2, 3, 4, 5, 6, 7], spec, DEFAULT_TEMPLATE,
+                                FeedbackCache(), client=client)
+            assert len(server.requests) == 2 * 6 * clean_sbm.n_classes
+            assert 1 <= server.connections <= 3
+            assert client.attempts == client.calls
+
+    def test_connection_closed_after_response_is_reopened_without_an_attempt(self):
+        with StubScorerServer() as server:  # HTTP/1.0: the server closes after each response
+            client = HttpClient(spec_for(server))
+            for i in range(4):
+                client.token_logprobs(f"p{i}:", " c")
+            assert server.connections == 4
+            assert client.attempts == client.calls == 4
+
+    def test_idle_connection_closed_by_server_is_not_reused(self):
+        with StubScorerServer(keep_alive=True, idle_timeout=0.1) as server:
+            client = HttpClient(spec_for(server))
+            client.token_logprobs("p0:", " c")
+            time.sleep(0.5)  # the server drops the idle connection
+            client.token_logprobs("p1:", " c")
+            assert server.connections == 2
+            assert client.attempts == client.calls == 2
+
+    def test_https_refuses_an_untrusted_certificate(self, tmp_path):
+        openssl = shutil.which("openssl")
+        if openssl is None:
+            pytest.skip("needs the openssl command to make a self-signed certificate")
+        cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+        subprocess.run([openssl, "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+                        "-subj", "/CN=localhost", "-keyout", str(key), "-out", str(cert)],
+                       check=True, capture_output=True)
+        tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        tls.load_cert_chain(cert, key)
+        server = StubScorerServer()
+        server._server.socket = tls.wrap_socket(server._server.socket, server_side=True)
+        with server:
+            endpoint = server.endpoint.replace("http://127.0.0.1", "https://localhost")
+            client = HttpClient(ScorerSpec(kind="http", endpoint=endpoint, retries=1,
+                                           backoff=0.0, timeout=5.0))
+            with pytest.raises(ScorerError, match="certificate verify failed"):
+                client.token_logprobs("p:", " c")
+            assert client.attempts == 2
+            assert server.requests == []
 
 
 class TestCompletion:

@@ -183,6 +183,28 @@ class TestFeedbackCache:
         assert reloaded.get("s", "t", "g", 0, 0, 0) == 1.0
         assert reloaded.get("s", "t", "g", 0, 0, 1) == 2.0
 
+    def test_one_handle_serves_every_append_until_close(self, tmp_path, monkeypatch):
+        import gicl.scoring as scoring_mod
+
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        path = tmp_path / "cache.jsonl"
+        cache = FeedbackCache(path)
+        monkeypatch.setattr(scoring_mod, "open", counting_open, raising=False)
+        for c in range(5):
+            cache.put("s", "t", "g", 0, 0, c, 1.0 + c)
+            assert len(path.read_text().splitlines()) == c + 1  # flushed before put returns
+        assert len(opened) == 1
+        cache.close()
+        cache.put("s", "t", "g", 0, 1, 0, 9.0)
+        cache.close()
+        assert len(opened) == 2
+        assert len(FeedbackCache(path)) == 6
+
     def test_malformed_line_before_the_last_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         FeedbackCache(path).put("s", "t", "g", 0, 0, 0, 1.0)
