@@ -60,24 +60,17 @@ class EmbeddingTable:
         return cls(vectors=read_matrix(Path(path_prefix)))
 
 
-def _layer_dims(config: EncoderConfig) -> list[tuple[int, int]]:
-    dims = []
-    d_in = config.input_dim
-    for _ in range(config.n_layers):
-        dims.append((d_in, config.hidden_dim))
-        d_in = config.hidden_dim
-    return dims
-
-
 def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> ParamSet:
     """Glorot-uniform weights, zero biases; deterministic for a given seed."""
     rng = np.random.default_rng(seed)
     params = ParamSet(dtype=dtype)
-    for i, (d_in, d_out) in enumerate(_layer_dims(config)):
+    d_in, d_out = config.input_dim, config.hidden_dim
+    for i in range(config.n_layers):
         a = np.sqrt(6.0 / (d_in + d_out))
         params.add(f"layer{i}.w_self", rng.uniform(-a, a, size=(d_in, d_out)))
         params.add(f"layer{i}.w_neigh", rng.uniform(-a, a, size=(d_in, d_out)))
         params.add(f"layer{i}.b", np.zeros((1, d_out)))
+        d_in = d_out
     a = np.sqrt(6.0 / (config.hidden_dim + config.n_classes))
     params.add("head.w", rng.uniform(-a, a, size=(config.hidden_dim, config.n_classes)))
     params.add("head.b", np.zeros((1, config.n_classes)))
@@ -123,13 +116,12 @@ def encode_all(graph: TagGraph, params: ParamSet, config: EncoderConfig) -> Embe
 
 
 def logits_on_tape(tape: Tape, embeddings: Tensor2, params: ParamSet) -> Tensor2:
+    """Class logits ``embeddings @ head.w + head.b``."""
     if "head.w" not in params:
         raise ValueError("parameter set has no classification head")
     return nncore.linear(tape, embeddings, params["head.w"], params["head.b"])
 
 
 def classify_logits(embeddings: EmbeddingTable, params: ParamSet) -> np.ndarray:
-    """Per-node class logits from the linear head (plain arrays, no tape)."""
-    if "head.w" not in params:
-        raise ValueError("parameter set has no classification head")
-    return embeddings.vectors @ params["head.w"].data + params["head.b"].data
+    """Per-node class logits from the linear head, on a throwaway tape."""
+    return logits_on_tape(Tape(), Tensor2(embeddings.vectors), params).data

@@ -7,12 +7,12 @@ A graph bundle on disk is a directory of five files:
     features.bin   raw 32-bit little-endian floats, row-major
     features.json  {"rows": int, "cols": int, "dtype": "f32le", "layout": "row-major"}
     labels.json    ordered array of class label strings
-    splits.json    optional: {"labeled": [int], "test": [int]}
+    splits.json    optional: {"test": [int]}; any other key is ignored
 
-Node ids are densely re-indexed to 0..n-1 in nodes.jsonl file order. Duplicate
-edges are collapsed and self-loops dropped at load. Graphs are treated as
-undirected by default (edge lists are symmetrized); pass symmetrize=False to
-keep the stored direction.
+Node ids are densely re-indexed to 0..n-1 in nodes.jsonl file order, and split
+ids are these indices. Duplicate edges are collapsed and self-loops dropped at
+load. Graphs are treated as undirected by default (edge lists are
+symmetrized); pass symmetrize=False to keep the stored direction.
 """
 
 from __future__ import annotations
@@ -139,22 +139,15 @@ class SplitSpec:
 
 
 def _build_csr(n_nodes: int, edges: np.ndarray, symmetrize: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Dedup, drop self-loops, optionally symmetrize, and pack edges as CSR."""
-    if edges.size == 0:
-        return np.zeros(n_nodes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    if symmetrize and edges.size:
-        edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
-    if edges.size:
-        edges = np.unique(edges, axis=0)
+    """Dedup, drop self-loops, optionally symmetrize, and pack edges as CSR:
+    the sorted unique keys src * n_nodes + dst are the entries in CSR order."""
+    src, dst = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    if symmetrize:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    keys = np.unique((src * n_nodes + dst)[src != dst])
     offsets = np.zeros(n_nodes + 1, dtype=np.int64)
-    if edges.size:
-        counts = np.bincount(edges[:, 0], minlength=n_nodes)
-        offsets[1:] = np.cumsum(counts)
-        targets = edges[:, 1].astype(np.int64)
-    else:
-        targets = np.zeros(0, dtype=np.int64)
-    return offsets, targets
+    offsets[1:] = np.cumsum(np.bincount(keys // n_nodes, minlength=n_nodes))
+    return offsets, keys % n_nodes
 
 
 def neighbors(graph: TagGraph, node: int) -> np.ndarray:
@@ -297,16 +290,13 @@ def write_bundle(graph: TagGraph, path: str | Path) -> None:
 
 
 def load_split_file(path: str | Path) -> dict[str, np.ndarray] | None:
-    """Read a bundle's optional splits.json, if present."""
+    """Read the test ids of a bundle's optional splits.json, if present."""
     split_path = Path(path) / "splits.json"
     if not split_path.is_file():
         return None
     with open(split_path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    return {
-        "labeled": np.array(obj.get("labeled", []), dtype=np.int64),
-        "test": np.array(obj.get("test", []), dtype=np.int64),
-    }
+    return {"test": np.array(obj.get("test", []), dtype=np.int64)}
 
 
 def bundle_hash(path: str | Path) -> str:
@@ -361,6 +351,15 @@ def sample_label_fraction(
         test_ids = _stratified_sample(rng, all_labeled, graph.labels, 0.2)
     else:
         test_ids = np.asarray(test_ids, dtype=np.int64)
+        outside = test_ids[(test_ids < 0) | (test_ids >= graph.n_nodes)]
+        if outside.size:
+            raise ValueError(f"test id {outside[0]} is out of range for {graph.n_nodes} nodes")
+        ids, counts = np.unique(test_ids, return_counts=True)
+        if np.any(counts > 1):
+            raise ValueError(f"test id {ids[counts > 1][0]} is listed more than once")
+        unlabeled = test_ids[graph.labels[test_ids] == UNLABELED]
+        if unlabeled.size:
+            raise ValueError(f"test id {unlabeled[0]} has no label")
     pool = np.setdiff1d(all_labeled, test_ids)
     if pool.size == 0:
         raise ValueError("no labeled nodes remain outside the test set")

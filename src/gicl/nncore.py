@@ -67,16 +67,6 @@ class Tensor2:
         return f"Tensor2{tag}(shape={self.shape}, dtype={self.data.dtype})"
 
 
-def tensor(data, requires_grad: bool = False, dtype=np.float32, name: str = "") -> Tensor2:
-    """Make a leaf tensor; 1-D input becomes a single row."""
-    arr = np.array(data, dtype=dtype)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return Tensor2(arr, requires_grad=requires_grad, name=name)
-
-
 class Tape:
     """Ordered record of op outputs for one forward pass."""
 

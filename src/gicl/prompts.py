@@ -4,6 +4,8 @@ A template file is UTF-8 text with three sections separated by lines
 containing only ``---``: the main template (placeholders ``{examples}``
 and ``{query}``, each exactly once), the per-example sub-template
 (``{text}`` and ``{label}``), and the answer cue appended to every prompt.
+Each section keeps its exact text but for the newline before each separator
+and the file's last newline. The built-in default is ``templates/default.tmpl``.
 """
 
 from __future__ import annotations
@@ -41,22 +43,6 @@ class PromptTemplate:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-DEFAULT_TEMPLATE = PromptTemplate(
-    main=(
-        "You are an AI trained to categorize documents into specific categories. "
-        "Your task is to analyze the document provided and identify the most "
-        "relevant category.\n"
-        "Document: {query}\n"
-        "Give me the category of this document. Respond only with the category "
-        "key, without any additional text or explanation. Here are some labeled "
-        "example documents to help you:\n"
-        "{examples}\n"
-    ),
-    example="Document: {text}\nCategory: {label}\n",
-    answer_cue="\nAnswer:",
-)
-
-
 def load_template(name_or_path: str | Path) -> PromptTemplate:
     """Load a template by bundled name (e.g. 'arxiv') or filesystem path."""
     path = Path(name_or_path)
@@ -67,11 +53,15 @@ def load_template(name_or_path: str | Path) -> PromptTemplate:
         if not ref.is_file():
             raise FileNotFoundError(f"no template file or bundled template named {name_or_path!r}")
         text = ref.read_text(encoding="utf-8")
-    parts = re.split(r"^---\s*$", text, flags=re.MULTILINE)
+    parts = re.split(r"\n---[ \t]*\n", text.removesuffix("\n"))
     if len(parts) != 3:
         raise ValueError(f"template {name_or_path!r} must have 3 sections separated by '---' lines")
-    main, example, cue = (p.strip("\n") for p in parts)
+    main, example, cue = parts
     return PromptTemplate(main=main, example=example, answer_cue=cue)
+
+
+# by path, so that a file named "default" in the working directory cannot stand in for it
+DEFAULT_TEMPLATE = load_template(Path(__file__).with_name("templates") / "default.tmpl")
 
 
 MAX_CHARS_PER_DOC = 1200  # every document in a prompt is cut to this many characters

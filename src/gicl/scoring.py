@@ -145,16 +145,19 @@ def synthetic_oracle_ppl(
     alpha: float = 2.0,
     base: float = 0.1,
 ) -> float:
-    """Closed-form perplexity of one class verbalization under the oracle.
+    """Closed-form perplexity of one class given one example: exp(oracle_nll)."""
+    h = oracle_help(query_features, query_class, example_features, example_class)
+    return math.exp(oracle_nll(h, class_index == query_class, alpha, base))
 
-    NLL(c) = base + alpha * (1 - h * [c == true class]), with help
+
+def oracle_nll(help_: float, is_true_class: bool, alpha: float, base: float) -> float:
+    """NLL(c) = base + alpha * (1 - h * [c == true class]), with help
     h = [example label == true label] * max(0, cos(query, example)).
+
     A fully helpful example drives the true class NLL down to ``base``
     while wrong classes stay at base + alpha.
     """
-    h = oracle_help(query_features, query_class, example_features, example_class)
-    nll = base + alpha * (1.0 - (h if class_index == query_class else 0.0))
-    return math.exp(nll)
+    return base + alpha * (1.0 - (help_ if is_true_class else 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +245,13 @@ class OracleClient:
         self.calls = 0
         self._unit = _normalize_rows(graph.features)
 
-    def _help(self, query_id: int, example_ids: Sequence[int]) -> float:
-        best = 0.0
-        for e in example_ids:
-            best = max(
-                best,
-                oracle_help(
-                    self._unit[query_id],
-                    int(self.graph.labels[query_id]),
-                    self._unit[e],
-                    int(self.graph.labels[e]),
-                ),
-            )
-        return best
-
-    def _nll(self, query_id: int, example_ids: Sequence[int], class_index: int) -> float:
-        h = self._help(query_id, example_ids)
-        gold = int(self.graph.labels[query_id])
-        return self.spec.oracle_base + self.spec.oracle_alpha * (
-            1.0 - (h if class_index == gold else 0.0)
-        )
+    def _gold_and_help(self, meta: dict) -> tuple[int, float]:
+        """The query's true class and the best help among its examples."""
+        q = meta["query_id"]
+        gold = int(self.graph.labels[q])
+        h = max((oracle_help(self._unit[q], gold, self._unit[e], int(self.graph.labels[e]))
+                 for e in meta.get("example_ids", ())), default=0.0)
+        return gold, h
 
     def token_logprobs(self, prompt: str, continuation: str, meta: dict | None = None) -> list[float]:
         if not continuation:
@@ -269,16 +259,18 @@ class OracleClient:
         if not meta or "query_id" not in meta or "class_index" not in meta:
             raise ScorerError("oracle scorer needs query_id/example_ids/class_index metadata")
         self.calls += 1
-        nll = self._nll(meta["query_id"], meta.get("example_ids", ()), meta["class_index"])
-        return [-nll]
+        gold, h = self._gold_and_help(meta)
+        spec = self.spec
+        return [-oracle_nll(h, meta["class_index"] == gold, spec.oracle_alpha, spec.oracle_base)]
 
     def complete(self, prompt: str, meta: dict | None = None) -> str:
         if not meta or "query_id" not in meta:
             raise ScorerError("oracle scorer needs query_id/example_ids metadata")
         self.calls += 1
-        q = meta["query_id"]
-        examples = meta.get("example_ids", ())
-        nlls = [self._nll(q, examples, c) for c in range(self.graph.n_classes)]
+        gold, h = self._gold_and_help(meta)
+        spec = self.spec
+        nlls = [oracle_nll(h, c == gold, spec.oracle_alpha, spec.oracle_base)
+                for c in range(self.graph.n_classes)]
         return self.graph.label_vocab[int(np.argmin(nlls))]
 
 

@@ -156,7 +156,6 @@ class TestRoundTrip:
         write_raw_bundle(tmp_path / "b", nodes, [], np.zeros((4, 2)), ["a"],
                          splits={"labeled": [0, 1], "test": [2, 3]})
         got = load_split_file(tmp_path / "b")
-        assert got["labeled"].tolist() == [0, 1]
         assert got["test"].tolist() == [2, 3]
         assert load_split_file(tmp_path) is None
 
@@ -243,6 +242,37 @@ class TestSampleLabelFraction:
         )
         with pytest.raises(ValueError, match="zero labeled"):
             sample_label_fraction(bare, 0.5, seed=0)
+
+
+class TestPresetTestIds:
+    """Test ids come from a bundle's splits.json; each must name a distinct labeled node."""
+
+    def test_negative_id_rejected(self, noisy_sbm):
+        with pytest.raises(ValueError, match="test id -1 is out of range"):
+            sample_label_fraction(noisy_sbm, 0.5, seed=0, test_ids=[-1, 5])
+
+    def test_id_past_the_last_node_rejected(self, noisy_sbm):
+        with pytest.raises(ValueError, match="test id 100000 is out of range"):
+            sample_label_fraction(noisy_sbm, 0.5, seed=0, test_ids=[100000])
+
+    def test_duplicate_id_rejected(self, noisy_sbm):
+        with pytest.raises(ValueError, match="test id 3 is listed more than once"):
+            sample_label_fraction(noisy_sbm, 0.5, seed=0, test_ids=[7, 3, 3])
+
+    def test_unlabeled_id_rejected(self, noisy_sbm):
+        labels = noisy_sbm.labels.copy()
+        labels[4] = UNLABELED
+        g = TagGraph(
+            n_nodes=noisy_sbm.n_nodes, csr_offsets=noisy_sbm.csr_offsets,
+            csr_targets=noisy_sbm.csr_targets, features=noisy_sbm.features,
+            texts=noisy_sbm.texts, labels=labels, label_vocab=noisy_sbm.label_vocab,
+        )
+        with pytest.raises(ValueError, match="test id 4 has no label"):
+            sample_label_fraction(g, 0.5, seed=0, test_ids=[2, 4])
+
+    def test_valid_ids_are_the_test_set(self, noisy_sbm):
+        split = sample_label_fraction(noisy_sbm, 0.5, seed=0, test_ids=[9, 0, 40])
+        assert split.test_ids.tolist() == [0, 9, 40]
 
 
 class TestSynthSbm:

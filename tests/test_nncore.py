@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import finite_difference_grads, gradcheck_errors
 from gicl import nncore
-from gicl.nncore import ParamSet, RowAggregator, Tape, Tensor2, adam_step, backward, tensor
+from gicl.nncore import ParamSet, RowAggregator, Tape, Tensor2, adam_step, backward
 
 
 def leaf(values, dtype=np.float64):
-    return tensor(values, requires_grad=True, dtype=dtype)
+    return Tensor2(np.array(values, dtype=dtype), requires_grad=True)
 
 
 class TestLinear:
@@ -376,8 +376,8 @@ class TestTapeAndParamSet:
 
         def run() -> bytes:
             tape = Tape()
-            x = tensor(xv, dtype=np.float32)
-            w = tensor(wv, dtype=np.float32)
+            x = Tensor2(xv)
+            w = Tensor2(wv)
             h = nncore.relu(tape, nncore.linear(tape, x, w))
             out = nncore.l2_normalize_rows(tape, h)
             return out.data.tobytes()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,10 +46,41 @@ class TestTemplate:
             assert "an example text" in out and "LabelX" in out
             assert out.rstrip().endswith("Answer:")
 
+    @pytest.mark.parametrize("name", ["default", "arxiv", "products"])
+    def test_bundled_template_breaks_lines_between_blocks_and_before_cue(self, name):
+        out = render(load_template(name), [("first text", "LabelA"), ("second text", "LabelB")],
+                     "the query body")
+        assert "LabelA\n" in out and "LabelB\n" in out
+        assert out.split("\n")[-1] == "Answer:"
+
+    def test_default_template_is_the_bundled_file(self):
+        assert DEFAULT_TEMPLATE == load_template("default")
+
+    def test_default_template_ignores_a_file_named_default(self, tmp_path):
+        (tmp_path / "default").write_text("Other {examples} {query}\n---\n{text} {label}\n---\nA:")
+        code = "from gicl.prompts import DEFAULT_TEMPLATE as t; print(t.template_hash)"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == DEFAULT_TEMPLATE.template_hash
+
+    def test_default_template_hash_is_pinned(self):
+        # cache entries are keyed on this hash: a change makes every cache miss
+        assert DEFAULT_TEMPLATE.template_hash == "7c6b3c704779a555"
+
+    def test_sections_keep_their_exact_text(self, tmp_path):
+        path = tmp_path / "exact.tmpl"
+        path.write_text("Main\n{examples}\n{query}\n\n---  \n\n{text}: {label}\n\n---\n\nA:\n\n")
+        t = load_template(path)
+        assert t.main == "Main\n{examples}\n{query}\n"
+        assert t.example == "\n{text}: {label}\n"
+        assert t.answer_cue == "\nA:\n"
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "custom.tmpl"
         path.write_text("Main {examples} {query}\n---\n{text} -> {label}\n---\nAnswer:")
         t = load_template(path)
+        assert t.main == "Main {examples} {query}"
         assert t.answer_cue == "Answer:"
         assert t.example == "{text} -> {label}"
 

@@ -20,6 +20,7 @@ from gicl.scoring import (
     token_logprobs,
     utility,
 )
+from gicl.retrieval import _normalize_rows
 
 
 class TestPpl:
@@ -224,6 +225,40 @@ class TestOracleClient:
         assert len(lps) == 1
         # zero noise: features are unit centroids, same-class cosine is 1
         assert abs(ppl(lps) - math.exp(0.1)) < 1e-9
+
+        # noisy features, every class, and example lists of 0, 1 and 30 ids
+        g = synth_sbm(n_nodes=60, n_classes=4, p_in=0.2, p_out=0.02, d=6, noise=1.5, seed=7)
+        spec = ScorerSpec(kind="oracle", oracle_alpha=1.5, oracle_base=0.3)
+        client = make_client(spec, g)
+        unit = _normalize_rows(g.features)
+        rng = np.random.default_rng(0)
+        kinds = set()  # which kinds of example the lists held
+        for q in range(0, 60, 3):
+            gold = int(g.labels[q])
+            others = np.delete(np.arange(60), q)
+            wrong = next(int(e) for e in others if g.labels[e] != gold)
+            same = [int(e) for e in others if g.labels[e] == gold]
+            negative = [e for e in same if np.dot(unit[q], unit[e]) < 0]
+            lists = [[], [wrong], [same[0]], negative[:1], rng.choice(others, 30, replace=False).tolist()]
+            for examples in lists:
+                for e in examples:
+                    if g.labels[e] != gold:
+                        kinds.add("wrong label")
+                    else:
+                        kinds.add("helps" if np.dot(unit[q], unit[e]) > 0 else "negative cosine")
+                # the best single example decides: min over examples of the one-example closed form
+                reference = [
+                    min((synthetic_oracle_ppl(unit[q], gold, unit[e], int(g.labels[e]), c,
+                                              spec.oracle_alpha, spec.oracle_base) for e in examples),
+                        default=math.exp(spec.oracle_base + spec.oracle_alpha))
+                    for c in range(g.n_classes)
+                ]
+                for c in range(g.n_classes):
+                    meta = {"query_id": q, "example_ids": examples, "class_index": c}
+                    assert ppl(client.token_logprobs("p", " c", meta=meta)) == reference[c]
+                answer = client.complete("p", meta={"query_id": q, "example_ids": examples})
+                assert answer == g.label_vocab[int(np.argmin(reference))]
+        assert kinds == {"wrong label", "negative cosine", "helps"}
 
     def test_requires_metadata(self, clean_sbm):
         client = make_client(ScorerSpec(kind="oracle"), clean_sbm)

@@ -7,7 +7,7 @@ import pytest
 from gicl import nncore
 from gicl.encoder import encode_on_tape, init_params, neighbor_aggregator
 from gicl.graphstore import sample_label_fraction, synth_sbm
-from gicl.nncore import Tape, Tensor2, adam_step, backward, tensor
+from gicl.nncore import Tape, Tensor2, adam_step, backward
 from gicl.prompts import DEFAULT_TEMPLATE
 from gicl.scoring import FeedbackCache, RankedSet, ScorerError, ScorerSpec, make_client
 from gicl.training import (
@@ -59,7 +59,7 @@ class TestFeedbackLoss:
 
     def test_singleton_candidate_loss_is_zero(self):
         tape = Tape()
-        emb = tensor(unit_rows([1, 0], [0, 1]), dtype=np.float64)
+        emb = Tensor2(unit_rows([1, 0], [0, 1]))
         ranked = {0: RankedSet(query_id=0, example_ids=(1,), utilities=(0.5,))}
         for mode in ("top_m", "all", "rank_discount"):
             loss = feedback_loss(Tape(), emb, fb(ranked), self.config(feedback_mode=mode))
@@ -67,13 +67,13 @@ class TestFeedbackLoss:
 
     def test_two_candidate_hand_value(self):
         # sims: query row 0 against candidates 1 (cos 1) and 2 (cos 0)
-        emb = tensor(unit_rows([1, 0], [1, 0], [0, 1]), dtype=np.float64)
+        emb = Tensor2(unit_rows([1, 0], [1, 0], [0, 1]))
         ranked = {0: RankedSet(query_id=0, example_ids=(1, 2), utilities=(0.9, 0.1))}
         loss = feedback_loss(Tape(), emb, fb(ranked), self.config(top_m=1))
         assert math.isclose(loss.item(), math.log(1 + math.exp(-1)), rel_tol=1e-12)
 
     def test_all_mode_ignores_ranking_permutation(self):
-        emb = tensor(unit_rows([1, 0], [1, 0], [0, 1], [0.6, 0.8]), dtype=np.float64)
+        emb = Tensor2(unit_rows([1, 0], [1, 0], [0, 1], [0.6, 0.8]))
         orders = [(1, 2, 3), (3, 1, 2)]
         losses = []
         for order in orders:
@@ -84,7 +84,7 @@ class TestFeedbackLoss:
         assert math.isclose(losses[0], losses[1], rel_tol=1e-12)
 
     def test_temperature_scales_scores(self):
-        emb = tensor(unit_rows([1, 0], [1, 0], [0, 1]), dtype=np.float64)
+        emb = Tensor2(unit_rows([1, 0], [1, 0], [0, 1]))
         ranked = {0: RankedSet(query_id=0, example_ids=(1, 2), utilities=(0.9, 0.1))}
         loss_tau_half = feedback_loss(Tape(), emb, fb(ranked), self.config(tau=0.5))
         assert math.isclose(loss_tau_half.item(), math.log(1 + math.exp(-2)), rel_tol=1e-10)
@@ -92,7 +92,7 @@ class TestFeedbackLoss:
     def test_nonnegative_and_zero_only_at_full_mass(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            emb = tensor(rng.standard_normal((6, 3)), dtype=np.float64)
+            emb = Tensor2(rng.standard_normal((6, 3)))
             tape = Tape()
             normed = nncore.l2_normalize_rows(tape, emb)
             ranked = {0: RankedSet(query_id=0, example_ids=(1, 2, 3), utilities=(3, 2, 1))}
@@ -100,14 +100,14 @@ class TestFeedbackLoss:
             assert loss.item() >= 0
 
     def test_empty_feedback_rejected(self):
-        emb = tensor(np.eye(3), dtype=np.float64)
+        emb = Tensor2(np.eye(3))
         with pytest.raises(ValueError):
             feedback_loss(Tape(), emb, fb({}), self.config())
 
     def test_dropping_unscored_pairs_preserves_scored_contribution(self):
         # in top_m mode with the positive scored, removing an unscored
         # candidate from one query leaves other queries' terms unchanged
-        emb = tensor(unit_rows([1, 0], [1, 0], [0, 1], [0.6, 0.8], [0, 1]), dtype=np.float64)
+        emb = Tensor2(unit_rows([1, 0], [1, 0], [0, 1], [0.6, 0.8], [0, 1]))
         both = {
             0: RankedSet(query_id=0, example_ids=(1, 2), utilities=(0.9, 0.1)),
             3: RankedSet(query_id=3, example_ids=(2, 4), utilities=(0.8, 0.2)),
@@ -127,7 +127,7 @@ class TestClfLoss:
         params["head.w"].data[:] = 0
         params["head.b"].data[:] = 0
         tape = Tape()
-        emb = tensor(np.random.default_rng(0).standard_normal((30, 6)), dtype=np.float32)
+        emb = Tensor2(np.random.default_rng(0).standard_normal((30, 6)).astype(np.float32))
         loss = clf_loss(tape, emb, params, clean_sbm.labels, np.arange(30))
         assert math.isclose(loss.item(), math.log(3), rel_tol=1e-6)
 
@@ -137,7 +137,7 @@ class TestClfLoss:
         params["head.w"].data[:] = np.eye(3) * 20
         params["head.b"].data[:] = 0
         emb = np.eye(3, dtype=np.float64)[clean_sbm.labels]
-        loss = clf_loss(Tape(), tensor(emb, dtype=np.float64), params, clean_sbm.labels, np.arange(30))
+        loss = clf_loss(Tape(), Tensor2(emb), params, clean_sbm.labels, np.arange(30))
         assert loss.item() < 1e-8
 
     def test_equals_softmax_xent_on_labeled_rows(self, clean_sbm):
@@ -146,10 +146,10 @@ class TestClfLoss:
         rng = np.random.default_rng(1)
         emb_values = rng.standard_normal((30, 5))
         labeled = np.array([0, 3, 7, 20])
-        loss = clf_loss(Tape(), tensor(emb_values, dtype=np.float64), params, clean_sbm.labels, labeled)
+        loss = clf_loss(Tape(), Tensor2(emb_values), params, clean_sbm.labels, labeled)
         tape = Tape()
         logits = nncore.linear(
-            tape, tensor(emb_values[labeled], dtype=np.float64), params["head.w"], params["head.b"]
+            tape, Tensor2(emb_values[labeled]), params["head.w"], params["head.b"]
         )
         direct = nncore.softmax_xent(tape, logits, clean_sbm.labels[labeled])
         assert math.isclose(loss.item(), direct.item(), rel_tol=1e-6)
@@ -158,14 +158,14 @@ class TestClfLoss:
         cfg = TrainConfig(hidden_dim=5, n_layers=1, epochs=1, k_feedback=2)
         params = init_params(cfg.encoder_config(clean_sbm), seed=0)
         with pytest.raises(ValueError):
-            clf_loss(Tape(), tensor(np.eye(5)), params, clean_sbm.labels, [])
+            clf_loss(Tape(), Tensor2(np.eye(5, dtype=np.float32)), params, clean_sbm.labels, [])
 
 
 class TestCombinedLoss:
     def scalars(self, lf, lc):
         tape = Tape()
-        a = tensor([[lf]], dtype=np.float64)
-        b = tensor([[lc]], dtype=np.float64)
+        a = Tensor2(np.array([[lf]]))
+        b = Tensor2(np.array([[lc]]))
         return tape, a, b
 
     def test_beta_one_is_feedback_only(self):
