@@ -354,9 +354,9 @@ def sample_label_fraction(
         outside = test_ids[(test_ids < 0) | (test_ids >= graph.n_nodes)]
         if outside.size:
             raise ValueError(f"test id {outside[0]} is out of range for {graph.n_nodes} nodes")
-        ids, counts = np.unique(test_ids, return_counts=True)
-        if np.any(counts > 1):
-            raise ValueError(f"test id {ids[counts > 1][0]} is listed more than once")
+        ids, repeats = np.unique(test_ids, return_counts=True)
+        if np.any(repeats > 1):
+            raise ValueError(f"test id {ids[repeats > 1][0]} is listed more than once")
         unlabeled = test_ids[graph.labels[test_ids] == UNLABELED]
         if unlabeled.size:
             raise ValueError(f"test id {unlabeled[0]} has no label")
@@ -364,7 +364,7 @@ def sample_label_fraction(
     if pool.size == 0:
         raise ValueError("no labeled nodes remain outside the test set")
     pool_counts = np.bincount(graph.labels[pool], minlength=graph.n_classes)
-    if np.any(pool_counts[counts > 0] == 0):
+    if np.any(pool_counts == 0):
         raise ValueError("a class has no labeled nodes outside the test set")
 
     labeled_ids = pool if fraction == 1.0 else _stratified_sample(rng, pool, graph.labels, fraction)

@@ -5,7 +5,8 @@ containing only ``---``: the main template (placeholders ``{examples}``
 and ``{query}``, each exactly once), the per-example sub-template
 (``{text}`` and ``{label}``), and the answer cue appended to every prompt.
 Each section keeps its exact text but for the newline before each separator
-and the file's last newline. The built-in default is ``templates/default.tmpl``.
+and the file's last newline; a ``---`` line that ends the file leaves an empty
+answer cue. The built-in default is ``templates/default.tmpl``.
 """
 
 from __future__ import annotations
@@ -43,17 +44,16 @@ class PromptTemplate:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+_BUNDLED = resources.files("gicl") / "templates"
+
+
 def load_template(name_or_path: str | Path) -> PromptTemplate:
     """Load a template by bundled name (e.g. 'arxiv') or filesystem path."""
     path = Path(name_or_path)
-    if path.is_file():
-        text = path.read_text(encoding="utf-8")
-    else:
-        ref = resources.files("gicl").joinpath(f"templates/{name_or_path}.tmpl")
-        if not ref.is_file():
-            raise FileNotFoundError(f"no template file or bundled template named {name_or_path!r}")
-        text = ref.read_text(encoding="utf-8")
-    parts = re.split(r"\n---[ \t]*\n", text.removesuffix("\n"))
+    ref = path if path.is_file() else _BUNDLED / f"{name_or_path}.tmpl"
+    if not ref.is_file():
+        raise FileNotFoundError(f"no template file or bundled template named {name_or_path!r}")
+    parts = re.split(r"\n---[ \t]*(?:\n|\Z)", ref.read_text(encoding="utf-8").removesuffix("\n"))
     if len(parts) != 3:
         raise ValueError(f"template {name_or_path!r} must have 3 sections separated by '---' lines")
     main, example, cue = parts
@@ -61,7 +61,7 @@ def load_template(name_or_path: str | Path) -> PromptTemplate:
 
 
 # by path, so that a file named "default" in the working directory cannot stand in for it
-DEFAULT_TEMPLATE = load_template(Path(__file__).with_name("templates") / "default.tmpl")
+DEFAULT_TEMPLATE = load_template(_BUNDLED / "default.tmpl")
 
 
 MAX_CHARS_PER_DOC = 1200  # every document in a prompt is cut to this many characters

@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,17 @@ class TestInferAndBaselines:
                        "--fraction", "0.3", "--seed", "2", "--single-thread"], capsys)
         assert summary["strategy"] == strategy
         assert summary["n"] == 30  # default 20% test carve of 150 nodes
+
+    def test_splits_file_names_the_test_set(self, bundle, tmp_path, capsys):
+        preset = tmp_path / "bundle"
+        shutil.copytree(bundle, preset)
+        argv = ["baseline", "--bundle", str(preset), "--strategy", "few_knn", "--k-icl", "3",
+                "--out", str(tmp_path / "reports"), "--scorer-kind", "oracle", "--single-thread"]
+        (preset / "splits.json").write_text(json.dumps({"test": [4, 77]}))
+        assert run(argv, capsys)["n"] == 2
+        (preset / "splits.json").write_text(json.dumps({"test": [-1, 5]}))
+        assert main(argv) == 1
+        assert "test id -1 is out of range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("strategy", ["mv_askgnn", "npg"])
     def test_model_baselines(self, bundle, model_dir, tmp_path, capsys, strategy):

@@ -188,6 +188,13 @@ class TestClassifyLogits:
         got = classify_logits(EmbeddingTable(vectors=emb), params)
         np.testing.assert_allclose(got, expected, rtol=1e-5)
 
+    def test_non_finite_embeddings_are_refused(self):
+        params = init_params(EncoderConfig(input_dim=4, n_classes=3, n_layers=1, hidden_dim=4), seed=0)
+        emb = np.ones((2, 4), np.float32)
+        emb[1, 2] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            classify_logits(EmbeddingTable(vectors=emb), params)
+
     def test_missing_head(self):
         from gicl.nncore import ParamSet
 

@@ -274,6 +274,12 @@ class TestPresetTestIds:
         split = sample_label_fraction(noisy_sbm, 0.5, seed=0, test_ids=[9, 0, 40])
         assert split.test_ids.tolist() == [0, 9, 40]
 
+    @pytest.mark.parametrize("ids", [[], [12, 70], [1, 2, 3, 4, 50]])
+    def test_any_number_of_ids_is_the_test_set(self, noisy_sbm, ids):
+        split = sample_label_fraction(noisy_sbm, 0.5, seed=0, test_ids=ids)
+        assert split.test_ids.tolist() == sorted(ids)
+        assert not set(split.labeled_ids.tolist()) & set(ids)
+
 
 class TestSynthSbm:
     def test_zero_noise_features_are_centroids(self, clean_sbm):

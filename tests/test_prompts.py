@@ -76,6 +76,13 @@ class TestTemplate:
         assert t.example == "\n{text}: {label}\n"
         assert t.answer_cue == "\nA:\n"
 
+    def test_separator_ending_the_file_leaves_an_empty_cue(self, tmp_path):
+        path = tmp_path / "nocue.tmpl"
+        for tail in ("---", "---\n"):
+            path.write_text("Main {examples} {query}\n---\n{text} -> {label}\n" + tail)
+            t = load_template(path)
+            assert (t.example, t.answer_cue) == ("{text} -> {label}", "")
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "custom.tmpl"
         path.write_text("Main {examples} {query}\n---\n{text} -> {label}\n---\nAnswer:")
