@@ -103,7 +103,7 @@ def resolve_inputs(args: argparse.Namespace) -> RunInputs:
     template = load_template(name) if name else DEFAULT_TEMPLATE
     graph = load_bundle(args.bundle)
     preset = load_split_file(args.bundle)
-    test_ids = preset["test"] if preset is not None and preset["test"].size else None
+    test_ids = preset["test"] if preset is not None else None
     split = sample_label_fraction(graph, float(settings.get("fraction", 0.1)), config.seed,
                                   test_ids=test_ids)
     digest = bundle_hash(args.bundle)

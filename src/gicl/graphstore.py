@@ -7,7 +7,7 @@ A graph bundle on disk is a directory of five files:
     features.bin   raw 32-bit little-endian floats, row-major
     features.json  {"rows": int, "cols": int, "dtype": "f32le", "layout": "row-major"}
     labels.json    ordered array of class label strings
-    splits.json    optional: {"test": [int]}; any other key is ignored
+    splits.json    optional: {"test": [int]}, a non-empty list; any other key is ignored
 
 Node ids are densely re-indexed to 0..n-1 in nodes.jsonl file order, and split
 ids are these indices. Duplicate edges are collapsed and self-loops dropped at
@@ -290,13 +290,16 @@ def write_bundle(graph: TagGraph, path: str | Path) -> None:
 
 
 def load_split_file(path: str | Path) -> dict[str, np.ndarray] | None:
-    """Read the test ids of a bundle's optional splits.json, if present."""
+    """Read the test ids of a bundle's optional splits.json; it must name at least one."""
     split_path = Path(path) / "splits.json"
     if not split_path.is_file():
         return None
     with open(split_path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    return {"test": np.array(obj.get("test", []), dtype=np.int64)}
+    test = obj.get("test") if isinstance(obj, dict) else None
+    if not isinstance(test, list) or not test or any(type(i) is not int for i in test):
+        raise BundleError(f"{split_path}: 'test' must be a non-empty list of integer node ids")
+    return {"test": np.array(test, dtype=np.int64)}
 
 
 def bundle_hash(path: str | Path) -> str:

@@ -281,6 +281,8 @@ def run_strategy(
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     if plan.needs_model and model is None:
         raise ValueError(f"strategy {strategy!r} needs a trained model")
+    if purify_budget is not None and purify_budget < 1:
+        raise ValueError(f"purify budget must be at least 1, got {purify_budget}")
     if client is None:
         client = make_client(spec, graph)
     queries = [int(q) for q in split.test_ids]

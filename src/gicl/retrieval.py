@@ -1,9 +1,10 @@
 """Exact top-K retrieval over labeled nodes by cosine similarity.
 
 One brute-force flat index; no approximate structures. Hits are ordered by
-descending score with ties broken by ascending node id, the query node is
-never returned as its own candidate, and asking for more hits than exist
-returns everything.
+descending score with ties broken by ascending node id; scores that agree to
+12 decimals tie, so equal cosines that rounding left an ulp apart still do.
+The query node is never returned as its own candidate, and asking for more
+hits than exist returns everything.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def retrieve_topk(
     ids = index.ids[keep]
     scores = scores[keep]
 
-    order = np.lexsort((ids, -scores))[: min(k, ids.size)]
+    order = np.lexsort((ids, -np.round(scores, 12)))[: min(k, ids.size)]
     hits = tuple((int(ids[i]), float(scores[i])) for i in order)
     return RetrievalResult(query_id=int(query_id), hits=hits)
 

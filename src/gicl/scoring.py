@@ -38,7 +38,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -470,11 +470,6 @@ def token_logprobs(
 # candidate ranking
 
 
-class RankOutcome(NamedTuple):
-    ranked: RankedSet
-    failed: tuple[int, ...]  # example ids that could not be fully scored
-
-
 def class_verbalization(label: str) -> str:
     """Token sequence whose perplexity stands for a class: space + label."""
     return " " + label
@@ -482,73 +477,68 @@ def class_verbalization(label: str) -> str:
 
 def rank_candidates(
     graph: TagGraph,
-    query_id: int,
-    candidates: Sequence[int],
+    candidates: dict[int, Sequence[int]],
     spec: ScorerSpec,
     template: PromptTemplate,
     cache: FeedbackCache,
     client=None,
-) -> RankOutcome:
-    """Score each candidate's per-class perplexity and rank by utility.
+) -> tuple[dict[int, RankedSet], int]:
+    """Score every (query, candidate) pair of a round and rank each query's
+    candidates by utility.
 
-    Each candidate is scored in its own single-example prompt. Cache hits
-    skip the scorer entirely; candidates with any unscorable class are
-    reported in ``failed`` and left out of the ranking.
+    ``candidates`` maps each query id to its candidate ids. Each pair is
+    scored in its own single-example prompt, rendered once; the pairs the
+    cache does not fully cover share one ``fan_out``, and each perplexity is
+    cached as soon as it is scored. A candidate with any unscorable class is
+    left out of its query's ranking and counted in the returned number of
+    unscored pairs; a query left with no scored candidate is left out.
     """
-    ids = [int(c) for c in candidates]
-    if not ids:
-        raise ValueError("rank_candidates needs a non-empty candidate set")
-    gold = int(graph.labels[query_id])
-    if gold == UNLABELED:
-        raise ValueError(f"query node {query_id} has no gold label")
+    lists = {int(q): [int(e) for e in ids] for q, ids in candidates.items()}
+    for q, ids in lists.items():
+        if not ids:
+            raise ValueError("rank_candidates needs a non-empty candidate set")
+        if int(graph.labels[q]) == UNLABELED:
+            raise ValueError(f"query node {q} has no gold label")
     if client is None:
         client = make_client(spec, graph)
 
     scope = (spec.scorer_id, template.template_hash, graph.content_hash)
-    n_classes = graph.n_classes
-    query_text = graph.texts[query_id]
+    classes = range(graph.n_classes)
+    ppls = {(q, e): [cache.get(*scope, q, e, c) for c in classes]
+            for q, ids in lists.items() for e in ids}
+    todo = [pair for pair, vector in ppls.items() if None in vector]
 
-    todo: list[tuple[int, int]] = []
-    ppls: dict[tuple[int, int], float] = {}
-    for e in ids:
-        for c in range(n_classes):
-            hit = cache.get(*scope, query_id, e, c)
-            if hit is None:
-                todo.append((e, c))
+    def score_pair(pair: tuple[int, int]) -> None:
+        """Request each class the cache lacks; a failed class leaves a None."""
+        q, e = pair
+        vector = ppls[pair]
+        prompt = render(template, [(graph.texts[e], graph.label_vocab[int(graph.labels[e])])],
+                        graph.texts[q])
+        for c in classes:
+            if vector[c] is not None:
+                continue
+            meta = {"query_id": q, "example_ids": [e], "class_index": c}
+            try:
+                lps = client.token_logprobs(prompt, class_verbalization(graph.label_vocab[c]),
+                                            meta=meta)
+            except ScorerError:
+                continue
+            vector[c] = ppl(lps)
+            cache.put(*scope, q, e, c, vector[c])
+
+    fan_out(spec, score_pair, todo)
+
+    by_query: dict[int, RankedSet] = {}
+    n_unscored = 0
+    for q, ids in lists.items():
+        scored = []  # (-utility, example id): best first, ties by id
+        for e in ids:
+            vector = ppls[(q, e)]
+            if None in vector:
+                n_unscored += 1
             else:
-                ppls[(e, c)] = hit
-
-    def score_one(pair: tuple[int, int]) -> tuple[tuple[int, int], float | None]:
-        e, c = pair
-        prompt = render(
-            template,
-            [(graph.texts[e], graph.label_vocab[int(graph.labels[e])])],
-            query_text,
-        )
-        meta = {"query_id": query_id, "example_ids": [e], "class_index": c}
-        try:
-            lps = client.token_logprobs(prompt, class_verbalization(graph.label_vocab[c]), meta=meta)
-        except ScorerError:
-            return pair, None
-        return pair, ppl(lps)
-
-    for (e, c), value in fan_out(spec, score_one, todo):
-        if value is not None:
-            ppls[(e, c)] = value
-            cache.put(*scope, query_id, e, c, value)
-
-    scored: list[tuple[float, int]] = []  # (-utility, example id): best first, ties by id
-    failed: list[int] = []
-    for e in ids:
-        vector = [ppls.get((e, c)) for c in range(n_classes)]
-        if any(v is None for v in vector):
-            failed.append(e)
-        else:
-            scored.append((-utility(vector, gold), e))
-    scored.sort()
-    ranked = RankedSet(
-        query_id=query_id,
-        example_ids=tuple(e for _, e in scored),
-        utilities=tuple(-u for u, _ in scored),
-    )
-    return RankOutcome(ranked=ranked, failed=tuple(failed))
+                scored.append((-utility(vector, int(graph.labels[q])), e))
+        scored.sort()
+        if scored:
+            by_query[q] = RankedSet(q, tuple(e for _, e in scored), tuple(-u for u, _ in scored))
+    return by_query, n_unscored

@@ -34,7 +34,7 @@ from .graphstore import SplitSpec, TagGraph
 from .nncore import ParamSet, Tape, Tensor2
 from .prompts import PromptTemplate
 from .retrieval import build_index, retrieve_topk
-from .scoring import FeedbackCache, RankedSet, ScorerSpec, make_client, rank_candidates
+from .scoring import FeedbackCache, RankedSet, ScorerSpec, rank_candidates
 
 FEEDBACK_MODES = ("top_m", "all", "rank_discount")
 
@@ -188,27 +188,19 @@ def collect_feedback_round(
     round_index: int = 0,
 ) -> FeedbackSet:
     """Retrieve each query's top-K candidates under the frozen encoder and
-    rank them by scored utility. Aborts when scored coverage falls below the
-    configured floor (partial results stay cached)."""
+    rank them by scored utility, all queries in one ``rank_candidates`` pass.
+    Aborts when scored coverage falls below the configured floor (partial
+    results stay cached)."""
     enc = config.encoder_config(graph)
     table = encode_all(graph, params, enc)
     index = build_index(table.vectors, split.labeled_ids)
-    if client is None:
-        client = make_client(spec, graph)
-
-    by_query: dict[int, RankedSet] = {}
-    n_scored = 0
-    n_unscored = 0
-    for q in split.query_train_ids:
-        q = int(q)
+    candidates: dict[int, list[int]] = {}
+    for q in split.query_train_ids.tolist():
         hits = retrieve_topk(index, table.vectors[q], config.k_feedback, query_id=q)
-        if len(hits) == 0:
-            continue
-        outcome = rank_candidates(graph, q, hits.node_ids(), spec, template, cache, client=client)
-        n_scored += len(outcome.ranked)
-        n_unscored += len(outcome.failed)
-        if len(outcome.ranked):
-            by_query[q] = outcome.ranked
+        if len(hits):
+            candidates[q] = hits.node_ids()
+    by_query, n_unscored = rank_candidates(graph, candidates, spec, template, cache, client=client)
+    n_scored = sum(len(r) for r in by_query.values())
 
     feedback = FeedbackSet(
         by_query=by_query, round_index=round_index, n_scored=n_scored, n_unscored=n_unscored

@@ -451,10 +451,10 @@ def test_c9_http_scorer_conformance(clean_sbm):
         spec = ScorerSpec(kind="http", endpoint=server.endpoint, model="m",
                           retries=2, backoff=0.0, max_parallel=1)
         client = make_client(spec)
-        outcome = rank_candidates(clean_sbm, 0, [1, 2, bad], spec, DEFAULT_TEMPLATE,
-                                  FeedbackCache(), client=client)
+        by_query, n_unscored = rank_candidates(clean_sbm, {0: [1, 2, bad]}, spec, DEFAULT_TEMPLATE,
+                                               FeedbackCache(), client=client)
         bad_requests = sum(1 for r in server.requests if bad_text in r["prompt"])
-    survived = outcome.failed == (bad,) and set(outcome.ranked.example_ids) == {1, 2}
+    survived = n_unscored == 1 and set(by_query[0].example_ids) == {1, 2}
     retried = bad_requests == (spec.retries + 1) * clean_sbm.n_classes
     check(
         "C9 http-conformance",

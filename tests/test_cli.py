@@ -123,6 +123,29 @@ class TestInferAndBaselines:
         assert main(argv) == 1
         assert "test id -1 is out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("splits",
+                             [{"test": []}, {"labeled": [1, 2]}, {"test": [1.5]}, [1, 2]])
+    def test_splits_file_without_test_ids_is_refused(self, bundle, tmp_path, capsys, splits):
+        preset = tmp_path / "bundle"
+        shutil.copytree(bundle, preset)
+        (preset / "splits.json").write_text(json.dumps(splits))
+        out = tmp_path / "reports"
+        assert main(["baseline", "--bundle", str(preset), "--strategy", "few_knn", "--k-icl", "3",
+                     "--out", str(out), "--scorer-kind", "oracle", "--single-thread"]) == 1
+        assert "splits.json: 'test' must be a non-empty list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-2"])
+    def test_purify_budget_below_one_is_refused(self, bundle, model_dir, tmp_path, capsys,
+                                                budget):
+        out = tmp_path / "reports"
+        assert main(["infer", "--bundle", str(bundle), "--model", str(model_dir),
+                     "--k-icl", "4", "--out", str(out), "--scorer-kind", "oracle",
+                     "--purify", "llm_select", "--purify-budget", budget,
+                     "--single-thread"]) == 1
+        assert f"purify budget must be at least 1, got {budget}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy", ["mv_askgnn", "npg"])
     def test_model_baselines(self, bundle, model_dir, tmp_path, capsys, strategy):
         out = tmp_path / "reports"

@@ -1,7 +1,9 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gicl.graphstore import (
     UNLABELED,
@@ -113,7 +115,48 @@ class TestLoadBundle:
             load_bundle(tmp_path / "b")
 
 
+@st.composite
+def small_graphs(draw):
+    """Tiny graphs with unlabeled and isolated nodes, maybe no edges, any Unicode text."""
+    n = draw(st.integers(1, 8))
+    directed = draw(st.booleans())
+    vocab = draw(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True))
+    labels = draw(st.lists(st.integers(UNLABELED, len(vocab) - 1), min_size=n, max_size=n))
+    texts = draw(st.lists(st.text(max_size=12), min_size=n, max_size=n))
+    d = draw(st.integers(1, 3))
+    values = draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                           min_size=n * d, max_size=n * d))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    adjacency = [set() for _ in range(n)]
+    for src, dst in pairs:
+        if src != dst:
+            adjacency[src].add(dst)
+            if not directed:
+                adjacency[dst].add(src)
+    return TagGraph(
+        n_nodes=n, csr_offsets=np.cumsum([0] + [len(a) for a in adjacency]),
+        csr_targets=np.array([t for a in adjacency for t in sorted(a)], dtype=np.int64),
+        features=np.array(values, dtype=np.float32).reshape(n, d), texts=tuple(texts),
+        labels=np.array(labels), label_vocab=tuple(vocab), directed=directed,
+    )
+
+
 class TestRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(graph=small_graphs())
+    def test_random_graphs_survive_write_then_load(self, graph):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_bundle(graph, tmp)
+            back = load_bundle(tmp, symmetrize=not graph.directed)
+        assert np.array_equal(back.csr_offsets, graph.csr_offsets)
+        assert np.array_equal(back.csr_targets, graph.csr_targets)
+        assert back.features.tobytes() == graph.features.tobytes()
+        assert back.texts == graph.texts
+        assert np.array_equal(back.labels, graph.labels)
+        assert back.label_vocab == graph.label_vocab
+        assert back.directed == graph.directed
+        assert back.content_hash == graph.content_hash
+
     def test_write_then_load_is_identity(self, tmp_path, noisy_sbm):
         write_bundle(noisy_sbm, tmp_path / "out")
         back = load_bundle(tmp_path / "out")
@@ -158,6 +201,12 @@ class TestRoundTrip:
         got = load_split_file(tmp_path / "b")
         assert got["test"].tolist() == [2, 3]
         assert load_split_file(tmp_path) is None
+
+    def test_split_file_without_test_ids_is_refused(self, tmp_path):
+        nodes = [{"id": i, "text": "t", "label": "a"} for i in range(4)]
+        write_raw_bundle(tmp_path / "b", nodes, [], np.zeros((4, 2)), ["a"], splits={"test": []})
+        with pytest.raises(BundleError, match="splits.json: 'test' must be a non-empty list"):
+            load_split_file(tmp_path / "b")
 
 
 class TestNeighbors:

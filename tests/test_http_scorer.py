@@ -1,9 +1,11 @@
 """HTTP scorer conformance against a local stub completions server."""
 
+import json
 import random
 import shutil
 import ssl
 import subprocess
+import sys
 import time
 
 import numpy as np
@@ -11,6 +13,8 @@ import pytest
 
 from stubserver import StubScorerServer, echo_response, fake_logprob, tokenize
 
+from gicl import scoring as scoring_mod
+from gicl.encoder import init_params
 from gicl.graphstore import neighbors, sample_label_fraction, synth_sbm
 from gicl.pipeline import run_strategy
 from gicl.prompts import DEFAULT_TEMPLATE
@@ -23,6 +27,7 @@ from gicl.scoring import (
     rank_candidates,
     token_logprobs,
 )
+from gicl.training import TrainConfig, collect_feedback_round
 
 
 def spec_for(server, **overrides) -> ScorerSpec:
@@ -177,7 +182,7 @@ class TestConnections:
             spec = spec_for(server, max_parallel=3)
             client = HttpClient(spec)
             for query in (0, 1):
-                rank_candidates(clean_sbm, query, [2, 3, 4, 5, 6, 7], spec, DEFAULT_TEMPLATE,
+                rank_candidates(clean_sbm, {query: [2, 3, 4, 5, 6, 7]}, spec, DEFAULT_TEMPLATE,
                                 FeedbackCache(), client=client)
             assert len(server.requests) == 2 * 6 * clean_sbm.n_classes
             assert 1 <= server.connections <= 3
@@ -245,26 +250,79 @@ class TestCollectionWithFaults:
         with StubScorerServer(fail_when=fail_for_bad) as server:
             spec = spec_for(server, retries=1)
             client = make_client(spec)
-            outcome = rank_candidates(
-                clean_sbm, 0, [1, 2, bad], spec, DEFAULT_TEMPLATE, FeedbackCache(), client=client
+            by_query, n_unscored = rank_candidates(
+                clean_sbm, {0: [1, 2, bad]}, spec, DEFAULT_TEMPLATE, FeedbackCache(), client=client
             )
-        assert outcome.failed == (bad,)
-        assert set(outcome.ranked.example_ids) == {1, 2}
-        assert len(outcome.ranked.utilities) == 2
+        assert n_unscored == 1  # the bad candidate
+        assert set(by_query[0].example_ids) == {1, 2}
+        assert len(by_query[0].utilities) == 2
 
     def test_parallel_collection_matches_serial(self, clean_sbm):
         cands = [1, 2, 3, 4, 5]
         with StubScorerServer() as server:
             serial = rank_candidates(
-                clean_sbm, 0, cands, spec_for(server, max_parallel=1),
+                clean_sbm, {0: cands}, spec_for(server, max_parallel=1),
                 DEFAULT_TEMPLATE, FeedbackCache(),
             )
         with StubScorerServer() as server:
             parallel = rank_candidates(
-                clean_sbm, 0, cands, spec_for(server, max_parallel=4),
+                clean_sbm, {0: cands}, spec_for(server, max_parallel=4),
                 DEFAULT_TEMPLATE, FeedbackCache(),
             )
-        assert serial.ranked == parallel.ranked
+        assert serial == parallel
+
+
+class TestRoundOverHttp:
+    """One feedback round over the stub: one thread pool, any thread count."""
+
+    @staticmethod
+    def collect(graph, split, spec, cache):
+        cfg = TrainConfig(hidden_dim=8, n_layers=1, epochs=1, k_feedback=3)
+        params = init_params(cfg.encoder_config(graph), seed=0)
+        return collect_feedback_round(graph, split, params, cfg, spec, DEFAULT_TEMPLATE, cache)
+
+    def test_one_thread_pool_per_round(self, clean_sbm, clean_split, monkeypatch):
+        pools = []
+
+        class CountingPool(scoring_mod.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scoring_mod, "ThreadPoolExecutor", CountingPool)
+        with StubScorerServer(keep_alive=True) as server:
+            feedback = self.collect(clean_sbm, clean_split, spec_for(server, max_parallel=4),
+                                    FeedbackCache())
+        assert len(feedback.by_query) >= 2
+        assert len(pools) == 1
+
+    def test_thread_count_changes_no_result(self, clean_sbm, clean_split, tmp_path):
+        # one example's prompts always fail, so failed pairs are compared too; with
+        # 4 threads (more than cores) and a short switch interval, the workers
+        # append to one cache file at once and must lose or tear no record
+        bad_text = clean_sbm.texts[int(clean_split.labeled_ids[1])]
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for max_parallel in (1, 4):
+                path = tmp_path / f"cache-{max_parallel}.jsonl"
+                cache = FeedbackCache(path)
+                with StubScorerServer(fail_when=lambda body: bad_text in body["prompt"]) as server:
+                    feedback = self.collect(clean_sbm, clean_split,
+                                            spec_for(server, max_parallel=max_parallel), cache)
+                cache.close()
+                lines = path.read_text().splitlines()
+                assert len(lines) == len(cache) == clean_sbm.n_classes * feedback.n_scored
+                records = [json.loads(line) for line in lines]  # none torn
+                assert len({r["k"] for r in records}) == len(records)
+                # keys differ: the scorer id covers the stub's port
+                values = sorted((r["q"], r["e"], r["c"], r["ppl"]) for r in records)
+                results.append((len(server.requests), feedback, values))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0][1].n_unscored > 0
+        assert results[0] == results[1]
 
 
 class TestStrategiesOverHttp:

@@ -236,6 +236,13 @@ class TestStrategies:
         assert all(r.n_icl == 2 for r in rows)
         assert all(r.note == "purify fallback" for r in rows)
 
+    @pytest.mark.parametrize("budget", [0, -2])
+    def test_purify_budget_below_one_rejected(self, trained_clean, budget):
+        g, split, cfg, model = trained_clean
+        with pytest.raises(ValueError, match="at least 1"):
+            run_strategy("askgnn", g, split, ORACLE, DEFAULT_TEMPLATE, model=model,
+                         k_icl=cfg.k_icl, purify="llm_select", purify_budget=budget)
+
     def test_transport_failures_become_unparsed_rows(self, trained_clean):
         from gicl.scoring import ScorerError
 

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gicl.retrieval import (
     RetrievalResult,
@@ -19,6 +22,19 @@ def sort_oracle(ids, vectors, query, k):
         scored.append((i, float(v @ qu)))
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored[:k]
+
+
+def exact_cosine_oracle(ids, rows, query, k):
+    """Top-k ids by (cosine desc, id asc) for integer vectors, with no rounding:
+    sign(s) * s^2 / (|v|^2 |q|^2) orders like the cosine s / (|v| |q|)."""
+    qq = sum(x * x for x in query)
+
+    def signed_square(i):
+        s = sum(a * b for a, b in zip(rows[i], query))
+        vv = sum(a * a for a in rows[i])
+        return Fraction(s * abs(s), vv * qq) if vv and qq else Fraction(0)
+
+    return sorted(ids, key=lambda i: (-signed_square(i), i))[:k]
 
 
 class TestBuildIndex:
@@ -65,6 +81,25 @@ class TestRetrieveTopk:
             want = sort_oracle(range(50), vecs, q, 7)
             assert got.node_ids() == [i for i, _ in want]
             np.testing.assert_allclose(got.scores(), [s for _, s in want], atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=1,
+                      max_size=12),
+        query=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+        query_id=st.integers(-1, 11),
+        k=st.integers(1, 13),
+    )
+    def test_matches_exact_oracle_on_integer_vectors(self, rows, query, query_id, k):
+        # small integers repeat rows, give zero rows and orthogonal rows, so many
+        # cosines tie exactly; the oracle ranks them in exact rational arithmetic
+        vecs = np.array(rows, dtype=np.float64)
+        q = np.array(query, dtype=np.float64)
+        got = retrieve_topk(build_index(vecs, range(len(rows))), q, k, query_id=query_id)
+        want = exact_cosine_oracle([i for i in range(len(rows)) if i != query_id], rows, query, k)
+        assert got.node_ids() == want
+        cosines = sort_oracle(want, vecs, q, k)
+        np.testing.assert_allclose(got.scores(), [s for _, s in cosines], atol=1e-12)
 
     def test_tie_broken_by_ascending_id(self):
         vecs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])

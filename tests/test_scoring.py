@@ -294,10 +294,10 @@ class TestRankCandidates:
     def test_single_candidate_ranks_alone(self, clean_sbm):
         cache = FeedbackCache()
         spec = ScorerSpec(kind="oracle")
-        outcome = rank_candidates(clean_sbm, 0, [1], spec, DEFAULT_TEMPLATE, cache)
-        assert len(outcome.ranked) == 1
-        assert outcome.ranked.example_ids == (1,)
-        assert not outcome.failed
+        by_query, n_unscored = rank_candidates(clean_sbm, {0: [1]}, spec, DEFAULT_TEMPLATE, cache)
+        assert len(by_query[0]) == 1
+        assert by_query[0].example_ids == (1,)
+        assert n_unscored == 0
 
     def test_same_label_candidates_outrank_different(self, clean_sbm):
         # zero noise: same-label examples strictly lower the gold-class ppl,
@@ -307,13 +307,13 @@ class TestRankCandidates:
         q = 2
         same = [i for i in range(clean_sbm.n_nodes) if i != q and clean_sbm.labels[i] == clean_sbm.labels[q]][:4]
         diff = [i for i in range(clean_sbm.n_nodes) if clean_sbm.labels[i] != clean_sbm.labels[q]][:4]
-        outcome = rank_candidates(clean_sbm, q, same + diff, spec, DEFAULT_TEMPLATE, cache)
-        got_same = [e in same for e in outcome.ranked.example_ids]
+        ranked = rank_candidates(clean_sbm, {q: same + diff}, spec, DEFAULT_TEMPLATE, cache)[0][q]
+        got_same = [e in same for e in ranked.example_ids]
         assert got_same == [True] * 4 + [False] * 4
         # expected utilities from the closed form, computed independently
         c = clean_sbm.n_classes
         u_same = 1.0 / (1.0 + (c - 1) * math.exp(-2.0))
-        for e, u in zip(outcome.ranked.example_ids, outcome.ranked.utilities):
+        for e, u in zip(ranked.example_ids, ranked.utilities):
             expected = u_same if e in same else 1.0 / c
             assert abs(u - expected) < 1e-9
 
@@ -321,20 +321,21 @@ class TestRankCandidates:
         cache = FeedbackCache()
         spec = ScorerSpec(kind="oracle")
         client = make_client(spec, clean_sbm)
-        rank_candidates(clean_sbm, 0, [1, 2, 3], spec, DEFAULT_TEMPLATE, cache, client=client)
+        rank_candidates(clean_sbm, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE, cache, client=client)
         before = client.calls
-        again = rank_candidates(clean_sbm, 0, [1, 2, 3], spec, DEFAULT_TEMPLATE, cache, client=client)
+        again, _ = rank_candidates(clean_sbm, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE, cache,
+                                   client=client)
         assert client.calls == before
-        assert len(again.ranked) == 3
+        assert len(again[0]) == 3
 
     def test_cache_shared_across_graphs_keeps_each_graphs_utilities(self):
         spec = ScorerSpec(kind="oracle")
         graph_a, graph_b = (synth_sbm(200, 4, 0.1, 0.01, 8, 0.6, seed=s) for s in (1, 2))
         shared = FeedbackCache()
-        rank_candidates(graph_a, 0, [1, 2, 3], spec, DEFAULT_TEMPLATE, shared)
-        through_shared = rank_candidates(graph_b, 0, [1, 2, 3], spec, DEFAULT_TEMPLATE, shared)
-        fresh = rank_candidates(graph_b, 0, [1, 2, 3], spec, DEFAULT_TEMPLATE, FeedbackCache())
-        assert through_shared.ranked == fresh.ranked
+        rank_candidates(graph_a, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE, shared)
+        through_shared = rank_candidates(graph_b, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE, shared)
+        fresh = rank_candidates(graph_b, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE, FeedbackCache())
+        assert through_shared == fresh
         assert len(shared) == 2 * 3 * graph_a.n_classes
 
     def test_ties_break_by_example_id(self, clean_sbm):
@@ -342,8 +343,9 @@ class TestRankCandidates:
         spec = ScorerSpec(kind="oracle")
         q = 0
         diff = [i for i in range(clean_sbm.n_nodes) if clean_sbm.labels[i] != clean_sbm.labels[q]][:5]
-        outcome = rank_candidates(clean_sbm, q, list(reversed(diff)), spec, DEFAULT_TEMPLATE, cache)
-        assert list(outcome.ranked.example_ids) == sorted(diff)
+        by_query, _ = rank_candidates(clean_sbm, {q: list(reversed(diff))}, spec, DEFAULT_TEMPLATE,
+                                      cache)
+        assert list(by_query[q].example_ids) == sorted(diff)
 
     def test_unlabeled_query_rejected(self, path_graph):
         labels = path_graph.labels.copy()
@@ -356,11 +358,11 @@ class TestRankCandidates:
             texts=path_graph.texts, labels=labels, label_vocab=path_graph.label_vocab,
         )
         with pytest.raises(ValueError, match="gold"):
-            rank_candidates(g, 0, [1], ScorerSpec(kind="oracle"), DEFAULT_TEMPLATE, FeedbackCache(), client=make_client(ScorerSpec(kind="oracle"), g))
+            rank_candidates(g, {0: [1]}, ScorerSpec(kind="oracle"), DEFAULT_TEMPLATE, FeedbackCache(), client=make_client(ScorerSpec(kind="oracle"), g))
 
     def test_empty_candidates_rejected(self, clean_sbm):
         with pytest.raises(ValueError, match="non-empty"):
-            rank_candidates(clean_sbm, 0, [], ScorerSpec(kind="oracle"), DEFAULT_TEMPLATE, FeedbackCache())
+            rank_candidates(clean_sbm, {0: []}, ScorerSpec(kind="oracle"), DEFAULT_TEMPLATE, FeedbackCache())
 
     def test_partially_failing_client_reports_pairs(self, clean_sbm):
         spec = ScorerSpec(kind="oracle")
@@ -372,6 +374,7 @@ class TestRankCandidates:
                 return super().token_logprobs(prompt, continuation, meta=meta)
 
         client = Flaky(spec, clean_sbm)
-        outcome = rank_candidates(clean_sbm, 0, [1, 2, 3], spec, DEFAULT_TEMPLATE, FeedbackCache(), client=client)
-        assert outcome.failed == (3,)
-        assert set(outcome.ranked.example_ids) == {1, 2}
+        by_query, n_unscored = rank_candidates(clean_sbm, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE,
+                                               FeedbackCache(), client=client)
+        assert n_unscored == 1  # candidate 3
+        assert set(by_query[0].example_ids) == {1, 2}

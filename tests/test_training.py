@@ -1,15 +1,24 @@
 import gc
+import json
 import math
 
 import numpy as np
 import pytest
 
 from gicl import nncore
+from gicl import scoring as scoring_mod
 from gicl.encoder import encode_on_tape, init_params, neighbor_aggregator
 from gicl.graphstore import sample_label_fraction, synth_sbm
 from gicl.nncore import Tape, Tensor2, adam_step, backward
-from gicl.prompts import DEFAULT_TEMPLATE
-from gicl.scoring import FeedbackCache, RankedSet, ScorerError, ScorerSpec, make_client
+from gicl.prompts import DEFAULT_TEMPLATE, render
+from gicl.scoring import (
+    FeedbackCache,
+    OracleClient,
+    RankedSet,
+    ScorerError,
+    ScorerSpec,
+    make_client,
+)
 from gicl.training import (
     FeedbackSet,
     ScorerCoverageError,
@@ -247,6 +256,52 @@ class TestCollectFeedbackRound:
                 clean_sbm, clean_split, params, cfg, ORACLE, DEFAULT_TEMPLATE,
                 FeedbackCache(), client=Dead(),
             )
+
+
+class TestOnePassRound:
+    """A round renders each missed (query, example) pair once and caches as it goes."""
+
+    def test_one_render_per_pair_with_a_miss(self, clean_sbm, clean_split, monkeypatch):
+        renders = []
+
+        def counting_render(*args, **kwargs):
+            renders.append(args)
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(scoring_mod, "render", counting_render)
+        cfg = TrainConfig(hidden_dim=8, n_layers=1, epochs=1, k_feedback=3)
+        params = init_params(cfg.encoder_config(clean_sbm), seed=0)
+        cache = FeedbackCache()
+        cold = collect_feedback_round(clean_sbm, clean_split, params, cfg, ORACLE,
+                                      DEFAULT_TEMPLATE, cache)
+        pairs = cold.n_scored + cold.n_unscored
+        assert pairs == 3 * len(clean_split.query_train_ids)
+        assert len(renders) == pairs
+        collect_feedback_round(clean_sbm, clean_split, params, cfg, ORACLE, DEFAULT_TEMPLATE, cache)
+        assert len(renders) == pairs  # a warm round renders nothing
+
+    def test_crash_keeps_the_values_scored_before_it(self, clean_sbm, clean_split, tmp_path):
+        class CrashOnSeventh(OracleClient):
+            def token_logprobs(self, prompt, continuation, meta=None):
+                if self.calls == 6:
+                    raise RuntimeError("process killed")
+                return super().token_logprobs(prompt, continuation, meta=meta)
+
+        cfg = TrainConfig(hidden_dim=8, n_layers=1, epochs=1, k_feedback=3)
+        params = init_params(cfg.encoder_config(clean_sbm), seed=0)
+        path = tmp_path / "cache.jsonl"
+        cache = FeedbackCache(path)
+        with pytest.raises(RuntimeError, match="killed"):
+            collect_feedback_round(clean_sbm, clean_split, params, cfg, ORACLE, DEFAULT_TEMPLATE,
+                                   cache, client=CrashOnSeventh(ORACLE, clean_sbm))
+        cache.close()
+        assert len(FeedbackCache(path)) == 6
+        full = FeedbackCache()
+        collect_feedback_round(clean_sbm, clean_split, params, cfg, ORACLE, DEFAULT_TEMPLATE, full)
+        scope = (ORACLE.scorer_id, DEFAULT_TEMPLATE.template_hash, clean_sbm.content_hash)
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            assert full.get(*scope, record["q"], record["e"], record["c"]) == record["ppl"]
 
 
 class TestTapeGradients:
