@@ -31,6 +31,7 @@ from .encoder import EmbeddingTable, init_params
 from .graphstore import (
     SplitSpec,
     TagGraph,
+    atomic_write,
     bundle_hash,
     load_bundle,
     load_split_file,
@@ -193,7 +194,7 @@ def cmd_feedback(args: argparse.Namespace) -> int:
         },
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
     print(json.dumps({"queries": len(feedback.by_query), "coverage": feedback.coverage,
                       "cache_entries": len(cache)}))

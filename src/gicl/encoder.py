@@ -1,6 +1,6 @@
 """GraphSAGE-style encoder: mean neighbor aggregation plus a linear head.
 
-Layer rule (full batch, no neighbor sampling):
+Layer rule (every neighbour, no neighbor sampling):
 
     h_v <- ReLU( h_v @ W_self + mean_{u in N(v)} h_u @ W_neigh + b )
 
@@ -8,6 +8,12 @@ The last layer skips the ReLU so embeddings are not confined to the
 positive orthant, and the output rows are L2-normalized so cosine
 similarity downstream reduces to a dot product. Dropout (inverted) sits
 between layers and only fires when the training flag is set.
+
+An EncodePlan says which rows each layer computes. Evaluation encodes the
+whole graph; training computes only the receptive field of the nodes its
+losses read: layer l within L-1-l hops of them. Each row it computes is
+the same sum, over the same neighbours in the same order, as on the whole
+graph.
 """
 
 from __future__ import annotations
@@ -77,41 +83,112 @@ def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> ParamSet:
     return params
 
 
-def neighbor_aggregator(graph: TagGraph) -> RowAggregator:
-    return RowAggregator(graph.csr_offsets, graph.csr_targets, graph.n_nodes)
+@dataclass(frozen=True)
+class EncodePlan:
+    """The rows each layer computes.
+
+    ``rows[l]`` holds the ascending ids of the nodes layer l reads and
+    ``rows[l + 1]`` those it writes, so ``rows[-1]`` are the embedding rows
+    returned. Layer l's aggregator has one group per node of ``rows[l + 1]``
+    over positions in ``rows[l]``; ``own[l]`` holds the positions of
+    ``rows[l + 1]`` in ``rows[l]``, or None where the two are equal. Every
+    group keeps its node's full neighbourhood, so each computed row is the
+    sum the full graph computes, in the same order.
+    """
+
+    n_nodes: int
+    rows: tuple[np.ndarray, ...]
+    aggregators: tuple[RowAggregator, ...]
+    own: tuple[np.ndarray | None, ...]
+
+
+def encode_plan(graph: TagGraph, n_layers: int, nodes: np.ndarray | None = None) -> EncodePlan:
+    """The plan whose last layer yields the embeddings of ``nodes``; every
+    node when None. Layer l then computes the nodes within
+    ``n_layers - 1 - l`` hops of them (GraphSAGE's minibatch receptive field)."""
+    n = graph.n_nodes
+    out = np.arange(n) if nodes is None else np.unique(np.asarray(nodes, dtype=np.int64))
+    if out.size and (out[0] < 0 or out[-1] >= n):
+        raise ValueError(f"encode_plan: node ids must lie in [0, {n}), got {out[0]}..{out[-1]}")
+    offsets, targets = graph.csr_offsets, graph.csr_targets
+    rows, aggregators, own = [out], [], []
+    agg, self_pos = None, None
+    for _ in range(n_layers):
+        groups = rows[0]
+        # once a layer reads only the rows it writes, every layer below it is the same
+        if agg is None or self_pos is not None:
+            counts = offsets[groups + 1] - offsets[groups]
+            group_offsets = np.concatenate([[0], np.cumsum(counts)])
+            edges = np.repeat(offsets[groups] - group_offsets[:-1], counts) + np.arange(group_offsets[-1])
+            neigh = targets[edges]
+            inputs = groups if groups.size == n else np.union1d(groups, neigh)
+            pos = neigh if inputs.size == n else np.searchsorted(inputs, neigh)
+            agg = RowAggregator(group_offsets, pos, inputs.size)
+            self_pos = None if inputs.size == groups.size else np.searchsorted(inputs, groups)
+        rows.insert(0, groups if self_pos is None else inputs)
+        aggregators.insert(0, agg)
+        own.insert(0, self_pos)
+    return EncodePlan(n, tuple(rows), tuple(aggregators), tuple(own))
+
+
+def _own_rows(tape: Tape, h: Tensor2, plan: EncodePlan, layer: int) -> Tensor2:
+    pos = plan.own[layer]
+    return h if pos is None else nncore.gather_rows(tape, h, pos)
+
+
+def feature_inputs(tape: Tape, features: Tensor2, plan: EncodePlan) -> tuple[Tensor2, Tensor2]:
+    """Layer 0's own rows and neighbour means of the node features. They
+    depend on no parameter, so a training round computes them once."""
+    if features.rows != plan.n_nodes:
+        raise ValueError(f"feature rows {features.rows} != graph nodes {plan.n_nodes}")
+    x = features
+    if plan.rows[0].size < plan.n_nodes:
+        x = nncore.gather_rows(tape, features, plan.rows[0])
+    return _own_rows(tape, x, plan, 0), nncore.mean_rows(tape, x, plan.aggregators[0])
 
 
 def encode_on_tape(
     tape: Tape,
-    features: Tensor2,
-    aggregator: RowAggregator,
+    inputs: tuple[Tensor2, Tensor2],
+    plan: EncodePlan,
     params: ParamSet,
     config: EncoderConfig,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor2:
-    """Forward pass on an existing tape; returns the L2-normalized embeddings."""
-    if features.cols != config.input_dim:
-        raise ValueError(f"feature dim {features.cols} != configured input_dim {config.input_dim}")
+    """Forward pass on an existing tape from ``feature_inputs``; returns the
+    L2-normalized embeddings of ``plan.rows[-1]``."""
+    own, neigh = inputs
+    if own.cols != config.input_dim:
+        raise ValueError(f"feature dim {own.cols} != configured input_dim {config.input_dim}")
+    if len(plan.aggregators) != config.n_layers:
+        raise ValueError(f"plan has {len(plan.aggregators)} layers, config {config.n_layers}")
     if training and config.dropout > 0 and rng is None:
         raise ValueError("training-mode encoding with dropout needs an rng")
-    h = features
     for i in range(config.n_layers):
-        neigh = nncore.mean_rows(tape, h, aggregator)
-        own = nncore.linear(tape, h, params[f"layer{i}.w_self"], params[f"layer{i}.b"])
-        agg = nncore.linear(tape, neigh, params[f"layer{i}.w_neigh"])
-        h = nncore.add(tape, own, agg)
+        if i > 0:
+            own, neigh = _own_rows(tape, h, plan, i), nncore.mean_rows(tape, h, plan.aggregators[i])
+        h = nncore.add(
+            tape,
+            nncore.linear(tape, own, params[f"layer{i}.w_self"], params[f"layer{i}.b"]),
+            nncore.linear(tape, neigh, params[f"layer{i}.w_neigh"]),
+        )
         if i < config.n_layers - 1:
             h = nncore.relu(tape, h)
             if training and config.dropout > 0:
-                h = nncore.dropout(tape, h, config.dropout, rng)
+                rows = plan.rows[i + 1]
+                h = nncore.dropout(tape, h, config.dropout, rng,
+                                   rows=rows if rows.size < plan.n_nodes else None,
+                                   n_rows=plan.n_nodes)
     return nncore.l2_normalize_rows(tape, h)
 
 
 def encode_all(graph: TagGraph, params: ParamSet, config: EncoderConfig) -> EmbeddingTable:
     """Encode every node in eval mode (no dropout); bitwise repeatable."""
     feats = Tensor2(graph.features.astype(params.dtype))
-    out = encode_on_tape(Tape(), feats, neighbor_aggregator(graph), params, config)
+    plan = encode_plan(graph, config.n_layers)
+    tape = Tape()
+    out = encode_on_tape(tape, feature_inputs(tape, feats, plan), plan, params, config)
     return EmbeddingTable(vectors=out.data.copy())
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -158,13 +160,31 @@ def neighbors(graph: TagGraph, node: int) -> np.ndarray:
     return graph.csr_targets[lo:hi]
 
 
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
+    """Open a temporary file beside ``path`` for writing; when the block
+    ends it replaces ``path`` in one ``os.replace``, so a reader sees the
+    old file or the new one, never part of either. If the block raises,
+    the temporary file is removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_matrix(prefix: Path, matrix: np.ndarray) -> None:
     """Write ``prefix.bin`` (row-major little-endian float32) and its
-    ``prefix.json`` header."""
-    matrix.astype("<f4").tofile(prefix.with_suffix(".bin"))
+    ``prefix.json`` header, each atomically."""
+    with atomic_write(prefix.with_suffix(".bin"), "wb") as fh:
+        fh.write(matrix.astype("<f4").tobytes())
     header = {"rows": matrix.shape[0], "cols": matrix.shape[1], "dtype": "f32le",
               "layout": "row-major"}
-    with open(prefix.with_suffix(".json"), "w", encoding="utf-8") as fh:
+    with atomic_write(prefix.with_suffix(".json"), "w", encoding="utf-8") as fh:
         json.dump(header, fh)
 
 
@@ -275,17 +295,17 @@ def write_bundle(graph: TagGraph, path: str | Path) -> None:
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    with open(root / "nodes.jsonl", "w", encoding="utf-8") as fh:
+    with atomic_write(root / "nodes.jsonl", "w", encoding="utf-8") as fh:
         for i in range(graph.n_nodes):
             label = None if graph.labels[i] == UNLABELED else graph.label_vocab[graph.labels[i]]
             fh.write(json.dumps({"id": i, "text": graph.texts[i], "label": label}) + "\n")
-    with open(root / "edges.tsv", "w", encoding="utf-8") as fh:
+    with atomic_write(root / "edges.tsv", "w", encoding="utf-8") as fh:
         for src in range(graph.n_nodes):
             for dst in neighbors(graph, src):
                 if graph.directed or src < dst:
                     fh.write(f"{src}\t{int(dst)}\n")
     write_matrix(root / "features", graph.features)
-    with open(root / "labels.json", "w", encoding="utf-8") as fh:
+    with atomic_write(root / "labels.json", "w", encoding="utf-8") as fh:
         json.dump(list(graph.label_vocab), fh)
 
 

@@ -27,6 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .graphstore import atomic_write
+
 Array = np.ndarray
 
 
@@ -244,15 +246,33 @@ def l2_normalize_rows(tape: Tape, x: Tensor2) -> Tensor2:
     return tape.record(Tensor2(y), (x,), back)
 
 
-def dropout(tape: Tape, x: Tensor2, rate: float, rng: np.random.Generator) -> Tensor2:
-    """Inverted dropout; identity when rate is 0."""
+def dropout(
+    tape: Tape,
+    x: Tensor2,
+    rate: float,
+    rng: np.random.Generator,
+    rows: Sequence[int] | None = None,
+    n_rows: int | None = None,
+) -> Tensor2:
+    """Inverted dropout; identity when rate is 0.
+
+    When ``rows`` is given, x holds those rows of an ``n_rows``-row matrix:
+    the mask is drawn for the whole matrix and then cut to ``rows``, so each
+    row gets the mask it would get there and the random stream advances
+    the same.
+    """
     if not 0 <= rate < 1:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if rows is not None and (n_rows is None or len(rows) != x.rows):
+        raise ValueError(f"dropout: x has {x.rows} rows, but rows names {len(rows)} of {n_rows}")
     if rate == 0:
         mask = None
         y = x.data.copy()
     else:
-        mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / x.data.dtype.type(1 - rate)
+        keep = rng.random(x.shape if rows is None else (n_rows, x.cols)) >= rate
+        if rows is not None:
+            keep = keep[np.asarray(rows, dtype=np.int64)]
+        mask = keep.astype(x.data.dtype) / x.data.dtype.type(1 - rate)
         y = x.data * mask
 
     def back(g: Array) -> None:
@@ -457,7 +477,7 @@ class ParamSet:
             "step": self.step,
             "dtype": "f32le",
         }
-        with open(path, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
             for n in names:
                 fh.write(self.tensors[n].data.astype("<f4").tobytes())

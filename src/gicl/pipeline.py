@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .encoder import classify_logits
-from .graphstore import UNLABELED, SplitSpec, TagGraph, neighbors
+from .graphstore import UNLABELED, SplitSpec, TagGraph, atomic_write, neighbors
 from .prompts import (
     IclExample,
     PromptTemplate,
@@ -96,7 +96,7 @@ class RunManifest:
 
     def save(self, path: str | Path) -> None:
         obj = {**asdict(self), "manifest_hash": self.manifest_hash}
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
@@ -378,7 +378,7 @@ def sweep(
 
 
 def write_sweep_csv(results: Sequence[dict], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["value", "accuracy", "error"], lineterminator="\n")
         writer.writeheader()
         writer.writerows(results)

@@ -1,20 +1,24 @@
 """Retriever optimization: listwise feedback loss + node classification loss.
 
 Each round freezes the encoder, retrieves every training query's top-K
-candidates, scores them through the scorer cache, and then runs full-batch
-gradient steps on
+candidates, scores them through the scorer cache, and then runs gradient
+steps on
 
     L = beta * L_feedback + (1 - beta) * L_clf
 
 where L_feedback is a temperature-scaled listwise softmax over each
 query's candidate list (positives chosen by feedback_mode) and L_clf is
 softmax cross-entropy of the linear head over the supervised nodes.
+Both read only the embeddings of labeled nodes, queries and candidates,
+so an epoch encodes only their receptive field (``encoder.encode_plan``),
+and the losses index its output rows.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -23,14 +27,16 @@ import numpy as np
 from . import nncore
 from .encoder import (
     EmbeddingTable,
+    EncodePlan,
     EncoderConfig,
     encode_all,
     encode_on_tape,
+    encode_plan,
+    feature_inputs,
     init_params,
     logits_on_tape,
-    neighbor_aggregator,
 )
-from .graphstore import SplitSpec, TagGraph
+from .graphstore import SplitSpec, TagGraph, atomic_write
 from .nncore import ParamSet, Tape, Tensor2
 from .prompts import PromptTemplate
 from .retrieval import build_index, retrieve_topk
@@ -63,8 +69,20 @@ class TrainConfig:
             raise ValueError("temperature must be positive")
         if self.feedback_mode not in FEEDBACK_MODES:
             raise ValueError(f"feedback_mode must be one of {FEEDBACK_MODES}")
+        if self.k_feedback < 1 or self.top_m < 1:
+            raise ValueError("k_feedback and top_m must be >= 1")
         if self.top_m > self.k_feedback:
             raise ValueError("top_m cannot exceed k_feedback")
+        if self.k_icl < 0:
+            raise ValueError("k_icl must be >= 0")
+        if self.rounds < 1 or self.epochs < 0:
+            raise ValueError("rounds must be >= 1 and epochs >= 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be finite and positive")
+        if not 0 <= self.dropout < 1:
+            raise ValueError("dropout must be in [0, 1)")
+        if not 0 <= self.coverage_floor <= 1:
+            raise ValueError("coverage_floor must be in [0, 1]")
 
     def encoder_config(self, graph: TagGraph) -> EncoderConfig:
         return EncoderConfig(
@@ -99,7 +117,7 @@ class TrainedModel:
     log: list[dict] = field(default_factory=list)
 
     def write_log(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(
                 fh,
                 fieldnames=["epoch", "round", "loss_total", "loss_feedback", "loss_clf", "lr"],
@@ -172,6 +190,56 @@ def combined_loss(tape: Tape, lf: Tensor2, lc: Tensor2, beta: float) -> Tensor2:
     return nncore.combine_scalars(tape, lf, lc, beta, 1.0 - beta)
 
 
+@dataclass(frozen=True)
+class RoundBatch:
+    """One round's fixed training inputs. Every node id in ``feedback``,
+    ``labeled`` and ``labels`` is replaced by its row in the plan's output,
+    which keeps id order, so the losses read the embeddings the plan yields."""
+
+    plan: EncodePlan
+    inputs: tuple[Tensor2, Tensor2]
+    feedback: FeedbackSet
+    labeled: np.ndarray
+    labels: np.ndarray
+
+
+def round_batch(
+    graph: TagGraph, split: SplitSpec, feedback: FeedbackSet, features: Tensor2, n_layers: int
+) -> RoundBatch:
+    """Plan the rows both losses can reach and map their node ids to them."""
+    queries, ranked = list(feedback.by_query), list(feedback.by_query.values())
+    nodes = np.concatenate([split.labeled_ids, queries, *(r.example_ids for r in ranked)])
+    plan = encode_plan(graph, n_layers, nodes.astype(np.int64))
+    out = plan.rows[-1]
+    by_query = {
+        q: RankedSet(q, tuple(np.searchsorted(out, r.example_ids).tolist()), r.utilities)
+        for q, r in zip(np.searchsorted(out, queries).tolist(), ranked)
+    }
+    return RoundBatch(
+        plan=plan,
+        inputs=feature_inputs(Tape(), features, plan),
+        feedback=replace(feedback, by_query=by_query),
+        labeled=np.searchsorted(out, split.labeled_ids),
+        labels=graph.labels[out],
+    )
+
+
+def epoch_loss(
+    tape: Tape,
+    batch: RoundBatch,
+    params: ParamSet,
+    enc: EncoderConfig,
+    config: TrainConfig,
+    training: bool = True,
+    rng: np.random.Generator | None = None,
+) -> tuple[Tensor2, Tensor2, Tensor2]:
+    """(combined, feedback, classification) losses of one forward pass."""
+    emb = encode_on_tape(tape, batch.inputs, batch.plan, params, enc, training=training, rng=rng)
+    lf = feedback_loss(tape, emb, batch.feedback, config)
+    lc = clf_loss(tape, emb, params, batch.labels, batch.labeled)
+    return combined_loss(tape, lf, lc, config.beta), lf, lc
+
+
 class ScorerCoverageError(Exception):
     """Feedback collection fell below the configured scored-pair floor."""
 
@@ -222,7 +290,7 @@ def train(
     cache: FeedbackCache | None = None,
     client=None,
 ) -> TrainedModel:
-    """Alternate feedback collection and full-batch gradient epochs.
+    """Alternate feedback collection and gradient epochs.
 
     Feedback is collected once per round against frozen embeddings; the
     gradient loop is single-threaded and deterministic for a given seed.
@@ -231,9 +299,7 @@ def train(
     enc = config.encoder_config(graph)
     params = init_params(enc, config.seed)
     dropout_rng = np.random.default_rng([config.seed & 0x7FFFFFFF, 0xD0])
-    aggregator = neighbor_aggregator(graph)
     features = Tensor2(graph.features.astype(params.dtype))
-    labels = graph.labels
 
     log: list[dict] = []
     for round_index in range(config.rounds):
@@ -241,15 +307,11 @@ def train(
             graph, split, params, config, spec, template, cache,
             client=client, round_index=round_index,
         )
+        batch = round_batch(graph, split, feedback, features, enc.n_layers)
         for epoch in range(config.epochs):
             try:
                 tape = Tape()
-                emb = encode_on_tape(
-                    tape, features, aggregator, params, enc, training=True, rng=dropout_rng
-                )
-                lf = feedback_loss(tape, emb, feedback, config)
-                lc = clf_loss(tape, emb, params, labels, split.labeled_ids)
-                loss = combined_loss(tape, lf, lc, config.beta)
+                loss, lf, lc = epoch_loss(tape, batch, params, enc, config, rng=dropout_rng)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"non-finite loss at round {round_index} epoch {epoch}: {exc}"

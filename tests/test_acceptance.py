@@ -19,7 +19,7 @@ from conftest import finite_difference_grads, gradcheck_errors
 from stubserver import StubScorerServer, fake_logprob, tokenize
 
 from gicl.cli import main as cli_main
-from gicl.encoder import encode_on_tape, init_params, neighbor_aggregator
+from gicl.encoder import init_params
 from gicl.graphstore import TagGraph, _build_csr, sample_label_fraction, synth_sbm
 from gicl.nncore import Tape, Tensor2, backward
 from gicl.pipeline import evaluate_accuracy, run_strategy
@@ -36,7 +36,15 @@ from gicl.scoring import (
     token_logprobs,
     utility,
 )
-from gicl.training import TrainConfig, clf_loss, collect_feedback_round, combined_loss, feedback_loss, train
+from gicl.training import (
+    TrainConfig,
+    collect_feedback_round,
+    combined_loss,
+    epoch_loss,
+    feedback_loss,
+    round_batch,
+    train,
+)
 
 ORACLE = ScorerSpec(kind="oracle")
 
@@ -70,14 +78,12 @@ def test_c1_gradient_correctness_of_combined_loss():
     feedback = collect_feedback_round(
         graph, split, params, config, ORACLE, DEFAULT_TEMPLATE, FeedbackCache()
     )
-    feats = graph.features.astype(np.float64)
-    agg = neighbor_aggregator(graph)
+    # the loss train() builds each epoch, through the same plan, in eval mode
+    batch = round_batch(graph, split, feedback, Tensor2(graph.features.astype(np.float64)),
+                        enc.n_layers)
 
     def build_loss(tape: Tape):
-        emb = encode_on_tape(tape, Tensor2(feats.copy()), agg, params, enc, training=False)
-        lf = feedback_loss(tape, emb, feedback, config)
-        lc = clf_loss(tape, emb, params, graph.labels, split.labeled_ids)
-        return combined_loss(tape, lf, lc, config.beta)
+        return epoch_loss(tape, batch, params, enc, config, training=False)[0]
 
     tape = Tape()
     analytic = backward(tape, build_loss(tape), params)
@@ -226,6 +232,12 @@ def network_barred():
         socket.socket.connect = original_connect
 
 
+# C5c: with few examples, the trained retriever must beat raw-feature k-NN,
+# which must beat random examples (at k_icl = 30 all three are near 1.0)
+C5C_K_ICL = (1, 3)
+C5C_ORDER = ("askgnn", "few_knn", "few_rand")
+
+
 @pytest.fixture(scope="module")
 def synthetic_runs():
     """Five seeded end-to-end runs at stock defaults, with the network barred."""
@@ -256,6 +268,11 @@ def synthetic_runs():
                                     model=model, k_icl=config.k_icl, seed=seed,
                                     single_thread=True)
                 accs[strategy] = evaluate_accuracy(rows)["accuracy"]
+            for k in C5C_K_ICL:
+                for strategy in C5C_ORDER:
+                    rows = run_strategy(strategy, graph, split, ORACLE, DEFAULT_TEMPLATE,
+                                        model=model, k_icl=k, seed=seed, single_thread=True)
+                    accs[f"{strategy}@{k}"] = evaluate_accuracy(rows)["accuracy"]
             runs.append({"seed": seed, "u_init": u_init, "u_final": u_final,
                          "u_best": u_best, **accs})
     return {"runs": runs, "elapsed": time.perf_counter() - started}
@@ -368,6 +385,20 @@ def test_c6_majority_vote_never_beats_llm(synthetic_runs):
         not violations,
         f"mv {[r['mv_askgnn'] for r in runs]} vs askgnn {[r['askgnn'] for r in runs]}"
         + (f"; violated on seeds {violations}" if violations else ""),
+    )
+
+
+def test_c5c_small_k_order(synthetic_runs):
+    runs = synthetic_runs["runs"]
+    medians = {k: [float(np.median([r[f"{s}@{k}"] for r in runs])) for s in C5C_ORDER]
+               for k in C5C_K_ICL}
+    broken = [k for k, m in medians.items() if not m[0] > m[1] > m[2]]
+    check(
+        "C5c small-k askgnn > few_knn > few_rand",
+        not broken,
+        "; ".join(f"k_icl={k}: medians " + " > ".join(f"{s} {v:.3f}" for s, v in zip(C5C_ORDER, m))
+                  for k, m in medians.items())
+        + (f"; order broken at k_icl {broken}" if broken else ""),
     )
 
 

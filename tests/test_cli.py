@@ -74,6 +74,14 @@ class TestTrainArtifacts:
         header = (model_dir / "train_log.csv").read_text().splitlines()[0]
         assert header == "epoch,round,loss_total,loss_feedback,loss_clf,lr"
 
+    def test_bad_learning_rate_is_refused_before_training(self, bundle, tmp_path, capsys):
+        out = tmp_path / "m"
+        code = main(["train", "--bundle", str(bundle), "--out", str(out), *TRAIN_FLAGS,
+                     "--lr", "-1"])
+        assert code == 1
+        assert "lr must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_carries_config(self, model_dir):
         manifest = json.loads((model_dir / "manifest.json").read_text())
         assert manifest["config"]["epochs"] == 20

@@ -1,17 +1,27 @@
 import numpy as np
 import pytest
 
+from gicl import nncore
 from gicl.encoder import (
     EmbeddingTable,
     EncoderConfig,
     classify_logits,
     encode_all,
     encode_on_tape,
+    encode_plan,
+    feature_inputs,
     init_params,
-    neighbor_aggregator,
+    logits_on_tape,
 )
 from gicl.graphstore import BundleError, TagGraph, _build_csr
-from gicl.nncore import Tape, Tensor2
+from gicl.nncore import Tape, Tensor2, backward
+
+
+def encode(tape, graph, params, cfg, nodes=None, training=False, rng=None):
+    """Embeddings of ``nodes`` (every node when None) through one plan."""
+    plan = encode_plan(graph, cfg.n_layers, nodes)
+    inputs = feature_inputs(tape, Tensor2(graph.features.astype(params.dtype)), plan)
+    return encode_on_tape(tape, inputs, plan, params, cfg, training=training, rng=rng)
 
 
 def graph_from_edges(n, edges, features, labels=None, n_classes=2):
@@ -129,12 +139,10 @@ class TestEncodeAll:
     def test_training_mode_needs_rng_and_differs(self, noisy_sbm):
         cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=2, hidden_dim=16, dropout=0.5)
         params = init_params(cfg, seed=6)
-        feats, agg = Tensor2(noisy_sbm.features), neighbor_aggregator(noisy_sbm)
         with pytest.raises(ValueError, match="rng"):
-            encode_on_tape(Tape(), feats, agg, params, cfg, training=True)
-        a = encode_on_tape(Tape(), feats, agg, params, cfg, training=True,
-                           rng=np.random.default_rng(1))
-        b = encode_on_tape(Tape(), feats, agg, params, cfg, training=False)
+            encode(Tape(), noisy_sbm, params, cfg, training=True)
+        a = encode(Tape(), noisy_sbm, params, cfg, training=True, rng=np.random.default_rng(1))
+        b = encode(Tape(), noisy_sbm, params, cfg, training=False)
         assert not np.array_equal(a.data, b.data)
         assert np.array_equal(b.data, encode_all(noisy_sbm, params, cfg).vectors)
 
@@ -153,6 +161,74 @@ class TestEncodeAll:
         params = init_params(cfg, seed=0)
         with pytest.raises(ValueError, match="dim"):
             encode_all(noisy_sbm, params, cfg)
+
+
+class TestEncodePlan:
+    """Training encodes only the receptive field of the loss nodes; each row
+    it computes must be the row the whole graph gives."""
+
+    @staticmethod
+    def sparse_graph():
+        # 40 nodes, about 2 neighbours each; nodes 36-39 have no edge at all
+        rng = np.random.default_rng(21)
+        n = 40
+        edges = [(i, j) for i in range(36) for j in range(i + 1, 36) if rng.random() < 0.06]
+        return graph_from_edges(n, edges, rng.standard_normal((n, 5)),
+                                labels=rng.integers(0, 3, n), n_classes=3)
+
+    LOSS_NODES = np.array([30, 3, 37, 11, 3, 24])  # unsorted, repeated, one isolated
+
+    def loss_and_grads(self, graph, params, cfg, nodes, training):
+        tape = Tape()
+        emb = encode(tape, graph, params, cfg, nodes, training=training,
+                     rng=np.random.default_rng(5))
+        out = np.arange(graph.n_nodes) if nodes is None else np.unique(nodes)
+        rows = nncore.gather_rows(tape, emb, np.searchsorted(out, self.LOSS_NODES))
+        loss = nncore.softmax_xent(tape, logits_on_tape(tape, rows, params),
+                                   graph.labels[self.LOSS_NODES])
+        return emb.data, loss.item(), backward(tape, loss, params)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_rows_equal_full_graph_and_gradients_agree(self, dtype, tol, training):
+        graph = self.sparse_graph()
+        cfg = EncoderConfig(input_dim=5, n_classes=3, n_layers=3, hidden_dim=12, dropout=0.5)
+        params = init_params(cfg, seed=4, dtype=dtype)
+        full_emb, full_loss, full_grads = self.loss_and_grads(graph, params, cfg, None, training)
+        emb, loss, grads = self.loss_and_grads(graph, params, cfg, self.LOSS_NODES, training)
+        plan = encode_plan(graph, cfg.n_layers, self.LOSS_NODES)
+        assert plan.rows[0].size < graph.n_nodes  # the plan does skip rows
+        assert emb.dtype == dtype
+        assert emb.tobytes() == full_emb[np.unique(self.LOSS_NODES)].tobytes()
+        assert loss == full_loss
+        for name, g in full_grads.items():
+            assert np.abs(grads[name] - g).max() <= tol * np.abs(g).max(), name
+
+    def test_plan_rows_are_the_receptive_field(self, path_graph):
+        # path 0-1-2-3-4-5 plus isolated 6: layer l reads 3 - l hops around {1, 6}
+        plan = encode_plan(path_graph, 3, [6, 1])
+        assert [r.tolist() for r in plan.rows] == [
+            [0, 1, 2, 3, 4, 6], [0, 1, 2, 3, 6], [0, 1, 2, 6], [1, 6]]
+        assert plan.own[2].tolist() == [1, 3]
+
+    def test_all_loss_nodes_record_no_gather(self, noisy_sbm, monkeypatch):
+        cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=3, hidden_dim=16)
+        params = init_params(cfg, seed=6)
+        calls = []
+        original = nncore.gather_rows
+        monkeypatch.setattr(nncore, "gather_rows", lambda *a: calls.append(a) or original(*a))
+        every = np.arange(noisy_sbm.n_nodes)[::-1]
+        emb = encode(Tape(), noisy_sbm, params, cfg, every, training=True,
+                     rng=np.random.default_rng(0))
+        assert calls == []
+        assert all(pos is None for pos in encode_plan(noisy_sbm, 3, every).own)
+        assert emb.rows == noisy_sbm.n_nodes
+
+    @pytest.mark.parametrize("bad", [[-1], [0, 90], [2**40]])
+    def test_node_outside_the_graph_is_refused(self, noisy_sbm, bad):
+        assert noisy_sbm.n_nodes == 90
+        with pytest.raises(ValueError, match="node ids must lie in"):
+            encode_plan(noisy_sbm, 2, bad)
 
 
 class TestClassifyLogits:

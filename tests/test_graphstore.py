@@ -382,3 +382,79 @@ def test_graph_arrays_are_read_only(clean_sbm):
         clean_sbm.features[0, 0] = 5.0
     with pytest.raises(ValueError):
         clean_sbm.csr_targets[0] = 0
+
+
+class TestAtomicWrites:
+    """A writer that fails midway leaves the previous artefact byte for byte
+    and no temporary file beside it."""
+
+    @staticmethod
+    def writers():
+        from gicl.encoder import EmbeddingTable
+        from gicl.nncore import ParamSet
+        from gicl.pipeline import RunManifest, write_sweep_csv
+        from gicl.training import TrainConfig, TrainedModel
+
+        def params(value):
+            p = ParamSet()
+            p.add("w", np.full((3, 4), value))
+            return p
+
+        def model(value):
+            log = [{"epoch": e, "round": 0, "loss_total": value, "loss_feedback": value,
+                    "loss_clf": value, "lr": 0.01} for e in range(50)]
+            return TrainedModel(params(value), TrainConfig(), EmbeddingTable(np.zeros((1, 1))), log)
+
+        def manifest(value):
+            return RunManifest({"beta": value, "notes": "x" * 500}, 1, "b", "t", "s", created_at=0.0)
+
+        graphs = {v: synth_sbm(n_nodes=40, n_classes=2, p_in=0.3, p_out=0.05, d=3, noise=v, seed=1)
+                  for v in (0.1, 0.2)}
+        return {
+            "write_matrix": (["emb.bin", "emb.json"],
+                             lambda root, v: EmbeddingTable(np.full((20, 8), v)).save(root / "emb")),
+            "ParamSet.save": (["params.bin"], lambda root, v: params(v).save(root / "params.bin")),
+            "RunManifest.save": (["m.json"], lambda root, v: manifest(v).save(root / "m.json")),
+            "TrainedModel.write_log": (["log.csv"],
+                                       lambda root, v: model(v).write_log(root / "log.csv")),
+            "write_sweep_csv": (["sweep.csv"], lambda root, v: write_sweep_csv(
+                [{"value": v, "accuracy": v, "error": ""}] * 50, root / "sweep.csv")),
+            "write_bundle": (["nodes.jsonl", "edges.tsv", "features.bin", "features.json",
+                              "labels.json"], lambda root, v: write_bundle(graphs[v], root)),
+        }
+
+    @pytest.mark.parametrize("name", ["write_matrix", "ParamSet.save", "RunManifest.save",
+                                      "TrainedModel.write_log", "write_sweep_csv", "write_bundle"])
+    def test_failed_rewrite_keeps_the_old_artefact(self, name, tmp_path, monkeypatch):
+        import gicl.graphstore as graphstore
+
+        files, write = self.writers()[name]
+        write(tmp_path, 0.1)
+        before = {f: (tmp_path / f).read_bytes() for f in files}
+
+        class DiskFull:
+            """The first write stores half its data, then the disk is full."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+            def __getattr__(self, attr):
+                return getattr(self.fh, attr)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(graphstore, "open", lambda *a, **kw: DiskFull(open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write(tmp_path, 0.2)
+        monkeypatch.undo()
+        assert {f: (tmp_path / f).read_bytes() for f in files} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)

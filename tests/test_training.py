@@ -1,13 +1,14 @@
 import gc
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gicl import nncore
 from gicl import scoring as scoring_mod
-from gicl.encoder import encode_on_tape, init_params, neighbor_aggregator
+from gicl.encoder import encode_on_tape, encode_plan, feature_inputs, init_params
 from gicl.graphstore import sample_label_fraction, synth_sbm
 from gicl.nncore import Tape, Tensor2, adam_step, backward
 from gicl.prompts import DEFAULT_TEMPLATE, render
@@ -26,8 +27,10 @@ from gicl.training import (
     clf_loss,
     collect_feedback_round,
     combined_loss,
+    epoch_loss,
     feedback_loss,
     positive_weights,
+    round_batch,
     train,
 )
 
@@ -309,13 +312,11 @@ class TestTapeGradients:
 
     def epoch_loss(self, tape, graph, split, params, features, feedback):
         enc = self.CFG.encoder_config(graph)
-        emb = encode_on_tape(
-            tape, features, neighbor_aggregator(graph), params, enc,
-            training=True, rng=np.random.default_rng(0),
-        )
-        lf = feedback_loss(tape, emb, feedback, self.CFG)
-        lc = clf_loss(tape, emb, params, graph.labels, split.labeled_ids)
-        return combined_loss(tape, lf, lc, self.CFG.beta)
+        batch = round_batch(graph, split, feedback, features, enc.n_layers)
+        # the features' own rows and means on this tape, so a gradient could reach them
+        batch = replace(batch, inputs=feature_inputs(tape, features, batch.plan))
+        loss, _, _ = epoch_loss(tape, batch, params, enc, self.CFG, rng=np.random.default_rng(0))
+        return loss
 
     def params_and_feedback(self, graph, split, dtype=np.float32):
         params = init_params(self.CFG.encoder_config(graph), self.CFG.seed, dtype=dtype)
@@ -366,16 +367,18 @@ class TestTrain:
         cfg = self.small_cfg(beta=0.0)
         model = train(clean_sbm, clean_split, ORACLE, DEFAULT_TEMPLATE, cfg)
 
-        # independent classification-only loop with the same seed streams
+        # independent classification-only loop with the same seed streams, over
+        # the labeled nodes' receptive field (queries and candidates are labeled)
         enc = cfg.encoder_config(clean_sbm)
         params = init_params(enc, cfg.seed)
         rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, 0xD0])
-        agg = neighbor_aggregator(clean_sbm)
-        feats = Tensor2(clean_sbm.features.astype(params.dtype))
+        plan = encode_plan(clean_sbm, enc.n_layers, clean_split.labeled_ids)
+        inputs = feature_inputs(Tape(), Tensor2(clean_sbm.features.astype(params.dtype)), plan)
+        rows = np.searchsorted(plan.rows[-1], clean_split.labeled_ids)
         for _ in range(cfg.epochs):
             tape = Tape()
-            emb = encode_on_tape(tape, feats, agg, params, enc, training=True, rng=rng)
-            loss = clf_loss(tape, emb, params, clean_sbm.labels, clean_split.labeled_ids)
+            emb = encode_on_tape(tape, inputs, plan, params, enc, training=True, rng=rng)
+            loss = clf_loss(tape, emb, params, clean_sbm.labels[plan.rows[-1]], rows)
             grads = backward(tape, loss, params)
             adam_step(params, grads, lr=cfg.lr)
         for name in params.names():
@@ -461,3 +464,24 @@ class TestTrain:
             TrainConfig(feedback_mode="bogus")
         with pytest.raises(ValueError):
             TrainConfig(top_m=99, k_feedback=10)
+
+    BAD_VALUES = [
+        {"k_feedback": 0}, {"top_m": 0}, {"k_icl": -1}, {"rounds": 0}, {"epochs": -1},
+        {"lr": -1.0}, {"lr": 0.0}, {"lr": math.inf}, {"lr": math.nan},
+        {"dropout": 1.0}, {"dropout": 1.5}, {"dropout": -0.1},
+        {"coverage_floor": 2.0}, {"coverage_floor": -0.5},
+    ]
+
+    @pytest.mark.parametrize("bad", BAD_VALUES, ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_bad_value_fails_before_any_scorer_call(self, bad):
+        g = synth_sbm(n_nodes=200, n_classes=3, p_in=0.1, p_out=0.01, d=6, noise=0.5, seed=2)
+        split = sample_label_fraction(g, 0.2, seed=2)
+        client = make_client(ORACLE, g)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            train(g, split, ORACLE, DEFAULT_TEMPLATE, TrainConfig(**{"epochs": 1, **bad}), client=client)
+        assert client.calls == 0
+
+    def test_edge_values_are_accepted(self):
+        TrainConfig(k_feedback=1, top_m=1, k_icl=0, rounds=1, epochs=0, lr=1e-9,
+                    dropout=0.0, coverage_floor=0.0)
+        TrainConfig(coverage_floor=1.0, dropout=0.99)
