@@ -286,7 +286,15 @@ def gather_rows(tape: Tape, x: Tensor2, ids: Sequence[int]) -> Tensor2:
     if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
         raise IndexError("gather_rows: row index out of range")
 
+    # strictly increasing ids, as every caller in the package passes, repeat no row
+    increasing = bool(np.all(idx[1:] > idx[:-1]))
+
     def back(g: Array) -> None:
+        if increasing:  # each row takes one output row's gradient
+            grad = np.zeros((x.rows, g.shape[1]), dtype=g.dtype)
+            grad[idx] = g
+            _accum(x, grad)
+            return
         # one sparse product sums repeated rows, in order of occurrence
         ones = np.ones(idx.size, dtype=g.dtype)
         scatter = sp.csr_matrix((ones, (idx, np.arange(idx.size))), shape=(x.rows, idx.size))
@@ -510,10 +518,19 @@ def adam_step(params: ParamSet, grads: dict[str, Array], lr: float = 0.01) -> No
             raise ValueError(f"adam_step: gradient shape {g.shape} != param shape {p.data.shape} for {name!r}")
         m = params.m[name]
         v = params.v[name]
+        # the textbook expression's operations in its order, on three arrays
+        # per parameter instead of a new one per operation
+        tmp = np.multiply(g, 1 - BETA1)
         m *= BETA1
-        m += (1 - BETA1) * g
+        m += tmp
+        np.multiply(g, 1 - BETA2, out=tmp)
+        tmp *= g
         v *= BETA2
-        v += (1 - BETA2) * g * g
-        mhat = m / (1 - BETA1**t)
-        vhat = v / (1 - BETA2**t)
-        p.data -= (lr * mhat / (np.sqrt(vhat) + EPS)).astype(p.data.dtype)
+        v += tmp
+        step = np.divide(m, 1 - BETA1**t)  # mhat, in the parameters' dtype
+        step *= lr
+        den = np.divide(v, 1 - BETA2**t)  # vhat
+        np.sqrt(den, out=den)
+        den += EPS
+        step /= den
+        p.data -= step

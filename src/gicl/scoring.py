@@ -8,7 +8,8 @@ Two scorer kinds sit behind one client interface:
   log-probs are the echoed tokens at or beyond the prompt/continuation
   character boundary. The API key is read from the ``GICL_API_KEY``
   environment variable and sent as a bearer token. Requests go over pooled
-  stdlib keep-alive connections; proxy settings and ``.netrc`` are not read.
+  keep-alive sockets, each attempt in one write, and a small HTTP/1.1 reader
+  parses the replies; proxy settings and ``.netrc`` are not read.
 
 * ``oracle`` — a deterministic stand-in for desk-scale tests. Its negative
   log-likelihood for a class is a closed-form function of how much the ICL
@@ -24,11 +25,11 @@ warm-cache collection issues zero scorer calls.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import math
 import os
 import random
+import re
 import select
 import socket
 import ssl
@@ -72,6 +73,14 @@ class ScorerSpec:
         if self.kind == "http" and urlsplit(self.endpoint).scheme not in ("http", "https"):
             raise ValueError("http scorer endpoint must be an http:// or https:// URL, "
                              f"got {self.endpoint!r}")
+        if self.retries < 0:
+            raise ValueError(f"scorer retries must be >= 0, got {self.retries}")
+        if not (math.isfinite(self.backoff) and self.backoff >= 0):
+            raise ValueError(f"scorer backoff must be a finite number >= 0, got {self.backoff}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"scorer timeout must be a finite number > 0, got {self.timeout}")
+        if self.max_parallel < 1:
+            raise ValueError(f"scorer max_parallel must be >= 1, got {self.max_parallel}")
 
     @property
     def scorer_id(self) -> str:
@@ -177,7 +186,8 @@ class FeedbackCache:
     plain dict lookups. Pass path=None for a purely in-memory cache. A torn
     last line (no newline: its writer died) is skipped; the first append cuts it off.
     The first append opens one handle that later appends reuse; each record is
-    flushed before ``put`` returns, and ``close`` releases the handle.
+    flushed before ``put`` returns. ``close`` releases the handle, and so does
+    collecting the cache.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -214,6 +224,7 @@ class FeedbackCache:
                           "sid": scorer_id, "th": template_hash}
                 if self._fh is None:
                     self._fh = open(self.path, "a", encoding="utf-8")
+                    self._closer = weakref.finalize(self, self._fh.close)
                     if self._torn_at is not None:
                         self._fh.truncate(self._torn_at)  # appends still go to the (new) end
                         self._torn_at = None
@@ -224,6 +235,7 @@ class FeedbackCache:
         """Close the append handle; a later put opens a new one."""
         with self._lock:
             if self._fh is not None:
+                self._closer.detach()
                 self._fh.close()
                 self._fh = None
 
@@ -274,7 +286,111 @@ class OracleClient:
         return self.graph.label_vocab[int(np.argmin(nlls))]
 
 
-def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+# caps on a reply's head: bytes per status or header line, and header lines
+MAX_LINE = 65536
+MAX_HEADERS = 100
+_STATUS_LINE = re.compile(rb"HTTP/1\.([01]) ([1-9]\d\d)(?:[ \t][^\r\n]*)?\r?\n")
+_HEADER_LINE = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*(.*?)[ \t]*\r?\n")
+_CHUNK_LINE = re.compile(rb"([0-9A-Fa-f]{1,16})(?:;[^\r\n]*)?\r?\n")
+_BLANK_LINES = (b"\r\n", b"\n")
+
+
+class HttpReplyError(OSError):
+    """A reply that is not well-formed HTTP/1.x or that ends early; an OSError,
+    so it is retried like any other transport error."""
+
+
+def _read_line(rfile) -> bytes:
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise HttpReplyError(f"reply line longer than {MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise HttpReplyError("connection closed before the reply was complete")
+    return line
+
+
+def _read_exact(rfile, n: int) -> bytes:
+    data = rfile.read(n)
+    if len(data) < n:
+        raise HttpReplyError(f"reply body ended after {len(data)} of {n} bytes")
+    return data
+
+
+def _read_head(rfile) -> tuple[bool, int, dict[bytes, bytes]]:
+    """(HTTP/1.1?, status, {lower-case header name: value}) of one reply;
+    repeated headers are joined with commas."""
+    line = _read_line(rfile)
+    status_line = _STATUS_LINE.fullmatch(line)
+    if status_line is None:
+        raise HttpReplyError(f"malformed status line {line[:80]!r}")
+    headers: dict[bytes, bytes] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = _read_line(rfile)
+        if line in _BLANK_LINES:
+            return status_line[1] == b"1", int(status_line[2]), headers
+        header = _HEADER_LINE.fullmatch(line)
+        if header is None:
+            raise HttpReplyError(f"malformed header line {line[:80]!r}")
+        name = header[1].lower()
+        headers[name] = headers[name] + b", " + header[2] if name in headers else header[2]
+    raise HttpReplyError(f"reply has more than {MAX_HEADERS} headers")
+
+
+def _read_chunked(rfile) -> bytes:
+    parts = []
+    while True:
+        line = _read_line(rfile)
+        size = _CHUNK_LINE.fullmatch(line)
+        if size is None:
+            raise HttpReplyError(f"malformed chunk size line {line[:80]!r}")
+        n = int(size[1], 16)
+        if n == 0:
+            break
+        parts.append(_read_exact(rfile, n))
+        if _read_line(rfile) not in _BLANK_LINES:
+            raise HttpReplyError("chunk not followed by a line break")
+    while _read_line(rfile) not in _BLANK_LINES:  # trailer fields, unused
+        pass
+    return b"".join(parts)
+
+
+def _read_reply(rfile) -> tuple[int, bytes, bool]:
+    """One HTTP/1.x reply from a socket's buffered file: (status, body,
+    whether the connection can carry another request).
+
+    The body is delimited by chunked transfer coding, by Content-Length, or
+    else by the server closing the connection; interim 1xx replies are skipped.
+    """
+    http11, status, headers = _read_head(rfile)
+    while status < 200:
+        http11, status, headers = _read_head(rfile)
+    tokens = {t.strip().lower() for t in headers.get(b"connection", b"").split(b",")}
+    reusable = b"close" not in tokens and (http11 or b"keep-alive" in tokens)
+    if status in (204, 304):
+        return status, b"", reusable
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return status, _read_chunked(rfile), reusable
+    length = headers.get(b"content-length")
+    if length is not None:
+        if not length.isdigit():
+            raise HttpReplyError(f"malformed Content-Length {length[:80]!r}")
+        return status, _read_exact(rfile, int(length)), reusable
+    return status, rfile.read(), False
+
+
+class _Connection:
+    """One open socket and the buffered file its replies are read from."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
+def _close_all(connections: list[_Connection]) -> None:
     for conn in connections:
         conn.close()
 
@@ -282,15 +398,18 @@ def _close_all(connections: list[http.client.HTTPConnection]) -> None:
 class HttpClient:
     """Completions-API scorer with bounded retries and echo-logprob parsing.
 
-    Transport errors, 429 and 5xx are retried with jittered exponential
-    backoff, as is a 200 whose body is not JSON; any other non-200 status
-    cannot succeed on a resend and fails at once.
+    Transport errors (including malformed or cut-short replies), 429 and 5xx
+    are retried with jittered exponential backoff, as is a 200 whose body is
+    not JSON; any other non-200 status cannot succeed on a resend and fails at
+    once.
 
-    Requests go over stdlib keep-alive connections. Idle ones wait in a
+    Each attempt is one write of the request head and body on a keep-alive
+    socket (TCP_NODELAY set, TLS for https). Idle sockets wait in a
     lock-guarded list shared by every thread, so they outlive the short-lived
-    pools of ``fan_out``; a connection that fails mid-request is dropped.
-    Safe to share across the configured number of worker threads; the call
-    counters are lock-protected so tests can assert on them exactly.
+    pools of ``fan_out``; a socket that fails mid-request, or whose reply
+    ends the connection, is closed. Safe to share across the configured
+    number of worker threads; the call counters are lock-protected so tests
+    can assert on them exactly.
     """
 
     def __init__(self, spec: ScorerSpec):
@@ -299,11 +418,20 @@ class HttpClient:
         self.attempts = 0
         self._count_lock = threading.Lock()
         url = urlsplit(spec.endpoint)
-        self._host, self._port = url.hostname, url.port
-        self._path = url.path.rstrip("/") + "/v1/completions"
+        default_port = 443 if url.scheme == "https" else 80
+        self._host = url.hostname
+        self._port = url.port if url.port is not None else default_port
+        host = self._host if self._host.isascii() else self._host.encode("idna").decode("ascii")
+        if ":" in host:
+            host = f"[{host}]"  # an IPv6 literal
+        if self._port != default_port:
+            host = f"{host}:{self._port}"
+        path = url.path.rstrip("/") + "/v1/completions"
+        self._head = (f"POST {path} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+                      "Content-Type: application/json\r\n")
         # one context for every connection; it verifies the certificate and the hostname
         self._tls = ssl.create_default_context() if url.scheme == "https" else None
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
         self._idle_lock = threading.Lock()
         # callers never close a client, so its idle connections close when it is collected
         weakref.finalize(self, _close_all, self._idle)
@@ -313,15 +441,18 @@ class HttpClient:
         with self._count_lock:
             setattr(self, attr, getattr(self, attr) + 1)
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
+    def _request(self, payload: bytes) -> bytes:
+        """The whole POST of a JSON ``payload``: request line, headers and body."""
+        head = self._head + f"Content-Length: {len(payload)}\r\n"
         key = os.environ.get("GICL_API_KEY")
         if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
+            if "\r" in key or "\n" in key:
+                raise ValueError("GICL_API_KEY must not contain a line break")
+            head += f"Authorization: Bearer {key}\r\n"
+        return (head + "\r\n").encode("latin-1") + payload
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """An idle connection the server has not closed, or a new unopened one."""
+    def _connection(self) -> _Connection:
+        """An idle connection the server has not closed, or a new one."""
         while True:
             with self._idle_lock:
                 conn = self._idle.pop() if self._idle else None
@@ -334,40 +465,40 @@ class HttpClient:
             if not poller.poll(0):
                 return conn
             conn.close()
-        if self._tls is None:
-            return http.client.HTTPConnection(self._host, self._port, timeout=self.spec.timeout)
-        return http.client.HTTPSConnection(self._host, self._port, timeout=self.spec.timeout,
-                                           context=self._tls)
+        sock = socket.create_connection((self._host, self._port), timeout=self.spec.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._host)
+        except BaseException:
+            sock.close()
+            raise
+        return _Connection(sock)
 
-    def _send(self, payload: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
-        """One POST; returns (status, whole body). Raises OSError or HTTPException."""
+    def _send(self, request: bytes) -> tuple[int, bytes]:
+        """One attempt, sent in one write; returns (status, whole body). Raises OSError."""
         conn = self._connection()
         try:
-            if conn.sock is None:
-                conn.connect()
-                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.request("POST", self._path, body=payload, headers=headers)
-            resp = conn.getresponse()
-            data = resp.read()
+            conn.sock.sendall(request)
+            status, data, reusable = _read_reply(conn.rfile)
         except BaseException:
             conn.close()
             raise
-        if resp.will_close:
-            conn.close()
-        else:
+        if reusable:
             with self._idle_lock:
                 self._idle.append(conn)
-        return resp.status, data
+        else:
+            conn.close()
+        return status, data
 
     def _post(self, body: dict) -> dict:
-        payload = json.dumps(body).encode("utf-8")
-        headers = self._headers()
+        request = self._request(json.dumps(body).encode("utf-8"))
         last_error: Exception | None = None
         for attempt in range(self.spec.retries + 1):
             self._bump("attempts")
             try:
-                status, data = self._send(payload, headers)
-            except (OSError, http.client.HTTPException) as exc:
+                status, data = self._send(request)
+            except OSError as exc:
                 last_error = exc
             else:
                 if status == 200:

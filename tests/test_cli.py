@@ -246,6 +246,18 @@ class TestConfigFile:
         assert inputs.split.fraction == 0.3 and inputs.config.seed == 2  # model, not file
         assert inputs.config.tau == 1.0  # the model's value, not the file's
 
+    def test_bad_scorer_block_fails_before_any_request(self, bundle, tmp_path, capsys):
+        with StubScorerServer() as server:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({"epochs": 2, "scorer": {
+                "kind": "http", "endpoint": server.endpoint, "retries": -1}}))
+            code = main(["train", "--bundle", str(bundle), "--config", str(cfg),
+                         "--out", str(tmp_path / "model")])
+            assert server.requests == [] and server.connections == 0
+        assert code == 1
+        assert "retries must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
+
 
 class TestDeterminism:
     def test_train_and_infer_reports_are_byte_identical(self, bundle, tmp_path, capsys):

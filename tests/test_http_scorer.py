@@ -2,10 +2,13 @@
 
 import json
 import random
+import re
 import shutil
+import socket
 import ssl
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -28,6 +31,102 @@ from gicl.scoring import (
     token_logprobs,
 )
 from gicl.training import TrainConfig, collect_feedback_round
+
+
+class RawServer:
+    """A plain-socket server for replies that http.server cannot write.
+
+    It answers each request with the bytes ``reply(i, body)`` returns for
+    the i-th request (from 0) and its JSON body. ``close_after`` closes the
+    connection after each reply, and ``trickle`` writes each reply one byte
+    per send; otherwise connections stay open until the client closes them.
+    ``requests`` holds each raw request; ``connections`` counts the accepted
+    connections.
+    """
+
+    def __init__(self, reply, close_after=False, trickle=False, host="127.0.0.1"):
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self.listener = socket.create_server((host, 0), family=family)
+        self.listener.settimeout(0.05)  # so the accept loop sees the stop flag
+        self.reply, self.close_after, self.trickle = reply, close_after, trickle
+        self.requests: list[bytes] = []
+        self.connections = 0
+        self._open: list[socket.socket] = []
+        self._stop = threading.Event()
+        self._threads = [threading.Thread(target=self._accept, daemon=True)]
+
+    @property
+    def endpoint(self) -> str:
+        host, port = self.listener.getsockname()[:2]
+        return f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
+
+    def _accept(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            self.connections += 1
+            self._open.append(conn)
+            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
+            self._threads.append(thread)
+            thread.start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        if self.trickle:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with conn, conn.makefile("rb") as rfile:
+            while True:
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):
+                    line = rfile.readline()
+                    if not line:
+                        return  # the client closed the connection
+                    head += line
+                body = rfile.read(int(re.search(rb"Content-Length: (\d+)", head)[1]))
+                self.requests.append(head + body)
+                data = self.reply(len(self.requests) - 1, json.loads(body))
+                try:
+                    if self.trickle:
+                        for i in range(len(data)):
+                            conn.send(data[i:i + 1])
+                    else:
+                        conn.sendall(data)
+                except OSError:  # the client gave up on an oversized reply
+                    return
+                if self.close_after:
+                    return
+
+    def __enter__(self) -> "RawServer":
+        self._threads[0].start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop.set()
+        for conn in self._open:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)  # wakes a thread waiting for a request
+            except OSError:  # already closed
+                pass
+        for thread in self._threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        self.listener.close()
+
+
+def answer(head: str, payload: bytes = b"") -> bytes:
+    """A reply: the lines of ``head`` ended by CRLF, a blank line, ``payload``."""
+    return "".join(line + "\r\n" for line in head.splitlines()).encode() + b"\r\n" + payload
+
+
+def echoed(body: dict) -> bytes:
+    return json.dumps(echo_response(body)).encode("utf-8")
+
+
+def sized(body: dict) -> bytes:
+    """A well-formed HTTP/1.1 keep-alive reply echoing ``body``."""
+    payload = echoed(body)
+    return answer(f"HTTP/1.1 200 OK\nContent-Length: {len(payload)}", payload)
 
 
 def spec_for(server, **overrides) -> ScorerSpec:
@@ -165,6 +264,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="http:// or https://"):
             ScorerSpec(kind="http", endpoint="localhost:8000")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("retries", -1, "retries must be >= 0"),
+        ("backoff", -1.0, "backoff must be a finite number >= 0"),
+        ("backoff", float("nan"), "backoff must be a finite number >= 0"),
+        ("backoff", float("inf"), "backoff must be a finite number >= 0"),
+        ("timeout", 0, "timeout must be a finite number > 0"),
+        ("timeout", -1.0, "timeout must be a finite number > 0"),
+        ("timeout", float("nan"), "timeout must be a finite number > 0"),
+        ("timeout", float("inf"), "timeout must be a finite number > 0"),
+        ("max_parallel", 0, "max_parallel must be >= 1"),
+    ])
+    def test_unusable_retry_and_pool_settings_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ScorerSpec(kind="http", endpoint="http://127.0.0.1:1", **{field: value})
+
+    def test_boundary_settings_accepted(self):
+        ScorerSpec(kind="http", endpoint="http://127.0.0.1:1", retries=0, backoff=0.0,
+                   timeout=0.001, max_parallel=1)
+
 
 class TestConnections:
     def test_sequential_calls_share_one_connection(self):
@@ -225,6 +343,170 @@ class TestConnections:
                 client.token_logprobs("p:", " c")
             assert client.attempts == 2
             assert server.requests == []
+
+
+class TestReplyReader:
+    """Each attempt is one write; replies are read by the client's own HTTP/1.1 reader."""
+
+    EXPECTED = [fake_logprob(" c")]
+
+    def test_one_sendall_per_attempt(self, monkeypatch):
+        sends = []
+        original = socket.socket.sendall
+        main = threading.main_thread()
+
+        def counting(sock, data, *args):
+            if threading.current_thread() is main:  # the stub's threads send too
+                sends.append(bytes(data))
+            return original(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting)
+        state = {"n": 0}
+
+        def fail_first(body):
+            state["n"] += 1
+            return state["n"] == 1
+
+        with StubScorerServer(keep_alive=True, fail_when=fail_first) as server:
+            client = HttpClient(spec_for(server))
+            for i in range(3):
+                assert client.token_logprobs(f"p{i}:", " c") == self.EXPECTED
+        assert client.attempts == 4 and client.calls == 3
+        assert len(sends) == 4
+        for data, prompt in zip(sends, ("p0: c", "p0: c", "p1: c", "p2: c")):
+            head, body = data.split(b"\r\n\r\n", 1)
+            assert head.startswith(b"POST /v1/completions HTTP/1.1\r\n")
+            assert json.loads(body)["prompt"] == prompt
+
+    def test_chunked_body(self):
+        def chunked(i, body):
+            payload = echoed(body)
+            parts = (payload[:7], payload[7:])
+            chunks = b"".join(b"%x;name=value\r\n%s\r\n" % (len(p), p) for p in parts)
+            return answer("HTTP/1.1 200 OK\nTransfer-Encoding: chunked",
+                          chunks + b"0\r\nX-Trailer: 1\r\n\r\n")
+
+        with RawServer(chunked) as server:
+            client = HttpClient(spec_for(server))
+            for i in range(2):
+                assert client.token_logprobs(f"p{i}:", " c") == self.EXPECTED
+            assert server.connections == 1
+        assert client.attempts == client.calls == 2
+
+    def test_reply_written_one_byte_per_send(self):
+        with RawServer(lambda i, body: sized(body), trickle=True) as server:
+            client = HttpClient(spec_for(server))
+            for i in range(2):
+                assert client.token_logprobs(f"p{i}:", " c") == self.EXPECTED
+            assert server.connections == 1
+        assert client.attempts == client.calls == 2
+
+    @pytest.mark.parametrize("head, reused", [
+        ("HTTP/1.0 200 OK", False),
+        ("HTTP/1.1 200 OK\nconnection: Close", False),
+        ("HTTP/1.0 200 OK\nConnection: keep-alive", True),
+        ("HTTP/1.1 200 OK", True),
+    ])
+    def test_reply_decides_whether_the_connection_is_reused(self, head, reused):
+        def reply(i, body):
+            payload = echoed(body)
+            return answer(f"{head}\nContent-Length: {len(payload)}", payload)
+
+        with RawServer(reply) as server:  # the server itself never closes
+            client = HttpClient(spec_for(server))
+            for i in range(3):
+                assert client.token_logprobs(f"p{i}:", " c") == self.EXPECTED
+            assert server.connections == (1 if reused else 3)
+        assert client.attempts == client.calls == 3
+
+    def test_close_delimited_body(self):
+        def reply(i, body):
+            return answer("HTTP/1.1 200 OK\nContent-Type: application/json", echoed(body))
+
+        with RawServer(reply, close_after=True) as server:
+            client = HttpClient(spec_for(server))
+            for i in range(2):
+                assert client.token_logprobs(f"p{i}:", " c") == self.EXPECTED
+            assert server.connections == 2
+        assert client.attempts == client.calls == 2
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 OK\r\n\r\n",
+        b"ICY 200 OK\r\n\r\n",
+        b"HTTP/2 200\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+    ])
+    def test_malformed_reply_is_retried_then_raises(self, reply):
+        with RawServer(lambda i, body: reply) as server:
+            client = HttpClient(spec_for(server, retries=2))
+            with pytest.raises(ScorerError, match="after 3 attempts: malformed"):
+                client.token_logprobs("p:", " c")
+            assert len(server.requests) == 3
+        assert client.attempts == 3
+
+    @pytest.mark.parametrize("headers, message", [
+        ("".join(f"X-H{i}: v\r\n" for i in range(100)), "more than 100 headers"),
+        ("X-Big: " + "v" * 65536 + "\r\n", "longer than 65536 bytes"),
+    ])
+    def test_oversized_header_block_is_a_transport_error(self, headers, message):
+        reply = b"HTTP/1.1 200 OK\r\n" + headers.encode() + b"Content-Length: 2\r\n\r\n{}"
+        with RawServer(lambda i, body: reply) as server:
+            client = HttpClient(spec_for(server, retries=1))
+            with pytest.raises(ScorerError, match=f"after 2 attempts: reply (has|line) {message}"):
+                client.complete("p:")
+            assert len(server.requests) == 2
+
+    def test_a_hundred_headers_are_accepted(self):
+        def reply(i, body):
+            payload = echoed(body)
+            extra = "".join(f"\nX-H{j}: v" for j in range(99))
+            return answer(f"HTTP/1.1 200 OK{extra}\nContent-Length: {len(payload)}", payload)
+
+        with RawServer(reply) as server:
+            client = HttpClient(spec_for(server, retries=0))
+            assert client.token_logprobs("p:", " c") == self.EXPECTED
+
+    def test_server_closing_mid_body_is_retried(self):
+        def reply(i, body):
+            whole = sized(body)
+            return whole[:-20] if i == 0 else whole
+
+        with RawServer(reply, close_after=True) as server:
+            client = HttpClient(spec_for(server, retries=2))
+            assert client.token_logprobs("p:", " c") == self.EXPECTED
+            assert server.connections == 2
+        assert client.attempts == 2 and client.calls == 1
+
+    def test_host_of_an_ipv6_endpoint_is_bracketed(self):
+        if not socket.has_ipv6:
+            pytest.skip("no IPv6 support")
+        try:
+            server = RawServer(lambda i, body: sized(body), host="::1")
+        except OSError:
+            pytest.skip("no IPv6 loopback address")
+        with server:
+            assert server.endpoint.startswith("http://[::1]:")
+            client = HttpClient(spec_for(server))
+            assert client.token_logprobs("p:", " c") == self.EXPECTED
+            port = server.listener.getsockname()[1]
+            assert f"\r\nHost: [::1]:{port}\r\n".encode() in server.requests[0]
+
+    @pytest.mark.parametrize("endpoint, request_line, host", [
+        ("http://example.com", "/v1/completions", "example.com"),
+        ("http://example.com:80/", "/v1/completions", "example.com"),
+        ("https://Example.com:443/api/", "/api/v1/completions", "example.com"),
+        ("http://example.com:8080", "/v1/completions", "example.com:8080"),
+        ("https://[::1]", "/v1/completions", "[::1]"),
+        ("http://[::1]:8000/base", "/base/v1/completions", "[::1]:8000"),
+    ])
+    def test_request_head(self, endpoint, request_line, host):
+        request = HttpClient(ScorerSpec(kind="http", endpoint=endpoint))._request(b"{}")
+        head, body = request.split(b"\r\n\r\n")
+        lines = head.decode().split("\r\n")
+        assert lines[:2] == [f"POST {request_line} HTTP/1.1", f"Host: {host}"]
+        assert "Content-Length: 2" in lines and body == b"{}"
 
 
 class TestCompletion:

@@ -243,6 +243,9 @@ def _loss_builders():
         "gather": lambda t, p: quadratic_readout(
             t, nncore.gather_rows(t, p["x"], [0, 2, 2, 4])
         ),
+        "gather_increasing": lambda t, p: quadratic_readout(
+            t, nncore.gather_rows(t, p["x"], [1, 2, 4])
+        ),
         "rowwise_dot": lambda t, p: nncore.sum_all(t, nncore.rowwise_dot(t, p["x"], p["y"])),
         "softmax_xent": lambda t, p: nncore.softmax_xent(t, p["x"], [0, 3, 1, 2, 0]),
         "listwise_xent": lambda t, p: nncore.listwise_xent(
