@@ -11,8 +11,9 @@
 
 Config files are JSON objects mirroring TrainConfig plus a "scorer"
 sub-object mirroring ScorerSpec and optional "fraction"/"template" keys;
-command-line flags override file values. The HTTP scorer reads its API key
-from the GICL_API_KEY environment variable.
+a file with any other key is refused. Command-line flags override file
+values. The HTTP scorer reads its API key from the GICL_API_KEY
+environment variable.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import argparse
 import json
 import sys
 from contextlib import closing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,9 @@ UNRECORDED = frozenset({"out", "force", "single_thread", "cache",
                         "config", "model", "command", "fn"})
 # scorer flags and the ScorerSpec fields they set
 SCORER_FLAGS = {"scorer_kind": "kind", "endpoint": "endpoint", "model_name": "model"}
+# the keys a --config file may set, at its top level and in its "scorer" object
+CONFIG_KEYS = frozenset([f.name for f in fields(TrainConfig)] + ["scorer", "fraction", "template"])
+SCORER_KEYS = frozenset(f.name for f in fields(ScorerSpec))
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,12 @@ def resolve_inputs(args: argparse.Namespace) -> RunInputs:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("scorer", {}), dict):
+            raise ValueError(f"{args.config}: a config file and its \"scorer\" must be JSON objects")
+        unknown = [k for k in file_cfg if k not in CONFIG_KEYS]
+        unknown += [f"scorer.{k}" for k in file_cfg.get("scorer", {}) if k not in SCORER_KEYS]
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
     mdir = Path(args.model) if getattr(args, "model", None) else None
     trained = RunManifest.load(mdir / "manifest.json") if mdir else None
     flags = {k: v for k, v in vars(args).items() if v is not None}
@@ -99,7 +109,7 @@ def resolve_inputs(args: argparse.Namespace) -> RunInputs:
               **{field: flags[flag] for flag, field in SCORER_FLAGS.items() if flag in flags}}
     if args.single_thread:
         scorer["max_parallel"] = 1
-    spec = ScorerSpec(**{k: v for k, v in scorer.items() if k in ScorerSpec.__dataclass_fields__})
+    spec = ScorerSpec(**scorer)
     name = settings.get("template")
     template = load_template(name) if name else DEFAULT_TEMPLATE
     graph = load_bundle(args.bundle)

@@ -13,7 +13,7 @@ An EncodePlan says which rows each layer computes. Evaluation encodes the
 whole graph; training computes only the receptive field of the nodes its
 losses read: layer l within L-1-l hops of them. Each row it computes is
 the same sum, over the same neighbours in the same order, as on the whole
-graph.
+graph. Dropout draws its masks for the computed rows alone.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .nncore import ParamSet, RowAggregator, Tape, Tensor2
 class EncoderConfig:
     input_dim: int
     n_classes: int
-    n_layers: int = 3
-    hidden_dim: int = 256
-    dropout: float = 0.5
+    n_layers: int
+    hidden_dim: int
+    dropout: float
 
     def __post_init__(self) -> None:
         if self.n_layers < 1:
@@ -48,14 +48,6 @@ class EmbeddingTable:
     """Final-layer node representations, one row per node."""
 
     vectors: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
 
     def save(self, path_prefix: str | Path) -> None:
         """Binary + JSON header pair, same layout as bundle features."""
@@ -176,10 +168,7 @@ def encode_on_tape(
         if i < config.n_layers - 1:
             h = nncore.relu(tape, h)
             if training and config.dropout > 0:
-                rows = plan.rows[i + 1]
-                h = nncore.dropout(tape, h, config.dropout, rng,
-                                   rows=rows if rows.size < plan.n_nodes else None,
-                                   n_rows=plan.n_nodes)
+                h = nncore.dropout(tape, h, config.dropout, rng)
     return nncore.l2_normalize_rows(tape, h)
 
 

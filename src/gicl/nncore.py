@@ -246,33 +246,15 @@ def l2_normalize_rows(tape: Tape, x: Tensor2) -> Tensor2:
     return tape.record(Tensor2(y), (x,), back)
 
 
-def dropout(
-    tape: Tape,
-    x: Tensor2,
-    rate: float,
-    rng: np.random.Generator,
-    rows: Sequence[int] | None = None,
-    n_rows: int | None = None,
-) -> Tensor2:
-    """Inverted dropout; identity when rate is 0.
-
-    When ``rows`` is given, x holds those rows of an ``n_rows``-row matrix:
-    the mask is drawn for the whole matrix and then cut to ``rows``, so each
-    row gets the mask it would get there and the random stream advances
-    the same.
-    """
+def dropout(tape: Tape, x: Tensor2, rate: float, rng: np.random.Generator) -> Tensor2:
+    """Inverted dropout; identity when rate is 0. The mask covers x's own rows."""
     if not 0 <= rate < 1:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rows is not None and (n_rows is None or len(rows) != x.rows):
-        raise ValueError(f"dropout: x has {x.rows} rows, but rows names {len(rows)} of {n_rows}")
     if rate == 0:
         mask = None
         y = x.data.copy()
     else:
-        keep = rng.random(x.shape if rows is None else (n_rows, x.cols)) >= rate
-        if rows is not None:
-            keep = keep[np.asarray(rows, dtype=np.int64)]
-        mask = keep.astype(x.data.dtype) / x.data.dtype.type(1 - rate)
+        mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / x.data.dtype.type(1 - rate)
         y = x.data * mask
 
     def back(g: Array) -> None:
@@ -375,43 +357,36 @@ def softmax_xent(tape: Tape, logits: Tensor2, targets: Sequence[int]) -> Tensor2
     return tape.record(Tensor2(np.array([[loss]], dtype=logits.data.dtype)), (logits,), back)
 
 
-def listwise_xent(
-    tape: Tape,
-    scores: Tensor2,
-    segments: Sequence[tuple[int, int]],
-    weights: Array,
-) -> Tensor2:
+def listwise_xent(tape: Tape, scores: Tensor2, sizes: Sequence[int], weights: Array) -> Tensor2:
     """Weighted softmax cross-entropy within each segment of a score column.
 
-    Each segment [start, stop) is one candidate list; the softmax runs over
-    that segment and every candidate with weight w > 0 contributes
-    w * (-log softmax(score)). The total is divided by the sum of weights.
+    ``sizes`` are the lengths of consecutive segments that together cover
+    the column; each is one candidate list. The softmax runs over a segment
+    and every candidate with weight w > 0 contributes w * (-log softmax(score)).
+    The total is divided by the sum of weights.
     """
     if scores.cols != 1:
         raise ValueError("listwise_xent expects a column vector of scores")
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.shape[0] != scores.rows:
         raise ValueError(f"listwise_xent: {scores.rows} scores but {w.shape[0]} weights")
-
-    bounds = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
-    sizes = bounds[:, 1] - bounds[:, 0]
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
     if sizes.size == 0 or sizes.min() < 1:
         raise ValueError("listwise_xent: needs at least one segment, each non-empty")
-    firsts = np.cumsum(sizes) - sizes  # segment starts once the segments are concatenated
+    if sizes.sum() != scores.rows:
+        raise ValueError(f"listwise_xent: segments cover {sizes.sum()} of {scores.rows} scores")
+    firsts = np.cumsum(sizes) - sizes
     seg = np.repeat(np.arange(sizes.size), sizes)
-    pos = np.arange(seg.size) + np.repeat(bounds[:, 0] - firsts, sizes)
-    s = scores.data.astype(np.float64).reshape(-1)[pos]
-    wv = w[pos]
+    s = scores.data.astype(np.float64).reshape(-1)
     m = np.maximum.reduceat(s, firsts)
     e = np.exp(s - m[seg])
     esum = np.add.reduceat(e, firsts)
-    wsum = np.add.reduceat(wv, firsts)
+    wsum = np.add.reduceat(w, firsts)
     total_w = float(wsum.sum())
     if total_w <= 0:
         raise ValueError("listwise_xent: total positive weight must be > 0")
-    loss = float(np.dot(wv, m[seg] + np.log(esum)[seg] - s)) / total_w
-    grad_s = np.zeros(scores.rows)
-    grad_s[pos] = wsum[seg] * (e / esum[seg]) - wv
+    loss = float(np.dot(w, m[seg] + np.log(esum)[seg] - s)) / total_w
+    grad_s = wsum[seg] * (e / esum[seg]) - w
 
     def back(g: Array) -> None:
         _accum(scores, (float(g[0, 0]) / total_w) * grad_s.reshape(-1, 1))

@@ -145,21 +145,15 @@ def write_report(
     json_path: str | Path,
     overwrite: bool = False,
 ) -> None:
-    """Emit the per-query CSV and summary JSON; never clobbers an old report."""
-    mode = "w" if overwrite else "x"
-    files = []
-    try:
+    """Emit the per-query CSV and summary JSON; never clobbers an old report.
+    Both are renamed into place only once both are written, so a writer
+    that dies while writing leaves neither."""
+    if not overwrite:
         for path in (csv_path, json_path):
-            files.append(open(path, mode, newline="", encoding="utf-8"))
-    except OSError as exc:
-        for fh in files:  # leave nothing behind when either file cannot be opened
-            fh.close()
-            Path(fh.name).unlink()
-        if isinstance(exc, FileExistsError):
-            raise FileExistsError(
-                f"{exc.filename}: reports are append-only, refusing to overwrite") from None
-        raise
-    with files[0] as csv_fh, files[1] as json_fh:
+            if Path(path).exists():
+                raise FileExistsError(f"{path}: reports are append-only, refusing to overwrite")
+    with (atomic_write(csv_path, "w", newline="", encoding="utf-8") as csv_fh,
+          atomic_write(json_path, "w", encoding="utf-8") as json_fh):
         writer = csv.writer(csv_fh, lineterminator="\n")
         writer.writerow(["query_id", "gold", "predicted", "strategy", "n_icl", "parsed", "note"])
         for r in rows:

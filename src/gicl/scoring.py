@@ -39,7 +39,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -62,17 +62,26 @@ class ScorerSpec:
     max_parallel: int = 8
     retries: int = 3
     backoff: float = 0.25
-    oracle_alpha: float = 2.0
-    oracle_base: float = 0.1
+    # the oracle's closed form (oracle_nll); part of scorer_id, so cache keys name them
+    oracle_alpha: ClassVar[float] = 2.0
+    oracle_base: ClassVar[float] = 0.1
 
     def __post_init__(self) -> None:
         if self.kind not in ("http", "oracle"):
             raise ValueError(f"unknown scorer kind {self.kind!r}")
-        if self.kind == "http" and not self.endpoint:
-            raise ValueError("http scorer needs an endpoint")
-        if self.kind == "http" and urlsplit(self.endpoint).scheme not in ("http", "https"):
-            raise ValueError("http scorer endpoint must be an http:// or https:// URL, "
-                             f"got {self.endpoint!r}")
+        if self.kind == "http":
+            if not self.endpoint:
+                raise ValueError("http scorer needs an endpoint")
+            url = urlsplit(self.endpoint)
+            if url.scheme not in ("http", "https"):
+                raise ValueError("http scorer endpoint must be an http:// or https:// URL, "
+                                 f"got {self.endpoint!r}")
+            if not url.hostname:
+                raise ValueError(f"http scorer endpoint names no host: {self.endpoint!r}")
+            try:
+                url.port  # urlsplit checks the port only when it is read
+            except ValueError:
+                raise ValueError(f"http scorer endpoint has a bad port: {self.endpoint!r}") from None
         if self.retries < 0:
             raise ValueError(f"scorer retries must be >= 0, got {self.retries}")
         if not (math.isfinite(self.backoff) and self.backoff >= 0):
@@ -151,22 +160,21 @@ def synthetic_oracle_ppl(
     example_features: np.ndarray,
     example_class: int,
     class_index: int,
-    alpha: float = 2.0,
-    base: float = 0.1,
 ) -> float:
     """Closed-form perplexity of one class given one example: exp(oracle_nll)."""
     h = oracle_help(query_features, query_class, example_features, example_class)
-    return math.exp(oracle_nll(h, class_index == query_class, alpha, base))
+    return math.exp(oracle_nll(h, class_index == query_class))
 
 
-def oracle_nll(help_: float, is_true_class: bool, alpha: float, base: float) -> float:
+def oracle_nll(help_: float, is_true_class: bool) -> float:
     """NLL(c) = base + alpha * (1 - h * [c == true class]), with help
-    h = [example label == true label] * max(0, cos(query, example)).
+    h = [example label == true label] * max(0, cos(query, example)) and
+    ScorerSpec's oracle_alpha and oracle_base.
 
     A fully helpful example drives the true class NLL down to ``base``
     while wrong classes stay at base + alpha.
     """
-    return base + alpha * (1.0 - (help_ if is_true_class else 0.0))
+    return ScorerSpec.oracle_base + ScorerSpec.oracle_alpha * (1.0 - (help_ if is_true_class else 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +280,14 @@ class OracleClient:
             raise ScorerError("oracle scorer needs query_id/example_ids/class_index metadata")
         self.calls += 1
         gold, h = self._gold_and_help(meta)
-        spec = self.spec
-        return [-oracle_nll(h, meta["class_index"] == gold, spec.oracle_alpha, spec.oracle_base)]
+        return [-oracle_nll(h, meta["class_index"] == gold)]
 
     def complete(self, prompt: str, meta: dict | None = None) -> str:
         if not meta or "query_id" not in meta:
             raise ScorerError("oracle scorer needs query_id/example_ids metadata")
         self.calls += 1
         gold, h = self._gold_and_help(meta)
-        spec = self.spec
-        nlls = [oracle_nll(h, c == gold, spec.oracle_alpha, spec.oracle_base)
-                for c in range(self.graph.n_classes)]
+        nlls = [oracle_nll(h, c == gold) for c in range(self.graph.n_classes)]
         return self.graph.label_vocab[int(np.argmin(nlls))]
 
 

@@ -162,12 +162,11 @@ def feedback_loss(
 
     ranked = [by_query[q] for q in queries]
     sizes = np.array([len(r) for r in ranked])
-    stops = np.cumsum(sizes)
     c_flat = np.concatenate([r.example_ids for r in ranked])
     weights = np.concatenate([positive_weights(r, config.feedback_mode, config.top_m) for r in ranked])
 
     sims = nncore.gram_pairs(tape, embeddings, np.repeat(queries, sizes), c_flat, 1.0 / config.tau)
-    return nncore.listwise_xent(tape, sims, np.stack([stops - sizes, stops], axis=1), weights)
+    return nncore.listwise_xent(tape, sims, sizes, weights)
 
 
 def clf_loss(

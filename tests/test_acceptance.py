@@ -221,7 +221,9 @@ def best_possible_topk_utility(graph, split, k, unit_features) -> float:
 def network_barred():
     """Every socket connect raises, whichever transport opens the socket."""
 
-    def refuse_network(*args, **kwargs):
+    def refuse_network(sock, *args, **kwargs):
+        # create_connection closes its socket only on OSError, so close it here
+        sock.close()
         raise AssertionError("network call attempted during an oracle-only run")
 
     original_connect = socket.socket.connect

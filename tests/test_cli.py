@@ -259,6 +259,31 @@ class TestConfigFile:
         assert not (tmp_path / "model").exists()
 
 
+    @pytest.mark.parametrize("cfg, key", [
+        ({"bta": 0.9, "epochs": 1}, "bta"),
+        ({"epochs": 1, "scorer": {"kind": "oracle", "max_paralel": 4}}, "scorer.max_paralel"),
+        ({"scorer": {"oracle_alpha": 3.0}}, "scorer.oracle_alpha"),
+    ])
+    def test_unknown_key_is_refused_before_the_bundle_loads(self, tmp_path, capsys, cfg, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["train", "--bundle", str(tmp_path / "no-bundle"), "--config", str(path),
+                     "--out", str(tmp_path / "model")])
+        assert code == 1
+        assert f"unknown config key(s) {key}" in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"scorer": "oracle"}'])
+    def test_config_that_is_not_an_object_is_refused(self, bundle, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = main(["train", "--bundle", str(bundle), "--config", str(path),
+                     "--out", str(tmp_path / "model")])
+        assert code == 1
+        assert "must be JSON objects" in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
+
+
 class TestDeterminism:
     def test_train_and_infer_reports_are_byte_identical(self, bundle, tmp_path, capsys):
         reports = []

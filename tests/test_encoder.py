@@ -39,13 +39,13 @@ def graph_from_edges(n, edges, features, labels=None, n_classes=2):
 
 class TestInitParams:
     def test_deterministic(self):
-        cfg = EncoderConfig(input_dim=8, n_classes=3)
+        cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=3, hidden_dim=256, dropout=0.5)
         a, b = init_params(cfg, seed=4), init_params(cfg, seed=4)
         for name in a.names():
             assert np.array_equal(a[name].data, b[name].data)
 
     def test_shapes_follow_config(self):
-        cfg = EncoderConfig(input_dim=128, n_classes=7, n_layers=3, hidden_dim=256)
+        cfg = EncoderConfig(input_dim=128, n_classes=7, n_layers=3, hidden_dim=256, dropout=0.5)
         params = init_params(cfg, seed=0)
         assert params["layer0.w_self"].shape == (128, 256)
         assert params["layer0.w_neigh"].shape == (128, 256)
@@ -55,7 +55,7 @@ class TestInitParams:
         assert params["head.b"].shape == (1, 7)
 
     def test_entries_within_glorot_bound(self):
-        cfg = EncoderConfig(input_dim=16, n_classes=2, n_layers=2, hidden_dim=32)
+        cfg = EncoderConfig(input_dim=16, n_classes=2, n_layers=2, hidden_dim=32, dropout=0.5)
         params = init_params(cfg, seed=1)
         a0 = np.sqrt(6.0 / (16 + 32))
         assert np.all(np.abs(params["layer0.w_self"].data) < a0)
@@ -67,7 +67,7 @@ class TestInitParams:
 class TestEncodeAll:
     def test_zero_params_give_zero_embeddings(self):
         g = graph_from_edges(3, [(0, 1), (1, 2)], np.eye(3, 4))
-        cfg = EncoderConfig(input_dim=4, n_classes=2, n_layers=2, hidden_dim=5)
+        cfg = EncoderConfig(input_dim=4, n_classes=2, n_layers=2, hidden_dim=5, dropout=0.5)
         params = init_params(cfg, seed=0)
         for name in params.names():
             params[name].data[:] = 0
@@ -130,7 +130,7 @@ class TestEncodeAll:
         assert not np.array_equal(base[4], other[4])
 
     def test_eval_mode_bitwise_repeatable(self, noisy_sbm):
-        cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=3, hidden_dim=16)
+        cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=3, hidden_dim=16, dropout=0.5)
         params = init_params(cfg, seed=6)
         a = encode_all(noisy_sbm, params, cfg).vectors
         b = encode_all(noisy_sbm, params, cfg).vectors
@@ -157,15 +157,15 @@ class TestEncodeAll:
         assert table.vectors.min() < 0
 
     def test_feature_dim_mismatch(self, noisy_sbm):
-        cfg = EncoderConfig(input_dim=99, n_classes=3)
+        cfg = EncoderConfig(input_dim=99, n_classes=3, n_layers=3, hidden_dim=256, dropout=0.5)
         params = init_params(cfg, seed=0)
         with pytest.raises(ValueError, match="dim"):
             encode_all(noisy_sbm, params, cfg)
 
 
 class TestEncodePlan:
-    """Training encodes only the receptive field of the loss nodes; each row
-    it computes must be the row the whole graph gives."""
+    """Training encodes only the receptive field of the loss nodes; in eval
+    mode each row it computes must be the row the whole graph gives."""
 
     @staticmethod
     def sparse_graph():
@@ -178,10 +178,9 @@ class TestEncodePlan:
 
     LOSS_NODES = np.array([30, 3, 37, 11, 3, 24])  # unsorted, repeated, one isolated
 
-    def loss_and_grads(self, graph, params, cfg, nodes, training):
+    def loss_and_grads(self, graph, params, cfg, nodes):
         tape = Tape()
-        emb = encode(tape, graph, params, cfg, nodes, training=training,
-                     rng=np.random.default_rng(5))
+        emb = encode(tape, graph, params, cfg, nodes)
         out = np.arange(graph.n_nodes) if nodes is None else np.unique(nodes)
         rows = nncore.gather_rows(tape, emb, np.searchsorted(out, self.LOSS_NODES))
         loss = nncore.softmax_xent(tape, logits_on_tape(tape, rows, params),
@@ -189,13 +188,12 @@ class TestEncodePlan:
         return emb.data, loss.item(), backward(tape, loss, params)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
-    @pytest.mark.parametrize("training", [False, True])
-    def test_rows_equal_full_graph_and_gradients_agree(self, dtype, tol, training):
+    def test_rows_equal_full_graph_and_gradients_agree(self, dtype, tol):
         graph = self.sparse_graph()
         cfg = EncoderConfig(input_dim=5, n_classes=3, n_layers=3, hidden_dim=12, dropout=0.5)
         params = init_params(cfg, seed=4, dtype=dtype)
-        full_emb, full_loss, full_grads = self.loss_and_grads(graph, params, cfg, None, training)
-        emb, loss, grads = self.loss_and_grads(graph, params, cfg, self.LOSS_NODES, training)
+        full_emb, full_loss, full_grads = self.loss_and_grads(graph, params, cfg, None)
+        emb, loss, grads = self.loss_and_grads(graph, params, cfg, self.LOSS_NODES)
         plan = encode_plan(graph, cfg.n_layers, self.LOSS_NODES)
         assert plan.rows[0].size < graph.n_nodes  # the plan does skip rows
         assert emb.dtype == dtype
@@ -212,7 +210,7 @@ class TestEncodePlan:
         assert plan.own[2].tolist() == [1, 3]
 
     def test_all_loss_nodes_record_no_gather(self, noisy_sbm, monkeypatch):
-        cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=3, hidden_dim=16)
+        cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=3, hidden_dim=16, dropout=0.5)
         params = init_params(cfg, seed=6)
         calls = []
         original = nncore.gather_rows
@@ -233,7 +231,7 @@ class TestEncodePlan:
 
 class TestClassifyLogits:
     def test_zero_head_gives_uniform_softmax(self):
-        cfg = EncoderConfig(input_dim=4, n_classes=5, n_layers=1, hidden_dim=4)
+        cfg = EncoderConfig(input_dim=4, n_classes=5, n_layers=1, hidden_dim=4, dropout=0.5)
         params = init_params(cfg, seed=0)
         params["head.w"].data[:] = 0
         params["head.b"].data[:] = 0
@@ -243,7 +241,7 @@ class TestClassifyLogits:
         np.testing.assert_allclose(probs, 0.2, atol=1e-12)
 
     def test_one_hot_identity_head_argmax(self):
-        cfg = EncoderConfig(input_dim=3, n_classes=3, n_layers=1, hidden_dim=3)
+        cfg = EncoderConfig(input_dim=3, n_classes=3, n_layers=1, hidden_dim=3, dropout=0.5)
         params = init_params(cfg, seed=0)
         params["head.w"].data[:] = np.eye(3)
         params["head.b"].data[:] = 0
@@ -253,7 +251,7 @@ class TestClassifyLogits:
     def test_matches_matmul_oracle(self):
         rng = np.random.default_rng(10)
         emb = rng.standard_normal((10, 8)).astype(np.float32)
-        cfg = EncoderConfig(input_dim=8, n_classes=5, n_layers=1, hidden_dim=8)
+        cfg = EncoderConfig(input_dim=8, n_classes=5, n_layers=1, hidden_dim=8, dropout=0.5)
         params = init_params(cfg, seed=1)
         expected = np.zeros((10, 5), np.float64)
         for i in range(10):
@@ -265,7 +263,8 @@ class TestClassifyLogits:
         np.testing.assert_allclose(got, expected, rtol=1e-5)
 
     def test_non_finite_embeddings_are_refused(self):
-        params = init_params(EncoderConfig(input_dim=4, n_classes=3, n_layers=1, hidden_dim=4), seed=0)
+        cfg = EncoderConfig(input_dim=4, n_classes=3, n_layers=1, hidden_dim=4, dropout=0.5)
+        params = init_params(cfg, seed=0)
         emb = np.ones((2, 4), np.float32)
         emb[1, 2] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite"):
@@ -279,7 +278,7 @@ class TestClassifyLogits:
 
 
 def test_embedding_table_export_roundtrip(tmp_path, noisy_sbm):
-    cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=2, hidden_dim=12)
+    cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=2, hidden_dim=12, dropout=0.5)
     params = init_params(cfg, seed=0)
     table = encode_all(noisy_sbm, params, cfg)
     table.save(tmp_path / "emb")

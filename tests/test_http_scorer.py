@@ -264,6 +264,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="http:// or https://"):
             ScorerSpec(kind="http", endpoint="localhost:8000")
 
+    @pytest.mark.parametrize("endpoint, message", [
+        ("http://", "names no host"),
+        ("http://:8080", "names no host"),
+        ("https:///v1", "names no host"),
+        ("http://h:99999", "bad port"),
+    ])
+    def test_endpoint_without_host_or_with_bad_port_rejected(self, endpoint, message):
+        with pytest.raises(ValueError, match=message):
+            ScorerSpec(kind="http", endpoint=endpoint)
+
     @pytest.mark.parametrize("field, value, message", [
         ("retries", -1, "retries must be >= 0"),
         ("backoff", -1.0, "backoff must be a finite number >= 0"),

@@ -150,13 +150,13 @@ class TestListwiseXent:
     def test_singleton_segment_is_exactly_zero(self):
         tape = Tape()
         scores = leaf([[3.7]])
-        loss = nncore.listwise_xent(tape, scores, [(0, 1)], np.array([1.0]))
+        loss = nncore.listwise_xent(tape, scores, [1], np.array([1.0]))
         assert loss.item() == 0.0
 
     def test_two_candidate_hand_value(self):
         tape = Tape()
         scores = leaf([[1.0], [0.0]])
-        loss = nncore.listwise_xent(tape, scores, [(0, 2)], np.array([1.0, 0.0]))
+        loss = nncore.listwise_xent(tape, scores, [2], np.array([1.0, 0.0]))
         assert math.isclose(loss.item(), math.log(1 + math.exp(-1)), rel_tol=1e-12)
 
     def test_all_positive_mode_permutation_invariant(self):
@@ -166,7 +166,7 @@ class TestListwiseXent:
         for order in (np.arange(6), perm):
             tape = Tape()
             loss = nncore.listwise_xent(
-                tape, leaf(s[order].reshape(-1, 1)), [(0, 6)], np.ones(6)
+                tape, leaf(s[order].reshape(-1, 1)), [6], np.ones(6)
             )
             if order is perm:
                 assert math.isclose(loss.item(), first, rel_tol=1e-12)
@@ -176,7 +176,12 @@ class TestListwiseXent:
     def test_requires_positive_weight(self):
         tape = Tape()
         with pytest.raises(ValueError):
-            nncore.listwise_xent(tape, leaf([[1.0], [2.0]]), [(0, 2)], np.zeros(2))
+            nncore.listwise_xent(tape, leaf([[1.0], [2.0]]), [2], np.zeros(2))
+
+    @pytest.mark.parametrize("sizes", [[1], [2, 1], [], [0, 2]])
+    def test_segments_must_cover_the_scores(self, sizes):
+        with pytest.raises(ValueError, match="segment"):
+            nncore.listwise_xent(Tape(), leaf([[1.0], [2.0]]), sizes, np.ones(2))
 
 
 class TestBackward:
@@ -223,7 +228,7 @@ class TestBackward:
 
 def _loss_builders():
     """One loss-building closure per primitive; each takes (tape, params)."""
-    segments = [(0, 2), (2, 5)]
+    segments = [2, 3]
     seg_weights = np.array([1.0, 0.0, 1.0, 0.5, 0.0])
 
     def quadratic_readout(tape, out):

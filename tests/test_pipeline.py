@@ -86,6 +86,19 @@ class TestReports:
         assert not (tmp_path / "r.csv").exists()
         assert (tmp_path / "r.json").read_text() == "{}"
 
+    def test_writer_that_dies_part_way_leaves_no_report(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("writer died")
+
+        rows = [EvalRow(i, 0, 0, "s", 1, True) for i in range(500)]
+        with pytest.raises(RuntimeError, match="writer died"):
+            write_report([*rows, EvalRow(9, 0, 0, "s", 1, True, Unprintable())], {},
+                         tmp_path / "r.csv", tmp_path / "r.json")
+        assert list(tmp_path.iterdir()) == []
+        write_report(rows, {"n": 500}, tmp_path / "r.csv", tmp_path / "r.json")
+        assert read_report(tmp_path / "r.csv") == rows
+
     def test_manifest_hash_ignores_timestamp(self):
         kw = dict(config={"beta": 0.2}, seed=1, bundle_hash="b", template_hash="t", scorer_id="s")
         a = RunManifest(**kw, created_at=1.0)

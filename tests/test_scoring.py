@@ -228,7 +228,6 @@ class TestOracleClient:
 
         # noisy features, every class, and example lists of 0, 1 and 30 ids
         g = synth_sbm(n_nodes=60, n_classes=4, p_in=0.2, p_out=0.02, d=6, noise=1.5, seed=7)
-        spec = ScorerSpec(kind="oracle", oracle_alpha=1.5, oracle_base=0.3)
         client = make_client(spec, g)
         unit = _normalize_rows(g.features)
         rng = np.random.default_rng(0)
@@ -248,9 +247,9 @@ class TestOracleClient:
                         kinds.add("helps" if np.dot(unit[q], unit[e]) > 0 else "negative cosine")
                 # the best single example decides: min over examples of the one-example closed form
                 reference = [
-                    min((synthetic_oracle_ppl(unit[q], gold, unit[e], int(g.labels[e]), c,
-                                              spec.oracle_alpha, spec.oracle_base) for e in examples),
-                        default=math.exp(spec.oracle_base + spec.oracle_alpha))
+                    min((synthetic_oracle_ppl(unit[q], gold, unit[e], int(g.labels[e]), c)
+                         for e in examples),
+                        default=math.exp(ScorerSpec.oracle_base + ScorerSpec.oracle_alpha))
                     for c in range(g.n_classes)
                 ]
                 for c in range(g.n_classes):
@@ -278,10 +277,15 @@ class TestOracleClient:
         assert answer == clean_sbm.label_vocab[0]
 
     def test_scorer_id_depends_on_identity_fields(self):
-        a = ScorerSpec(kind="oracle", oracle_alpha=2.0)
-        b = ScorerSpec(kind="oracle", oracle_alpha=2.0)
-        c = ScorerSpec(kind="oracle", oracle_alpha=3.0)
+        a = ScorerSpec(kind="http", endpoint="http://127.0.0.1:8000", model="m")
+        b = ScorerSpec(kind="http", endpoint="http://127.0.0.1:8000", model="m", retries=0)
+        c = ScorerSpec(kind="http", endpoint="http://127.0.0.1:8000", model="n")
         assert a.scorer_id == b.scorer_id != c.scorer_id
+
+    def test_scorer_id_keeps_the_keys_of_existing_caches(self):
+        assert ScorerSpec(kind="oracle").scorer_id == "b64369079ceb46c0"
+        http = ScorerSpec(kind="http", endpoint="http://127.0.0.1:8000", model="m")
+        assert http.scorer_id == "da5924ce998f392a"
 
     def test_free_function_builds_client(self, clean_sbm):
         spec = ScorerSpec(kind="oracle")

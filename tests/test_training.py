@@ -5,11 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import finite_difference_grads, gradcheck_errors
 
 from gicl import nncore
 from gicl import scoring as scoring_mod
 from gicl.encoder import encode_on_tape, encode_plan, feature_inputs, init_params
-from gicl.graphstore import sample_label_fraction, synth_sbm
+from gicl.graphstore import SplitSpec, TagGraph, _build_csr, sample_label_fraction, synth_sbm
 from gicl.nncore import Tape, Tensor2, adam_step, backward
 from gicl.prompts import DEFAULT_TEMPLATE, render
 from gicl.scoring import (
@@ -355,6 +356,67 @@ class TestTapeGradients:
             assert (features.grad is not None) == requires_grad
         for name in params.names():
             np.testing.assert_allclose(grads[False][name], grads[True][name], rtol=0, atol=1e-10)
+
+
+    RING_CFG = TrainConfig(beta=0.5, hidden_dim=6, n_layers=3, epochs=1, k_feedback=3, seed=1)
+
+    def ring_round(self):
+        """Float64 parameters and one round's batch on a 40-node ring whose six
+        labeled nodes sit side by side, so every layer computes a proper
+        subset of the graph."""
+        n = 40
+        offsets, targets = _build_csr(n, np.array([(i, (i + 1) % n) for i in range(n)]),
+                                      symmetrize=True)
+        graph = TagGraph(
+            n_nodes=n, csr_offsets=offsets, csr_targets=targets,
+            features=np.random.default_rng(3).standard_normal((n, 5)).astype(np.float32),
+            texts=tuple(f"doc {i}" for i in range(n)), labels=np.arange(n) % 3,
+            label_vocab=("a", "b", "c"),
+        )
+        split = SplitSpec(labeled_ids=np.arange(6), query_train_ids=np.arange(6),
+                          test_ids=np.arange(20, 26), fraction=0.15, seed=0)
+        params = init_params(self.RING_CFG.encoder_config(graph), seed=2, dtype=np.float64)
+        feedback = collect_feedback_round(graph, split, params, self.RING_CFG, ORACLE,
+                                          DEFAULT_TEMPLATE, FeedbackCache())
+        features = Tensor2(graph.features.astype(np.float64))
+        return graph, params, round_batch(graph, split, feedback, features, self.RING_CFG.n_layers)
+
+    def test_training_epoch_on_a_subgraph_matches_finite_differences(self):
+        graph, params, batch = self.ring_round()
+        assert all(rows.size < graph.n_nodes for rows in batch.plan.rows)
+        enc = self.RING_CFG.encoder_config(graph)
+
+        def build_loss(tape, training=True):
+            # the same dropout masks at every evaluation
+            return epoch_loss(tape, batch, params, enc, self.RING_CFG, training=training,
+                              rng=np.random.default_rng(7))[0]
+
+        assert build_loss(Tape()).item() != build_loss(Tape(), training=False).item()
+        tape = Tape()
+        analytic = backward(tape, build_loss(tape), params)
+        numeric = finite_difference_grads(lambda: build_loss(Tape()).item(), params, step=1e-4)
+        assert gradcheck_errors(analytic, numeric) <= 1e-4
+
+    def test_training_epoch_draws_masks_for_the_rows_each_layer_computes(self):
+        graph, params, batch = self.ring_round()
+        enc = self.RING_CFG.encoder_config(graph)
+
+        class ShapeLog:
+            """A generator that notes the shape of every draw."""
+
+            def __init__(self):
+                self.rng, self.shapes = np.random.default_rng(0), []
+
+            def random(self, shape):
+                self.shapes.append(shape)
+                return self.rng.random(shape)
+
+        rng = ShapeLog()
+        epoch_loss(Tape(), batch, params, enc, self.RING_CFG, rng=rng)
+        # layers 0 and 1 write plan.rows[1] and [2]: the six nodes and two hops,
+        # then one hop, on either side of them
+        assert rng.shapes == [(rows.size, enc.hidden_dim) for rows in batch.plan.rows[1:-1]]
+        assert [shape[0] for shape in rng.shapes] == [10, 8]
 
 
 class TestTrain:
