@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 UNLABELED = -1
+SBM_BLOCK_DRAWS = 1 << 22  # uniforms per synth_sbm row block: 32 MB of float64
 
 BUNDLE_FILES = ("nodes.jsonl", "edges.tsv", "features.bin", "features.json", "labels.json")
 
@@ -400,6 +402,40 @@ def sample_label_fraction(
     )
 
 
+def _sbm_edges(rng: np.random.Generator, labels: np.ndarray, n_classes: int, p_in: float,
+               p_out: float) -> np.ndarray:
+    """Upper-triangle SBM edges, one uniform per pair i < j in row-major order.
+
+    The draws are those of one ``rng.random(n * (n - 1) // 2)`` over the
+    pairs of ``np.triu_indices(n, k=1)``, drawn a block of rows at a time
+    into one reused buffer, so memory is O(SBM_BLOCK_DRAWS + n + edges).
+    Only a draw below p_in (>= p_out) can make an edge: a candidate (i, j)
+    is kept when j is in i's class (classes are contiguous, so j < the end
+    of i's class) or its draw is below p_out.
+    """
+    n = labels.size
+    counts = np.arange(n - 1, 0, -1, dtype=np.int64)  # row i pairs with j = i+1 .. n-1
+    row_ends = np.cumsum(counts)  # stream position after row i
+    row_starts = row_ends - counts
+    class_end = np.searchsorted(labels, np.arange(n_classes), side="right")[labels]
+    # a block holds at least one row, so at most max(SBM_BLOCK_DRAWS, n - 1) draws
+    draws = np.empty(min(n * (n - 1) // 2, max(SBM_BLOCK_DRAWS, n - 1)))
+    blocks = [np.zeros((0, 2), dtype=np.int64)]
+    lo = 0
+    while lo < counts.size:
+        start = row_starts[lo]
+        hi = max(lo + 1, int(np.searchsorted(row_ends, start + SBM_BLOCK_DRAWS, side="right")))
+        u = rng.random(out=draws[:row_ends[hi - 1] - start])
+        at = np.flatnonzero(u < p_in)
+        pos = start + at
+        i = np.searchsorted(row_starts, pos, side="right") - 1
+        j = i + 1 + pos - row_starts[i]
+        keep = (j < class_end[i]) | (u[at] < p_out)
+        blocks.append(np.stack([i[keep], j[keep]], axis=1))
+        lo = hi
+    return np.concatenate(blocks)
+
+
 def synth_sbm(
     n_nodes: int,
     n_classes: int,
@@ -414,22 +450,25 @@ def synth_sbm(
     Nodes are assigned to classes in contiguous blocks. Each node's feature
     row is its class centroid (orthogonal unit vectors in d dims) plus
     Gaussian noise of the given scale; its text is a templated sentence
-    embedding the class name. All nodes are labeled.
+    embedding the class name. All nodes are labeled. Edges take one uniform
+    draw per node pair (time quadratic in n_nodes), drawn in row blocks, so
+    memory is linear in nodes plus edges.
     """
+    if n_classes < 1:
+        raise ValueError(f"n_classes={n_classes} must be at least 1")
     if n_classes > d:
         raise ValueError(f"n_classes={n_classes} must not exceed feature dim d={d}")
     if not (0 <= p_out <= p_in <= 1):
         raise ValueError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise={noise} must be finite and non-negative")
     if n_nodes < n_classes:
-        raise ValueError("need at least one node per class")
+        raise ValueError(f"need at least one node per class, got n_nodes={n_nodes}, "
+                         f"n_classes={n_classes}")
 
     rng = np.random.default_rng(seed)
     labels = (np.arange(n_nodes, dtype=np.int64) * n_classes) // n_nodes
-
-    iu, ju = np.triu_indices(n_nodes, k=1)
-    probs = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = rng.random(iu.size) < probs
-    edges = np.stack([iu[keep], ju[keep]], axis=1)
+    edges = _sbm_edges(rng, labels, n_classes, p_in, p_out)
     offsets, targets = _build_csr(n_nodes, edges, symmetrize=True)
 
     centroids = np.eye(n_classes, d, dtype=np.float64)

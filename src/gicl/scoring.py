@@ -187,15 +187,22 @@ def cache_key(scorer_id: str, template_hash: str, graph_hash: str, query_id: int
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
+def _json_float(x: float) -> str:
+    """``json.dumps(x)`` for a float, without the encoder."""
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+
+
 class FeedbackCache:
     """Append-only JSONL perplexity cache, content-addressed by request key.
 
     One writer at a time (appends are serialized through a lock); reads are
     plain dict lookups. Pass path=None for a purely in-memory cache. A torn
-    last line (no newline: its writer died) is skipped; the first append cuts it off.
-    The first append opens one handle that later appends reuse; each record is
-    flushed before ``put`` returns. ``close`` releases the handle, and so does
-    collecting the cache.
+    last line (no newline: its writer died) is skipped; the first append cuts
+    it off. The first append opens one handle that later appends reuse; each
+    ``put`` appends one pair's new records in one write. ``close`` releases
+    the handle, and so does collecting the cache.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -220,24 +227,37 @@ class FeedbackCache:
             c: int) -> float | None:
         return self._data.get(cache_key(scorer_id, template_hash, graph_hash, q, e, c))
 
-    def put(self, scorer_id: str, template_hash: str, graph_hash: str, q: int, e: int, c: int,
-            value: float) -> None:
-        key = cache_key(scorer_id, template_hash, graph_hash, q, e, c)
+    def put(self, scorer_id: str, template_hash: str, graph_hash: str, q: int, e: int,
+            ppl_by_class: dict[int, float]) -> None:
+        """Cache the perplexities of one (query, example) pair, keyed by class.
+
+        A class already cached keeps its value. The new records go to the
+        file in one write, flushed before ``put`` returns; each line is
+        ``json.dumps`` of its record.
+        """
+        scope = hashlib.sha256(f"{scorer_id}|{template_hash}|{graph_hash}|".encode("utf-8"))
+        keyed = []
+        for c, value in ppl_by_class.items():
+            digest = scope.copy()
+            digest.update(f"{q}|{e}|{c}".encode("utf-8"))
+            keyed.append((digest.hexdigest()[:24], c, float(value)))
         with self._lock:
-            if key in self._data:
+            keyed = [(key, c, value) for key, c, value in keyed if key not in self._data]
+            for key, _, value in keyed:
+                self._data[key] = value
+            if self.path is None or not keyed:
                 return
-            self._data[key] = value
-            if self.path is not None:
-                record = {"k": key, "q": q, "e": e, "c": c, "ppl": value,
-                          "sid": scorer_id, "th": template_hash}
-                if self._fh is None:
-                    self._fh = open(self.path, "a", encoding="utf-8")
-                    self._closer = weakref.finalize(self, self._fh.close)
-                    if self._torn_at is not None:
-                        self._fh.truncate(self._torn_at)  # appends still go to the (new) end
-                        self._torn_at = None
-                self._fh.write(json.dumps(record) + "\n")
-                self._fh.flush()
+            tail = f', "sid": {json.dumps(scorer_id)}, "th": {json.dumps(template_hash)}}}\n'
+            lines = "".join(f'{{"k": "{key}", "q": {q}, "e": {e}, "c": {c}, '
+                            f'"ppl": {_json_float(value)}{tail}' for key, c, value in keyed)
+            if self._fh is None:
+                self._fh = open(self.path, "a", encoding="utf-8")
+                self._closer = weakref.finalize(self, self._fh.close)
+                if self._torn_at is not None:
+                    self._fh.truncate(self._torn_at)  # appends still go to the (new) end
+                    self._torn_at = None
+            self._fh.write(lines)
+            self._fh.flush()
 
     def close(self) -> None:
         """Close the append handle; a later put opens a new one."""
@@ -624,10 +644,11 @@ def rank_candidates(
 
     ``candidates`` maps each query id to its candidate ids. Each pair is
     scored in its own single-example prompt, rendered once; the pairs the
-    cache does not fully cover share one ``fan_out``, and each perplexity is
-    cached as soon as it is scored. A candidate with any unscorable class is
-    left out of its query's ranking and counted in the returned number of
-    unscored pairs; a query left with no scored candidate is left out.
+    cache does not fully cover share one ``fan_out``, and each pair's new
+    perplexities are cached together as soon as the pair is scored. A
+    candidate with any unscorable class is left out of its query's ranking
+    and counted in the returned number of unscored pairs; a query left with
+    no scored candidate is left out.
     """
     lists = {int(q): [int(e) for e in ids] for q, ids in candidates.items()}
     for q, ids in lists.items():
@@ -650,17 +671,21 @@ def rank_candidates(
         vector = ppls[pair]
         prompt = render(template, [(graph.texts[e], graph.label_vocab[int(graph.labels[e])])],
                         graph.texts[q])
-        for c in classes:
-            if vector[c] is not None:
-                continue
-            meta = {"query_id": q, "example_ids": [e], "class_index": c}
-            try:
-                lps = client.token_logprobs(prompt, class_verbalization(graph.label_vocab[c]),
-                                            meta=meta)
-            except ScorerError:
-                continue
-            vector[c] = ppl(lps)
-            cache.put(*scope, q, e, c, vector[c])
+        scored = {}
+        try:
+            for c in classes:
+                if vector[c] is not None:
+                    continue
+                meta = {"query_id": q, "example_ids": [e], "class_index": c}
+                try:
+                    lps = client.token_logprobs(prompt, class_verbalization(graph.label_vocab[c]),
+                                                meta=meta)
+                except ScorerError:
+                    continue
+                vector[c] = scored[c] = ppl(lps)
+        finally:  # what was paid for is kept even if a request raises
+            if scored:
+                cache.put(*scope, q, e, scored)
 
     fan_out(spec, score_pair, todo)
 

@@ -64,6 +64,24 @@ class TestSynthPrepare:
         for name in ("nodes.jsonl", "edges.tsv", "features.bin", "labels.json"):
             assert (again / name).read_bytes() == (bundle / name).read_bytes()
 
+    def test_synth_bundle_hash_is_pinned(self, bundle):
+        assert bundle_hash(bundle) == "9f8e6a34641135c2"
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--n", "0", "--classes", "0"], "n_classes"),
+        (["--n", "3", "--classes", "0"], "n_classes"),
+        (["--n", "3", "--classes", "-1"], "n_classes"),
+        (["--n", "3", "--classes", "1", "--noise", "nan"], "noise"),
+        (["--n", "3", "--classes", "1", "--noise", "inf"], "noise"),
+        (["--n", "3", "--classes", "1", "--noise", "-1"], "noise"),
+    ])
+    def test_synth_refuses_bad_inputs(self, flags, name, tmp_path, capsys):
+        out = tmp_path / "b"
+        code = main(["synth", *flags, "--pin", "0.5", "--pout", "0.1", "--out", str(out)])
+        assert code == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainArtifacts:
     def test_model_directory_contents(self, model_dir):

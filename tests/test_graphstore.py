@@ -1,10 +1,13 @@
+import hashlib
 import json
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gicl import graphstore
 from gicl.graphstore import (
     UNLABELED,
     BundleError,
@@ -370,6 +373,82 @@ class TestSynthSbm:
             synth_sbm(10, 5, 0.5, 0.1, d=3, noise=0.0, seed=0)  # C > d
         with pytest.raises(ValueError):
             synth_sbm(10, 2, 0.1, 0.5, d=4, noise=0.0, seed=0)  # p_out > p_in
+
+    @pytest.mark.parametrize("n_nodes, n_classes, noise, name", [
+        (0, 0, 0.0, "n_classes"),
+        (3, 0, 0.0, "n_classes"),
+        (3, -1, 0.0, "n_classes"),
+        (3, 1, float("nan"), "noise"),
+        (3, 1, float("inf"), "noise"),
+        (3, 1, -1.0, "noise"),
+    ])
+    def test_bad_inputs_are_named_before_any_draw(self, n_nodes, n_classes, noise, name,
+                                                   monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew edges before checking the inputs")
+
+        monkeypatch.setattr(graphstore, "_sbm_edges", no_draws)
+        with pytest.raises(ValueError, match=name):
+            synth_sbm(n_nodes, n_classes, 0.5, 0.1, d=4, noise=noise, seed=0)
+
+    # (n, classes, p_in, p_out, d): n = 1 and 2, cliques (p_in 1, p_out 0),
+    # p_in == p_out, and the densities of the c5 and cli graphs
+    SAMPLER_CASES = [
+        (1, 1, 0.5, 0.1, 4),
+        (2, 1, 0.5, 0.5, 4),
+        (2, 2, 1.0, 0.0, 4),
+        (5, 2, 1.0, 0.0, 4),
+        (37, 3, 0.3, 0.05, 8),
+        (300, 4, 0.2, 0.2, 8),
+        (300, 5, 0.01, 0.001, 16),
+        (1000, 5, 0.05, 0.005, 16),
+    ]
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, None])
+    @pytest.mark.parametrize("n, classes, p_in, p_out, d", SAMPLER_CASES)
+    def test_row_blocks_reproduce_the_dense_draw(self, n, classes, p_in, p_out, d, block,
+                                                  monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(graphstore, "SBM_BLOCK_DRAWS", block)
+        g = synth_sbm(n, classes, p_in, p_out, d, noise=0.5, seed=n)
+
+        # the dense generator: one uniform per upper-triangle pair, row-major
+        rng = np.random.default_rng(n)
+        labels = (np.arange(n, dtype=np.int64) * classes) // n
+        iu, ju = np.triu_indices(n, k=1)
+        probs = np.where(labels[iu] == labels[ju], p_in, p_out)
+        keep = rng.random(iu.size) < probs
+        features = np.eye(classes, d)[labels] + 0.5 * rng.standard_normal((n, d))
+
+        src = np.repeat(np.arange(n), np.diff(g.csr_offsets))
+        upper = src < g.csr_targets
+        assert np.array_equal(src[upper], iu[keep])
+        assert np.array_equal(g.csr_targets[upper], ju[keep])
+        assert g.features.tobytes() == features.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("args, expected", [
+        ((1000, 5, 0.05, 0.005, 16, 0.6, 1), "a28bfd5f610b06c7"),
+        ((1000, 5, 0.05, 0.005, 16, 0.6, 2), "525ee5bb663fec17"),
+        ((1000, 5, 0.05, 0.005, 16, 0.6, 3), "03ab1b5ce669f753"),
+        ((4000, 5, 0.01, 0.001, 16, 0.6, 1), "017e6e8dad9090fc"),
+    ])
+    def test_graphs_are_pinned(self, args, expected):
+        g = synth_sbm(*args)
+        h = hashlib.sha256()
+        for array in (g.csr_offsets, g.csr_targets, g.features):
+            h.update(array.tobytes())
+        assert h.hexdigest()[:16] == expected
+
+    def test_memory_is_not_quadratic(self):
+        # the dense draw peaked at 566 MB here: two int64 index arrays, a
+        # float64 probability and a uniform per each of the 18M pairs
+        tracemalloc.start()
+        try:
+            synth_sbm(6000, 5, 0.01, 0.001, 16, 0.6, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
     def test_all_nodes_labeled_with_class_texts(self, clean_sbm):
         assert np.all(clean_sbm.labels != UNLABELED)

@@ -125,7 +125,7 @@ class TestSyntheticOracle:
 class TestFeedbackCache:
     def test_put_get_roundtrip(self):
         cache = FeedbackCache()
-        cache.put("sid", "th", "g", 1, 2, 3, 4.5)
+        cache.put("sid", "th", "g", 1, 2, {3: 4.5})
         assert cache.get("sid", "th", "g", 1, 2, 3) == 4.5
         assert cache.get("sid", "th", "g", 1, 2, 4) is None
 
@@ -139,24 +139,24 @@ class TestFeedbackCache:
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
         value = math.exp(0.1 + 2.0 * (1 - 0.12345678901234))
-        cache.put("sid", "th", "g", 7, 8, 0, value)
+        cache.put("sid", "th", "g", 7, 8, {0: value})
         reloaded = FeedbackCache(path)
         assert reloaded.get("sid", "th", "g", 7, 8, 0) == value
 
     def test_appends_not_rewrites(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
-        cache.put("s", "t", "g", 0, 0, 0, 1.0)
+        cache.put("s", "t", "g", 0, 0, {0: 1.0})
         first = path.read_text()
-        cache.put("s", "t", "g", 0, 0, 1, 2.0)
+        cache.put("s", "t", "g", 0, 0, {1: 2.0})
         assert path.read_text().startswith(first)
         assert len(path.read_text().splitlines()) == 2
 
     def test_duplicate_put_ignored(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
-        cache.put("s", "t", "g", 0, 0, 0, 1.0)
-        cache.put("s", "t", "g", 0, 0, 0, 99.0)
+        cache.put("s", "t", "g", 0, 0, {0: 1.0})
+        cache.put("s", "t", "g", 0, 0, {0: 99.0})
         assert cache.get("s", "t", "g", 0, 0, 0) == 1.0
         assert len(path.read_text().splitlines()) == 1
 
@@ -164,7 +164,7 @@ class TestFeedbackCache:
         import json
 
         path = tmp_path / "cache.jsonl"
-        FeedbackCache(path).put("sid", "th", "g", 3, 9, 1, 2.5)
+        FeedbackCache(path).put("sid", "th", "g", 3, 9, {1: 2.5})
         record = json.loads(path.read_text())
         assert set(record) == {"k", "q", "e", "c", "ppl", "sid", "th"}
         assert record["q"] == 3 and record["e"] == 9 and record["c"] == 1
@@ -172,12 +172,12 @@ class TestFeedbackCache:
 
     def test_torn_last_line_is_skipped_and_next_put_starts_a_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        FeedbackCache(path).put("s", "t", "g", 0, 0, 0, 1.0)
+        FeedbackCache(path).put("s", "t", "g", 0, 0, {0: 1.0})
         whole = path.read_text()
         path.write_text(whole + whole[:len(whole) // 2])  # a writer died mid-append
         cache = FeedbackCache(path)
         assert len(cache) == 1
-        cache.put("s", "t", "g", 0, 0, 1, 2.0)
+        cache.put("s", "t", "g", 0, 0, {1: 2.0})
         assert path.read_text().startswith(whole)
         assert len(path.read_text().splitlines()) == 2
         reloaded = FeedbackCache(path)
@@ -197,18 +197,60 @@ class TestFeedbackCache:
         cache = FeedbackCache(path)
         monkeypatch.setattr(scoring_mod, "open", counting_open, raising=False)
         for c in range(5):
-            cache.put("s", "t", "g", 0, 0, c, 1.0 + c)
+            cache.put("s", "t", "g", 0, 0, {c: 1.0 + c})
             assert len(path.read_text().splitlines()) == c + 1  # flushed before put returns
         assert len(opened) == 1
         cache.close()
-        cache.put("s", "t", "g", 0, 1, 0, 9.0)
+        cache.put("s", "t", "g", 0, 1, {0: 9.0})
         cache.close()
         assert len(opened) == 2
         assert len(FeedbackCache(path)) == 6
 
+    @pytest.mark.parametrize("value", [2.5, math.exp(0.1 + 2.0 * 0.87654321098766), 1.7e308,
+                                       math.inf])
+    def test_lines_are_json_dumps_of_their_records(self, tmp_path, value):
+        path = tmp_path / "cache.jsonl"
+        sid, th = 'http|m\u00e9|"quoted"', "t\\h"
+        FeedbackCache(path).put(sid, th, "g", 3, 9, {0: value, 2: 1.0})
+        expected = "".join(
+            json.dumps({"k": cache_key(sid, th, "g", 3, 9, c), "q": 3, "e": 9, "c": c, "ppl": v,
+                        "sid": sid, "th": th}) + "\n"
+            for c, v in ((0, value), (2, 1.0)))
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert FeedbackCache(path).get(sid, th, "g", 3, 9, 0) == value
+
+    def test_a_pair_is_appended_in_one_write(self, tmp_path, monkeypatch):
+        import gicl.scoring as scoring_mod
+
+        writes = []
+
+        class CountingFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                writes.append(text)
+                return self.fh.write(text)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        monkeypatch.setattr(scoring_mod, "open",
+                            lambda *a, **kw: CountingFile(open(*a, **kw)), raising=False)
+        path = tmp_path / "cache.jsonl"
+        cache = FeedbackCache(path)
+        cache.put("s", "t", "g", 0, 0, {0: 1.0, 1: 2.0, 2: 3.0})
+        cache.put("s", "t", "g", 0, 0, {1: 9.0, 3: 4.0})  # class 1 is already cached
+        cache.put("s", "t", "g", 0, 0, {2: 9.0})  # nothing new: no write
+        cache.close()
+        monkeypatch.undo()
+        assert len(writes) == 2
+        assert [json.loads(line)["c"] for line in path.read_text().splitlines()] == [0, 1, 2, 3]
+        assert FeedbackCache(path).get("s", "t", "g", 0, 0, 1) == 2.0
+
     def test_malformed_line_before_the_last_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        FeedbackCache(path).put("s", "t", "g", 0, 0, 0, 1.0)
+        FeedbackCache(path).put("s", "t", "g", 0, 0, {0: 1.0})
         path.write_text("{not json\n" + path.read_text())
         with pytest.raises(json.JSONDecodeError):
             FeedbackCache(path)
@@ -382,3 +424,23 @@ class TestRankCandidates:
                                                FeedbackCache(), client=client)
         assert n_unscored == 1  # candidate 3
         assert set(by_query[0].example_ids) == {1, 2}
+
+    def test_a_failed_class_leaves_its_pairs_scored_classes_cached(self, clean_sbm, tmp_path):
+        spec = ScorerSpec(kind="oracle")
+
+        class FailsClassOne(OracleClient):
+            def token_logprobs(self, prompt, continuation, meta=None):
+                if meta["example_ids"] == [3] and meta["class_index"] == 1:
+                    raise ScorerError("injected")
+                return super().token_logprobs(prompt, continuation, meta=meta)
+
+        path = tmp_path / "cache.jsonl"
+        cache = FeedbackCache(path)
+        _, n_unscored = rank_candidates(clean_sbm, {0: [1, 3]}, spec, DEFAULT_TEMPLATE, cache,
+                                        client=FailsClassOne(spec, clean_sbm))
+        cache.close()
+        assert n_unscored == 1
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        classes = range(clean_sbm.n_classes)
+        assert sorted((r["e"], r["c"]) for r in records) == sorted(
+            [(1, c) for c in classes] + [(3, c) for c in classes if c != 1])
