@@ -100,6 +100,9 @@ def resolve_inputs(args: argparse.Namespace) -> RunInputs:
         if unknown:
             raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
     mdir = Path(args.model) if getattr(args, "model", None) else None
+    if mdir and not (mdir / "manifest.json").is_file():
+        raise ValueError(f"{mdir} has no manifest.json: it is not a model directory, "
+                         "or the training run that wrote it did not finish")
     trained = RunManifest.load(mdir / "manifest.json") if mdir else None
     flags = {k: v for k, v in vars(args).items() if v is not None}
     settings = {**file_cfg, **(trained.config if trained else {}), **flags}
@@ -174,6 +177,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         model = train(run.graph, run.split, run.spec, run.template, run.config, cache=cache)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # the manifest marks a finished directory: gone while the other files change
+    (out / "manifest.json").unlink(missing_ok=True)
     model.params.save(out / "params.bin")
     model.embeddings.save(out / "embeddings")
     model.write_log(out / "train_log.csv")
@@ -218,7 +223,6 @@ def _run_and_report(args: argparse.Namespace) -> int:
         strategy, run.graph, run.split, run.spec, run.template, model=run.model,
         k_icl=run.config.k_icl, seed=run.config.seed, purify=getattr(args, "purify", None),
         purify_budget=getattr(args, "purify_budget", None),
-        single_thread=args.single_thread,
     )
     summary = evaluate_accuracy(rows)
     summary = {

@@ -119,27 +119,27 @@ class TagGraph:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Which nodes supervise training, act as L2R queries, and are held out."""
+    """Which nodes supervise training and which are held out."""
 
     labeled_ids: np.ndarray
-    query_train_ids: np.ndarray
     test_ids: np.ndarray
     fraction: float
     seed: int
 
     def __post_init__(self) -> None:
         labeled = np.ascontiguousarray(np.sort(self.labeled_ids), dtype=np.int64)
-        queries = np.ascontiguousarray(np.sort(self.query_train_ids), dtype=np.int64)
         test = np.ascontiguousarray(np.sort(self.test_ids), dtype=np.int64)
         object.__setattr__(self, "labeled_ids", labeled)
-        object.__setattr__(self, "query_train_ids", queries)
         object.__setattr__(self, "test_ids", test)
         if np.intersect1d(labeled, test).size:
             raise ValueError("labeled_ids and test_ids must be disjoint")
-        if not np.all(np.isin(queries, labeled)):
-            raise ValueError("query_train_ids must be a subset of labeled_ids")
-        for arr in (labeled, queries, test):
+        for arr in (labeled, test):
             arr.setflags(write=False)
+
+    @property
+    def query_train_ids(self) -> np.ndarray:
+        """The learning-to-retrieve queries: every labeled node is one."""
+        return self.labeled_ids
 
 
 def _build_csr(n_nodes: int, edges: np.ndarray, symmetrize: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +395,6 @@ def sample_label_fraction(
     labeled_ids = pool if fraction == 1.0 else _stratified_sample(rng, pool, graph.labels, fraction)
     return SplitSpec(
         labeled_ids=labeled_ids,
-        query_train_ids=labeled_ids,
         test_ids=test_ids,
         fraction=fraction,
         seed=seed,

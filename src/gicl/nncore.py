@@ -247,20 +247,15 @@ def l2_normalize_rows(tape: Tape, x: Tensor2) -> Tensor2:
 
 
 def dropout(tape: Tape, x: Tensor2, rate: float, rng: np.random.Generator) -> Tensor2:
-    """Inverted dropout; identity when rate is 0. The mask covers x's own rows."""
-    if not 0 <= rate < 1:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0:
-        mask = None
-        y = x.data.copy()
-    else:
-        mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / x.data.dtype.type(1 - rate)
-        y = x.data * mask
+    """Inverted dropout at a rate in (0, 1). The mask covers x's own rows."""
+    if not 0 < rate < 1:
+        raise ValueError(f"dropout rate must be in (0, 1), got {rate}")
+    mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / x.data.dtype.type(1 - rate)
 
     def back(g: Array) -> None:
-        _accum(x, g if mask is None else g * mask)
+        _accum(x, g * mask)
 
-    return tape.record(Tensor2(y), (x,), back)
+    return tape.record(Tensor2(x.data * mask), (x,), back)
 
 
 def gather_rows(tape: Tape, x: Tensor2, ids: Sequence[int]) -> Tensor2:
@@ -466,10 +461,10 @@ class ParamSet:
                 fh.write(self.tensors[n].data.astype("<f4").tobytes())
 
     @classmethod
-    def load(cls, path, dtype=np.float32) -> "ParamSet":
+    def load(cls, path) -> "ParamSet":
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode("utf-8"))
-            params = cls(dtype=dtype)
+            params = cls()
             for n in header["names"]:
                 rows, cols = header["shapes"][n]
                 raw = fh.read(rows * cols * 4)

@@ -279,8 +279,9 @@ def run_strategy(
         raise ValueError(f"purify budget must be at least 1, got {purify_budget}")
     if client is None:
         client = make_client(spec, graph)
+    if single_thread or plan.vote:
+        spec = replace(spec, max_parallel=1)
     queries = [int(q) for q in split.test_ids]
-    serial = single_thread or plan.vote
     source = plan.examples
     if k_icl == 0 and source in (RANDOM, RAW_KNN, TRAINED_KNN) and not plan.vote:
         source = NO_EXAMPLES  # an LLM strategy asked for no retrieved examples is zero-shot
@@ -297,7 +298,7 @@ def run_strategy(
         # each distinct neighbour is labeled once, by a zero-shot answer;
         # neighbours the LLM gives no label are left out of the prompt
         nodes = sorted({int(v) for q in queries for v in neighbors(graph, q)})
-        labels = fan_out(spec, lambda v: llm_row(v, [], []).predicted, nodes, serial)
+        labels = fan_out(spec, lambda v: llm_row(v, [], []).predicted, nodes)
         pseudo = dict(zip(nodes, labels))
 
     def examples_for(q: int) -> tuple[list[int], list[IclExample]]:
@@ -307,9 +308,9 @@ def run_strategy(
             ids = [int(v) for v in neighbors(graph, q) if pseudo[int(v)] is not None]
             return ids, [IclExample(graph.texts[v], graph.label_vocab[int(pseudo[v])]) for v in ids]
         if source == RANDOM:
-            ids = random_examples(split.labeled_ids, k_icl, seed, query_id=q).node_ids()
+            ids = random_examples(split.labeled_ids, k_icl, seed, query_id=q)
         else:
-            ids = retrieve_topk(index, vectors[q], k_icl, query_id=q).node_ids()
+            ids = retrieve_topk(index, vectors[q], k_icl, query_id=q)
         return ids, _examples_from_ids(graph, ids)
 
     def one(q: int) -> EvalRow:
@@ -322,7 +323,7 @@ def run_strategy(
         row = llm_row(q, ids, examples)
         return replace(row, note=note) if note else row
 
-    return fan_out(spec, one, queries, serial)
+    return fan_out(spec, one, queries)
 
 
 def sweep(
@@ -358,11 +359,12 @@ def sweep(
                 model = train(graph, split, spec, template, cfg, cache=cache)
                 k = cfg.k_icl
             else:
-                model, cfg = shared_model, base_config
-                k = int(value)
+                model, cfg, k = shared_model, base_config, int(value)
+                if k != value:
+                    raise ValueError(f"k_icl must be a whole number, got {value}")
             rows = run_strategy(
                 "askgnn", graph, split, spec, template, model=model,
-                k_icl=k, seed=cfg.seed, single_thread=True,
+                k_icl=k, seed=cfg.seed,
             )
             summary = evaluate_accuracy(rows)
             results.append({"value": value, "accuracy": summary["accuracy"], "error": ""})

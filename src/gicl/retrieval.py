@@ -1,10 +1,10 @@
 """Exact top-K retrieval over labeled nodes by cosine similarity.
 
-One brute-force flat index; no approximate structures. Hits are ordered by
-descending score with ties broken by ascending node id; scores that agree to
-12 decimals tie, so equal cosines that rounding left an ulp apart still do.
-The query node is never returned as its own candidate, and asking for more
-hits than exist returns everything.
+One brute-force flat index; no approximate structures. Retrieval returns
+node ids, ordered by descending score with ties broken by ascending node id;
+scores that agree to 12 decimals tie, so equal cosines that rounding left an
+ulp apart still do. The query node is never returned as its own candidate,
+and asking for more ids than exist returns everything.
 """
 
 from __future__ import annotations
@@ -13,21 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RetrievalResult:
-    query_id: int
-    hits: tuple[tuple[int, float], ...]
-
-    def node_ids(self) -> list[int]:
-        return [h[0] for h in self.hits]
-
-    def scores(self) -> list[float]:
-        return [h[1] for h in self.hits]
-
-    def __len__(self) -> int:
-        return len(self.hits)
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -62,8 +47,8 @@ def retrieve_topk(
     query_embedding: np.ndarray,
     k: int,
     query_id: int = -1,
-) -> RetrievalResult:
-    """The k most cosine-similar labeled nodes, the query itself removed."""
+) -> list[int]:
+    """Ids of the k most cosine-similar labeled nodes, the query itself removed."""
     if k < 1:
         raise ValueError("k must be >= 1")
     q = _normalize_rows(np.asarray(query_embedding, dtype=np.float64).reshape(1, -1))[0]
@@ -74,8 +59,7 @@ def retrieve_topk(
     scores = scores[keep]
 
     order = np.lexsort((ids, -np.round(scores, 12)))[: min(k, ids.size)]
-    hits = tuple((int(ids[i]), float(scores[i])) for i in order)
-    return RetrievalResult(query_id=int(query_id), hits=hits)
+    return ids[order].tolist()
 
 
 def random_examples(
@@ -83,14 +67,12 @@ def random_examples(
     k: int,
     seed: int,
     query_id: int = -1,
-) -> RetrievalResult:
-    """K distinct uniform draws, deterministic per (seed, query_id); scores 0."""
+) -> list[int]:
+    """K distinct uniform draws, deterministic per (seed, query_id)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     ids = np.asarray(sorted(set(int(i) for i in labeled_ids)), dtype=np.int64)
     ids = ids[ids != int(query_id)]
     rng = np.random.default_rng([seed & 0x7FFFFFFF, (int(query_id) + 1) & 0x7FFFFFFF])
     take = min(k, ids.size)
-    picked = rng.choice(ids, size=take, replace=False)
-    hits = tuple((int(i), 0.0) for i in picked)
-    return RetrievalResult(query_id=int(query_id), hits=hits)
+    return rng.choice(ids, size=take, replace=False).tolist()

@@ -591,10 +591,10 @@ class HttpClient:
             raise ScorerError("server response lacks completion text") from exc
 
 
-def fan_out(spec: ScorerSpec, fn: Callable, items: Sequence, serial: bool = False) -> list:
+def fan_out(spec: ScorerSpec, fn: Callable, items: Sequence) -> list:
     """``[fn(x) for x in items]``, on a pool of ``spec.max_parallel`` threads
-    when the scorer is HTTP (calls wait on the network) and ``serial`` is not set."""
-    if not serial and spec.kind == "http" and spec.max_parallel > 1 and len(items) > 1:
+    when the scorer is HTTP (calls wait on the network)."""
+    if spec.kind == "http" and spec.max_parallel > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=spec.max_parallel) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

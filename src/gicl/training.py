@@ -65,8 +65,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.beta <= 1:
             raise ValueError("beta must be in [0, 1]")
-        if self.tau <= 0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be finite and positive")
         if self.feedback_mode not in FEEDBACK_MODES:
             raise ValueError(f"feedback_mode must be one of {FEEDBACK_MODES}")
         if self.k_feedback < 1 or self.top_m < 1:
@@ -264,8 +264,8 @@ def collect_feedback_round(
     candidates: dict[int, list[int]] = {}
     for q in split.query_train_ids.tolist():
         hits = retrieve_topk(index, table.vectors[q], config.k_feedback, query_id=q)
-        if len(hits):
-            candidates[q] = hits.node_ids()
+        if hits:
+            candidates[q] = hits
     by_query, n_unscored = rank_candidates(graph, candidates, spec, template, cache, client=client)
     n_scored = sum(len(r) for r in by_query.values())
 

@@ -51,6 +51,14 @@ def echo_response(body: dict) -> dict:
     return {"choices": [completion]}
 
 
+def answer_first_label(body: dict) -> dict:
+    """Echo for scoring; for answers, the first label that occurs in the prompt."""
+    if body.get("max_tokens", 0) == 0:
+        return echo_response(body)
+    labels = re.findall(r"topic-\d+", body["prompt"])
+    return {"choices": [{"text": " " + (labels[0] if labels else "none"), "logprobs": None}]}
+
+
 class StubScorerServer:
     """Threaded HTTP stub. Use as a context manager; endpoint gives the URL."""
 

@@ -157,7 +157,7 @@ def test_c3_retrieval_matches_sort_oracle():
         ranked = sorted(
             ((i, float(vecs[i] @ qu)) for i in range(50)), key=lambda t: (-t[1], t[0])
         )[:7]
-        if got.node_ids() != [i for i, _ in ranked]:
+        if got != [i for i, _ in ranked]:
             mismatches += 1
     elapsed = time.perf_counter() - started
     check(
@@ -200,7 +200,7 @@ def mean_topk_utility(graph, split, vectors, k, unit_features) -> float:
     values = []
     for q in split.query_train_ids:
         q = int(q)
-        for e in retrieve_topk(index, vectors[q], k, query_id=q).node_ids():
+        for e in retrieve_topk(index, vectors[q], k, query_id=q):
             values.append(oracle_utility(graph, unit_features, q, e))
     return float(np.mean(values))
 

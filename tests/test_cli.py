@@ -2,14 +2,14 @@
 
 import argparse
 import json
-import re
 import shutil
 from pathlib import Path
 
 import pytest
-from stubserver import StubScorerServer, echo_response
+from stubserver import StubScorerServer, answer_first_label
 
 from gicl.cli import UNRECORDED, build_parser, main, resolve_inputs
+from gicl.encoder import EmbeddingTable
 from gicl.graphstore import bundle_hash, load_bundle, sample_label_fraction
 
 
@@ -99,6 +99,25 @@ class TestTrainArtifacts:
         assert code == 1
         assert "lr must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_retrain_that_fails_midway_leaves_no_usable_model(self, bundle, tmp_path, capsys,
+                                                              monkeypatch):
+        mdir, reports = tmp_path / "m", tmp_path / "reports"
+        train = ["train", "--bundle", str(bundle), "--out", str(mdir), *TRAIN_FLAGS]
+        run(train, capsys)
+
+        def disk_full(table, path_prefix):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(EmbeddingTable, "save", disk_full)
+            assert main([*train, "--epochs", "5"]) == 1
+        assert "No space left" in capsys.readouterr().err
+        code = main(["infer", "--bundle", str(bundle), "--model", str(mdir), "--k-icl", "4",
+                     "--out", str(reports), "--scorer-kind", "oracle", "--single-thread"])
+        assert code == 1
+        assert "did not finish" in capsys.readouterr().err
+        assert not reports.exists()
 
     def test_manifest_carries_config(self, model_dir):
         manifest = json.loads((model_dir / "manifest.json").read_text())
@@ -376,21 +395,13 @@ class TestManifestCoverage:
         assert len(list(tmp_path.glob("report-*.csv"))) == 2
 
 
-def _answer_first_label(body: dict) -> dict:
-    """Echo for scoring; for answers, the first label that occurs in the prompt."""
-    if body.get("max_tokens", 0) == 0:
-        return echo_response(body)
-    labels = re.findall(r"topic-\d+", body["prompt"])
-    return {"choices": [{"text": " " + (labels[0] if labels else "none"), "logprobs": None}]}
-
-
 class TestThreadCount:
     def test_thread_count_changes_no_result(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         run(["synth", "--n", "80", "--classes", "3", "--pin", "0.2", "--pout", "0.02",
              "--dim", "8", "--noise", "0.3", "--seed", "3", "--out", str(bundle)], capsys)
         outputs = []
-        with StubScorerServer(respond=_answer_first_label) as server:
+        with StubScorerServer(respond=answer_first_label) as server:
             for threads in ([], ["--single-thread"]):  # max_parallel 8, then 1
                 mdir, rdir = tmp_path / f"model{len(threads)}", tmp_path / f"reports{len(threads)}"
                 common = ["--bundle", str(bundle), "--scorer-kind", "http", "--endpoint",

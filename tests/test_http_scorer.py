@@ -14,12 +14,18 @@ import time
 import numpy as np
 import pytest
 
-from stubserver import StubScorerServer, echo_response, fake_logprob, tokenize
+from stubserver import (
+    StubScorerServer,
+    answer_first_label,
+    echo_response,
+    fake_logprob,
+    tokenize,
+)
 
 from gicl import scoring as scoring_mod
 from gicl.encoder import init_params
 from gicl.graphstore import neighbors, sample_label_fraction, synth_sbm
-from gicl.pipeline import run_strategy
+from gicl.pipeline import run_strategy, sweep
 from gicl.prompts import DEFAULT_TEMPLATE
 from gicl.scoring import (
     FeedbackCache,
@@ -631,3 +637,41 @@ class TestStrategiesOverHttp:
                 rows = run_strategy("npl", graph, split, spec, DEFAULT_TEMPLATE)
                 assert len(server.requests) == expected, max_parallel
             assert len(rows) == len(split.test_ids)
+
+    def test_single_thread_and_vote_strategies_build_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(scoring_mod, "ThreadPoolExecutor", no_pool)
+        graph = synth_sbm(n_nodes=30, n_classes=3, p_in=0.2, p_out=0.02, d=8, noise=0.3, seed=3)
+        split = sample_label_fraction(graph, 0.3, seed=1)
+        with StubScorerServer(keep_alive=True) as server:
+            spec = spec_for(server, max_parallel=4)
+            npl = run_strategy("npl", graph, split, spec, DEFAULT_TEMPLATE, single_thread=True)
+            mv = run_strategy("mv_knn", graph, split, spec, DEFAULT_TEMPLATE, k_icl=3)
+        assert len(npl) == len(mv) == len(split.test_ids)
+
+    def test_k_icl_sweep_uses_the_pool_and_matches_one_thread(self, monkeypatch):
+        pools = []
+
+        class CountingPool(scoring_mod.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scoring_mod, "ThreadPoolExecutor", CountingPool)
+        graph = synth_sbm(n_nodes=30, n_classes=3, p_in=0.2, p_out=0.02, d=8, noise=0.3, seed=4)
+        split = sample_label_fraction(graph, 0.3, seed=1)
+        cfg = TrainConfig(hidden_dim=8, n_layers=1, epochs=2, k_feedback=2)
+        values = [2, 4]
+        results = {}
+        for max_parallel in (1, 4):
+            pools.clear()
+            with StubScorerServer(respond=answer_first_label, keep_alive=True) as server:
+                results[max_parallel] = sweep("k_icl", values, graph, split,
+                                              spec_for(server, max_parallel=max_parallel),
+                                              DEFAULT_TEMPLATE, cfg)
+            # one pool per feedback round and one per inference run, or none at all
+            assert len(pools) == (cfg.rounds + len(values) if max_parallel > 1 else 0)
+        assert all(r["error"] == "" for r in results[1])
+        assert results[1] == results[4]

@@ -167,7 +167,7 @@ class TestStrategies:
         hits = 0
         for q in split.test_ids:
             q = int(q)
-            ids = retrieve_topk(index, g.features[q], cfg.k_icl, query_id=q).node_ids()
+            ids = retrieve_topk(index, g.features[q], cfg.k_icl, query_id=q)
             if any(g.labels[e] == g.labels[q] for e in ids):
                 hits += 1
         assert mv_acc <= hits / len(split.test_ids)
@@ -316,10 +316,12 @@ class TestSweep:
     def test_per_value_failures_recorded_not_raised(self, trained_clean):
         g, split, cfg, _ = trained_clean
         base = TrainConfig(epochs=5, hidden_dim=8, n_layers=1, k_feedback=3, seed=2)
-        results = sweep("k_icl", [3, -1], g, split, ORACLE, DEFAULT_TEMPLATE, base)
+        results = sweep("k_icl", [3, -1, 2.5], g, split, ORACLE, DEFAULT_TEMPLATE, base)
         assert results[0]["error"] == ""
         assert results[1]["error"] != ""
         assert np.isnan(results[1]["accuracy"])
+        assert "2.5" in results[2]["error"]
+        assert np.isnan(results[2]["accuracy"])
 
     def test_axis_validation(self, trained_clean):
         g, split, cfg, _ = trained_clean

@@ -4,24 +4,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gicl.retrieval import (
-    RetrievalResult,
-    build_index,
-    random_examples,
-    retrieve_topk,
-)
+from gicl.retrieval import build_index, random_examples, retrieve_topk
 
 
 def sort_oracle(ids, vectors, query, k):
     """Full sort by (cosine desc, id asc) — the brute-force reference."""
-    qu = query / (np.linalg.norm(query) or 1.0)
-    scored = []
-    for i in ids:
-        v = vectors[i].astype(np.float64)
-        v = v / (np.linalg.norm(v) or 1.0)
-        scored.append((i, float(v @ qu)))
+    scored = list(zip(ids, cosines(vectors, ids, query)))
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored[:k]
+
+
+def cosines(vectors, ids, query):
+    """Cosine of each listed row with the query, in the order listed."""
+    qu = query / (np.linalg.norm(query) or 1.0)
+    out = []
+    for i in ids:
+        v = vectors[i].astype(np.float64)
+        out.append(float(v / (np.linalg.norm(v) or 1.0) @ qu))
+    return out
+
+
+def non_increasing(scores, atol=1e-12):
+    """Descending up to the 12-decimal rounding that retrieval ties at."""
+    return all(scores[i] >= scores[i + 1] - atol for i in range(len(scores) - 1))
 
 
 def exact_cosine_oracle(ids, rows, query, k):
@@ -52,23 +57,23 @@ class TestBuildIndex:
         a = build_index(vecs, range(10))
         b = build_index(vecs, range(10))
         q = rng.standard_normal(6)
-        assert retrieve_topk(a, q, 4).hits == retrieve_topk(b, q, 4).hits
+        assert retrieve_topk(a, q, 4) == retrieve_topk(b, q, 4)
 
 
 class TestRetrieveTopk:
     def test_single_labeled_node_always_wins(self):
         vecs = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         index = build_index(vecs, [1])
-        res = retrieve_topk(index, np.array([9.0, -3.0]), 5)
-        assert res.node_ids() == [1]
+        assert retrieve_topk(index, np.array([9.0, -3.0]), 5) == [1]
 
     def test_identical_embedding_ranks_first(self):
         rng = np.random.default_rng(1)
         vecs = rng.standard_normal((10, 4))
         index = build_index(vecs, range(10))
-        res = retrieve_topk(index, vecs[6].copy(), 3)
-        assert res.node_ids()[0] == 6
-        assert res.hits[0][1] == pytest.approx(1.0, abs=1e-9)
+        q = vecs[6].copy()
+        ids = retrieve_topk(index, q, 3)
+        assert ids[0] == 6
+        assert cosines(vecs, ids, q)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_sort_oracle_on_random_unit_instances(self):
         rng = np.random.default_rng(42)
@@ -79,8 +84,8 @@ class TestRetrieveTopk:
             q = rng.standard_normal(8)
             got = retrieve_topk(index, q, 7)
             want = sort_oracle(range(50), vecs, q, 7)
-            assert got.node_ids() == [i for i, _ in want]
-            np.testing.assert_allclose(got.scores(), [s for _, s in want], atol=1e-12)
+            assert got == [i for i, _ in want]
+            np.testing.assert_allclose(cosines(vecs, got, q), [s for _, s in want], atol=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -97,22 +102,18 @@ class TestRetrieveTopk:
         q = np.array(query, dtype=np.float64)
         got = retrieve_topk(build_index(vecs, range(len(rows))), q, k, query_id=query_id)
         want = exact_cosine_oracle([i for i in range(len(rows)) if i != query_id], rows, query, k)
-        assert got.node_ids() == want
-        cosines = sort_oracle(want, vecs, q, k)
-        np.testing.assert_allclose(got.scores(), [s for _, s in cosines], atol=1e-12)
+        assert got == want
+        assert non_increasing(cosines(vecs, got, q))
 
     def test_tie_broken_by_ascending_id(self):
         vecs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         index = build_index(vecs, range(4))
-        res = retrieve_topk(index, np.array([2.0, 0.0]), 4)
-        assert res.node_ids() == [0, 1, 3, 2]
+        assert retrieve_topk(index, np.array([2.0, 0.0]), 4) == [0, 1, 3, 2]
 
     def test_query_and_exclusions_never_returned(self):
         vecs = np.tile(np.array([[1.0, 0.0]]), (6, 1))
         index = build_index(vecs, range(6))
-        res = retrieve_topk(index, np.array([1.0, 0.0]), 10, query_id=2)
-        assert res.node_ids() == [0, 1, 3, 4, 5]
-        assert res.query_id == 2
+        assert retrieve_topk(index, np.array([1.0, 0.0]), 10, query_id=2) == [0, 1, 3, 4, 5]
 
     def test_k_must_be_positive(self):
         index = build_index(np.ones((2, 2)), [0, 1])
@@ -123,19 +124,27 @@ class TestRetrieveTopk:
         rng = np.random.default_rng(3)
         vecs = rng.standard_normal((30, 5))
         q = rng.standard_normal(5)
-        base = retrieve_topk(build_index(vecs, range(30)), q, 30).node_ids()
+        base = retrieve_topk(build_index(vecs, range(30)), q, 30)
         for scale in (0.001, 7.0, 1e6):
-            scaled = retrieve_topk(build_index(vecs * scale, range(30)), q, 30).node_ids()
+            scaled = retrieve_topk(build_index(vecs * scale, range(30)), q, 30)
             assert scaled == base
 
     def test_full_k_is_total_order_consistent_with_pairwise_cosine(self):
         rng = np.random.default_rng(4)
         vecs = rng.standard_normal((15, 4))
         q = rng.standard_normal(4)
-        res = retrieve_topk(build_index(vecs, range(15)), q, 15)
-        scores = res.scores()
+        ids = retrieve_topk(build_index(vecs, range(15)), q, 15)
+        scores = cosines(vecs, ids, q)
         assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
-        assert sorted(res.node_ids()) == list(range(15))
+        assert sorted(ids) == list(range(15))
+
+    def test_returns_a_fresh_list_of_python_ints(self):
+        vecs = np.eye(3)
+        index = build_index(vecs, range(3))
+        ids = retrieve_topk(index, vecs[0], 2)
+        assert all(type(i) is int for i in ids)
+        ids.clear()
+        assert retrieve_topk(index, vecs[0], 2) == [0, 1]
 
 
 class TestKnnRawFeatures:
@@ -144,50 +153,41 @@ class TestKnnRawFeatures:
     def test_zero_noise_neighbors_share_class(self, clean_sbm):
         index = build_index(clean_sbm.features, clean_sbm.labeled_node_ids())
         for q in range(0, clean_sbm.n_nodes, 7):
-            res = retrieve_topk(index, clean_sbm.features[q], 4, query_id=q)
-            for e in res.node_ids():
+            for e in retrieve_topk(index, clean_sbm.features[q], 4, query_id=q):
                 assert clean_sbm.labels[e] == clean_sbm.labels[q]
 
     def test_k_beyond_pool_returns_everything_sorted(self, clean_sbm):
         labeled = [0, 1, 2]
         index = build_index(clean_sbm.features, labeled)
-        res = retrieve_topk(index, clean_sbm.features[5], 50, query_id=5)
-        assert sorted(res.node_ids()) == labeled
-        scores = res.scores()
-        assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
+        q = clean_sbm.features[5]
+        ids = retrieve_topk(index, q, 50, query_id=5)
+        assert sorted(ids) == labeled
+        assert non_increasing(cosines(clean_sbm.features, ids, q))
 
 
 class TestRandomExamples:
     def test_full_k_is_permutation(self):
-        res = random_examples(range(10), 10, seed=3, query_id=99)
-        assert sorted(res.node_ids()) == list(range(10))
-        assert all(s == 0.0 for s in res.scores())
+        ids = random_examples(range(10), 10, seed=3, query_id=99)
+        assert sorted(ids) == list(range(10))
+        assert all(type(i) is int for i in ids)
 
     def test_deterministic_per_seed_and_query(self):
         a = random_examples(range(20), 5, seed=8, query_id=3)
         b = random_examples(range(20), 5, seed=8, query_id=3)
         c = random_examples(range(20), 5, seed=8, query_id=4)
-        assert a.hits == b.hits
-        assert a.hits != c.hits
+        assert a == b
+        assert a != c
 
     def test_never_returns_query(self):
         for q in range(10):
-            res = random_examples(range(10), 9, seed=0, query_id=q)
-            assert q not in res.node_ids()
-            assert len(res.node_ids()) == 9
+            ids = random_examples(range(10), 9, seed=0, query_id=q)
+            assert q not in ids
+            assert len(ids) == 9
 
     def test_single_draw_frequencies_near_uniform(self):
         counts = np.zeros(10)
         for i in range(10_000):
-            res = random_examples(range(10), 1, seed=17, query_id=10_000 + i)
-            counts[res.node_ids()[0]] += 1
+            counts[random_examples(range(10), 1, seed=17, query_id=10_000 + i)[0]] += 1
         expected = 1000.0
         sigma = np.sqrt(10_000 * 0.1 * 0.9)
         assert np.all(np.abs(counts - expected) <= 3 * sigma)
-
-
-def test_result_is_frozen():
-    res = RetrievalResult(query_id=1, hits=((2, 0.5),))
-    with pytest.raises(AttributeError):
-        res.query_id = 7
-

@@ -373,8 +373,8 @@ class TestTapeGradients:
             texts=tuple(f"doc {i}" for i in range(n)), labels=np.arange(n) % 3,
             label_vocab=("a", "b", "c"),
         )
-        split = SplitSpec(labeled_ids=np.arange(6), query_train_ids=np.arange(6),
-                          test_ids=np.arange(20, 26), fraction=0.15, seed=0)
+        split = SplitSpec(labeled_ids=np.arange(6), test_ids=np.arange(20, 26), fraction=0.15,
+                          seed=0)
         params = init_params(self.RING_CFG.encoder_config(graph), seed=2, dtype=np.float64)
         feedback = collect_feedback_round(graph, split, params, self.RING_CFG, ORACLE,
                                           DEFAULT_TEMPLATE, FeedbackCache())
@@ -514,7 +514,7 @@ class TestTrain:
             index = build_index(model.embeddings.vectors, clean_split.labeled_ids)
             for q in clean_split.query_train_ids:
                 q = int(q)
-                top = retrieve_topk(index, model.embeddings.vectors[q], 1, query_id=q).node_ids()[0]
+                top = retrieve_topk(index, model.embeddings.vectors[q], 1, query_id=q)[0]
                 assert clean_sbm.labels[top] == clean_sbm.labels[q], (tau, q)
 
     def test_config_validation(self):
@@ -530,6 +530,7 @@ class TestTrain:
     BAD_VALUES = [
         {"k_feedback": 0}, {"top_m": 0}, {"k_icl": -1}, {"rounds": 0}, {"epochs": -1},
         {"lr": -1.0}, {"lr": 0.0}, {"lr": math.inf}, {"lr": math.nan},
+        {"tau": math.inf}, {"tau": math.nan},
         {"dropout": 1.0}, {"dropout": 1.5}, {"dropout": -0.1},
         {"coverage_floor": 2.0}, {"coverage_floor": -0.5},
     ]
