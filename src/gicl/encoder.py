@@ -7,7 +7,8 @@ Layer rule (every neighbour, no neighbor sampling):
 The last layer skips the ReLU so embeddings are not confined to the
 positive orthant, and the output rows are L2-normalized so cosine
 similarity downstream reduces to a dot product. Dropout (inverted) sits
-between layers and only fires when the training flag is set.
+between layers and only fires when the training flag is set. Each layer,
+dropout included, is one ``nncore.sage_layer`` node on the tape.
 
 An EncodePlan says which rows each layer computes. Evaluation encodes the
 whole graph; training computes only the receptive field of the nodes its
@@ -88,7 +89,6 @@ class EncodePlan:
     sum the full graph computes, in the same order.
     """
 
-    n_nodes: int
     rows: tuple[np.ndarray, ...]
     aggregators: tuple[RowAggregator, ...]
     own: tuple[np.ndarray | None, ...]
@@ -120,65 +120,44 @@ def encode_plan(graph: TagGraph, n_layers: int, nodes: np.ndarray | None = None)
         rows.insert(0, groups if self_pos is None else inputs)
         aggregators.insert(0, agg)
         own.insert(0, self_pos)
-    return EncodePlan(n, tuple(rows), tuple(aggregators), tuple(own))
-
-
-def _own_rows(tape: Tape, h: Tensor2, plan: EncodePlan, layer: int) -> Tensor2:
-    pos = plan.own[layer]
-    return h if pos is None else nncore.gather_rows(tape, h, pos)
-
-
-def feature_inputs(tape: Tape, features: Tensor2, plan: EncodePlan) -> tuple[Tensor2, Tensor2]:
-    """Layer 0's own rows and neighbour means of the node features. They
-    depend on no parameter, so a training round computes them once."""
-    if features.rows != plan.n_nodes:
-        raise ValueError(f"feature rows {features.rows} != graph nodes {plan.n_nodes}")
-    x = features
-    if plan.rows[0].size < plan.n_nodes:
-        x = nncore.gather_rows(tape, features, plan.rows[0])
-    return _own_rows(tape, x, plan, 0), nncore.mean_rows(tape, x, plan.aggregators[0])
+    return EncodePlan(tuple(rows), tuple(aggregators), tuple(own))
 
 
 def encode_on_tape(
     tape: Tape,
-    inputs: tuple[Tensor2, Tensor2],
+    inputs: Tensor2,
     plan: EncodePlan,
     params: ParamSet,
     config: EncoderConfig,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor2:
-    """Forward pass on an existing tape from ``feature_inputs``; returns the
+    """Forward pass on an existing tape, one ``nncore.sage_layer`` per layer,
+    from ``inputs``, the feature rows of ``plan.rows[0]``; returns the
     L2-normalized embeddings of ``plan.rows[-1]``."""
-    own, neigh = inputs
-    if own.cols != config.input_dim:
-        raise ValueError(f"feature dim {own.cols} != configured input_dim {config.input_dim}")
+    if inputs.shape != (plan.rows[0].size, config.input_dim):
+        raise ValueError(f"feature rows x dim {inputs.shape}: the plan reads {plan.rows[0].size} rows, "
+                         f"input_dim is {config.input_dim}")
     if len(plan.aggregators) != config.n_layers:
         raise ValueError(f"plan has {len(plan.aggregators)} layers, config {config.n_layers}")
-    if training and config.dropout > 0 and rng is None:
+    rate = config.dropout if training else 0.0
+    if rate > 0 and rng is None:
         raise ValueError("training-mode encoding with dropout needs an rng")
+    h = inputs
     for i in range(config.n_layers):
-        if i > 0:
-            own, neigh = _own_rows(tape, h, plan, i), nncore.mean_rows(tape, h, plan.aggregators[i])
-        h = nncore.add(
-            tape,
-            nncore.linear(tape, own, params[f"layer{i}.w_self"], params[f"layer{i}.b"]),
-            nncore.linear(tape, neigh, params[f"layer{i}.w_neigh"]),
+        hidden = i < config.n_layers - 1
+        h = nncore.sage_layer(
+            tape, h, plan.aggregators[i], plan.own[i], params[f"layer{i}.w_self"],
+            params[f"layer{i}.w_neigh"], params[f"layer{i}.b"], hidden, rate if hidden else 0.0, rng,
         )
-        if i < config.n_layers - 1:
-            h = nncore.relu(tape, h)
-            if training and config.dropout > 0:
-                h = nncore.dropout(tape, h, config.dropout, rng)
     return nncore.l2_normalize_rows(tape, h)
 
 
 def encode_all(graph: TagGraph, params: ParamSet, config: EncoderConfig) -> EmbeddingTable:
     """Encode every node in eval mode (no dropout); bitwise repeatable."""
     feats = Tensor2(graph.features.astype(params.dtype))
-    plan = encode_plan(graph, config.n_layers)
-    tape = Tape()
-    out = encode_on_tape(tape, feature_inputs(tape, feats, plan), plan, params, config)
-    return EmbeddingTable(vectors=out.data.copy())
+    out = encode_on_tape(Tape(), feats, encode_plan(graph, config.n_layers), params, config)
+    return EmbeddingTable(vectors=out.data)
 
 
 def logits_on_tape(tape: Tape, embeddings: Tensor2, params: ParamSet) -> Tensor2:

@@ -32,7 +32,6 @@ from .encoder import (
     encode_all,
     encode_on_tape,
     encode_plan,
-    feature_inputs,
     init_params,
     logits_on_tape,
 )
@@ -142,31 +141,43 @@ def positive_weights(ranked: RankedSet, mode: str, top_m: int) -> np.ndarray:
     return w
 
 
-def feedback_loss(
-    tape: Tape,
-    embeddings: Tensor2,
-    feedback: FeedbackSet,
-    config: TrainConfig,
-) -> Tensor2:
+@dataclass(frozen=True)
+class FeedbackLists:
+    """A round's non-empty candidate lists, flat and in query order: pair j
+    is (``queries[j]``, ``candidates[j]``) with positive weight
+    ``weights[j]``, and ``sizes`` are the lengths of consecutive lists."""
+
+    queries: np.ndarray
+    candidates: np.ndarray
+    sizes: np.ndarray
+    weights: np.ndarray
+
+
+def feedback_lists(feedback: FeedbackSet, config: TrainConfig) -> FeedbackLists:
+    """Flatten each query's ranked candidates, positives by feedback_mode."""
+    lists = [(q, r) for q, r in sorted(feedback.by_query.items()) if len(r) > 0]
+    sizes = np.array([len(r) for _, r in lists], dtype=np.int64)
+    return FeedbackLists(
+        queries=np.repeat(np.array([q for q, _ in lists], dtype=np.int64), sizes),
+        candidates=np.array([e for _, r in lists for e in r.example_ids], dtype=np.int64),
+        sizes=sizes,
+        weights=np.concatenate([np.zeros(0)] + [positive_weights(r, config.feedback_mode, config.top_m)
+                                                for _, r in lists]),
+    )
+
+
+def feedback_loss(tape: Tape, embeddings: Tensor2, lists: FeedbackLists, tau: float) -> Tensor2:
     """Listwise softmax loss over each query's candidates at temperature tau.
 
     For every query the full candidate set forms the softmax denominator;
-    positives (by feedback_mode) supply the numerators. Normalized by the
-    total positive weight. Embedding rows must already be L2-normalized so
-    the similarity is a cosine.
+    positives supply the numerators. Normalized by the total positive
+    weight. Embedding rows must already be L2-normalized so the similarity
+    is a cosine.
     """
-    by_query = feedback.by_query
-    queries = [q for q, r in sorted(by_query.items()) if len(r) > 0]
-    if not queries:
+    if lists.sizes.size == 0:
         raise ValueError("feedback_loss: no query has a scored candidate")
-
-    ranked = [by_query[q] for q in queries]
-    sizes = np.array([len(r) for r in ranked])
-    c_flat = np.concatenate([r.example_ids for r in ranked])
-    weights = np.concatenate([positive_weights(r, config.feedback_mode, config.top_m) for r in ranked])
-
-    sims = nncore.gram_pairs(tape, embeddings, np.repeat(queries, sizes), c_flat, 1.0 / config.tau)
-    return nncore.listwise_xent(tape, sims, sizes, weights)
+    sims = nncore.gram_pairs(tape, embeddings, lists.queries, lists.candidates, 1.0 / tau)
+    return nncore.listwise_xent(tape, sims, lists.sizes, lists.weights)
 
 
 def clf_loss(
@@ -191,33 +202,30 @@ def combined_loss(tape: Tape, lf: Tensor2, lc: Tensor2, beta: float) -> Tensor2:
 
 @dataclass(frozen=True)
 class RoundBatch:
-    """One round's fixed training inputs. Every node id in ``feedback``,
-    ``labeled`` and ``labels`` is replaced by its row in the plan's output,
-    which keeps id order, so the losses read the embeddings the plan yields."""
+    """One round's fixed training inputs: layer 0's feature rows, then the
+    feedback lists, labeled nodes and labels with each node id replaced by its
+    row in the plan's output (which keeps id order), where the losses read it."""
 
     plan: EncodePlan
-    inputs: tuple[Tensor2, Tensor2]
-    feedback: FeedbackSet
+    inputs: Tensor2
+    feedback: FeedbackLists
     labeled: np.ndarray
     labels: np.ndarray
 
 
 def round_batch(
-    graph: TagGraph, split: SplitSpec, feedback: FeedbackSet, features: Tensor2, n_layers: int
+    graph: TagGraph, split: SplitSpec, feedback: FeedbackSet, features: Tensor2, config: TrainConfig
 ) -> RoundBatch:
     """Plan the rows both losses can reach and map their node ids to them."""
-    queries, ranked = list(feedback.by_query), list(feedback.by_query.values())
-    nodes = np.concatenate([split.labeled_ids, queries, *(r.example_ids for r in ranked)])
-    plan = encode_plan(graph, n_layers, nodes.astype(np.int64))
+    lists = feedback_lists(feedback, config)
+    nodes = np.concatenate([split.labeled_ids, lists.queries, lists.candidates])
+    plan = encode_plan(graph, config.n_layers, nodes)
     out = plan.rows[-1]
-    by_query = {
-        q: RankedSet(q, tuple(np.searchsorted(out, r.example_ids).tolist()), r.utilities)
-        for q, r in zip(np.searchsorted(out, queries).tolist(), ranked)
-    }
     return RoundBatch(
         plan=plan,
-        inputs=feature_inputs(Tape(), features, plan),
-        feedback=replace(feedback, by_query=by_query),
+        inputs=Tensor2(features.data[plan.rows[0]]),
+        feedback=replace(lists, queries=np.searchsorted(out, lists.queries),
+                         candidates=np.searchsorted(out, lists.candidates)),
         labeled=np.searchsorted(out, split.labeled_ids),
         labels=graph.labels[out],
     )
@@ -234,7 +242,7 @@ def epoch_loss(
 ) -> tuple[Tensor2, Tensor2, Tensor2]:
     """(combined, feedback, classification) losses of one forward pass."""
     emb = encode_on_tape(tape, batch.inputs, batch.plan, params, enc, training=training, rng=rng)
-    lf = feedback_loss(tape, emb, batch.feedback, config)
+    lf = feedback_loss(tape, emb, batch.feedback, config.tau)
     lc = clf_loss(tape, emb, params, batch.labels, batch.labeled)
     return combined_loss(tape, lf, lc, config.beta), lf, lc
 
@@ -306,7 +314,7 @@ def train(
             graph, split, params, config, spec, template, cache,
             client=client, round_index=round_index,
         )
-        batch = round_batch(graph, split, feedback, features, enc.n_layers)
+        batch = round_batch(graph, split, feedback, features, config)
         for epoch in range(config.epochs):
             try:
                 tape = Tape()

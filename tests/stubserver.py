@@ -13,6 +13,7 @@ By default the stub speaks HTTP/1.0 and closes each connection after one
 response. ``keep_alive=True`` switches to HTTP/1.1 keep-alive, and
 ``idle_timeout`` (seconds) makes the server close a connection that has sat
 idle that long. ``connections`` counts the connections the stub accepted.
+Accepted sockets set TCP_NODELAY.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ class StubScorerServer:
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
             timeout = idle_timeout
+            # TCP_NODELAY: a keep-alive reply's head and body are two writes, and
+            # without it the body waits on Nagle's algorithm and the delayed ACK
+            disable_nagle_algorithm = True
 
             def setup(self):
                 super().setup()

@@ -41,6 +41,7 @@ from gicl.training import (
     collect_feedback_round,
     combined_loss,
     epoch_loss,
+    feedback_lists,
     feedback_loss,
     round_batch,
     train,
@@ -80,7 +81,7 @@ def test_c1_gradient_correctness_of_combined_loss():
     )
     # the loss train() builds each epoch, through the same plan, in eval mode
     batch = round_batch(graph, split, feedback, Tensor2(graph.features.astype(np.float64)),
-                        enc.n_layers)
+                        config)
 
     def build_loss(tape: Tape):
         return epoch_loss(tape, batch, params, enc, config, training=False)[0]
@@ -126,7 +127,7 @@ def test_c2_closed_form_unit_values():
         round_index=0, n_scored=1, n_unscored=0,
     )
     cfg = TrainConfig(k_feedback=3, epochs=1, hidden_dim=4, n_layers=1)
-    got = feedback_loss(Tape(), emb, singleton, cfg).item()
+    got = feedback_loss(Tape(), emb, feedback_lists(singleton, cfg), cfg.tau).item()
     if got != 0.0:
         failures.append(f"singleton feedback loss {got!r} != 0")
 

@@ -9,7 +9,6 @@ from gicl.encoder import (
     encode_all,
     encode_on_tape,
     encode_plan,
-    feature_inputs,
     init_params,
     logits_on_tape,
 )
@@ -20,7 +19,7 @@ from gicl.nncore import Tape, Tensor2, backward
 def encode(tape, graph, params, cfg, nodes=None, training=False, rng=None):
     """Embeddings of ``nodes`` (every node when None) through one plan."""
     plan = encode_plan(graph, cfg.n_layers, nodes)
-    inputs = feature_inputs(tape, Tensor2(graph.features.astype(params.dtype)), plan)
+    inputs = Tensor2(graph.features.astype(params.dtype)[plan.rows[0]])
     return encode_on_tape(tape, inputs, plan, params, cfg, training=training, rng=rng)
 
 
@@ -201,6 +200,18 @@ class TestEncodePlan:
         assert loss == full_loss
         for name, g in full_grads.items():
             assert np.abs(grads[name] - g).max() <= tol * np.abs(g).max(), name
+
+    def test_training_encode_draws_one_mask_per_hidden_layer_in_order(self):
+        graph = self.sparse_graph()
+        cfg = EncoderConfig(input_dim=5, n_classes=3, n_layers=3, hidden_dim=12, dropout=0.5)
+        params = init_params(cfg, seed=4)
+        plan = encode_plan(graph, cfg.n_layers, self.LOSS_NODES)
+        used, expected = np.random.default_rng(8), np.random.default_rng(8)
+        encode(Tape(), graph, params, cfg, self.LOSS_NODES, training=True, rng=used)
+        for rows in plan.rows[1:-1]:  # what layers 0 .. L-2 write
+            expected.random((rows.size, cfg.hidden_dim))
+        assert [rows.size for rows in plan.rows[1:-1]] != [graph.n_nodes] * 2
+        assert used.bit_generator.state == expected.bit_generator.state
 
     def test_plan_rows_are_the_receptive_field(self, path_graph):
         # path 0-1-2-3-4-5 plus isolated 6: layer l reads 3 - l hops around {1, 6}

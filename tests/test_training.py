@@ -9,7 +9,7 @@ from conftest import finite_difference_grads, gradcheck_errors
 
 from gicl import nncore
 from gicl import scoring as scoring_mod
-from gicl.encoder import encode_on_tape, encode_plan, feature_inputs, init_params
+from gicl.encoder import encode_on_tape, encode_plan, init_params
 from gicl.graphstore import SplitSpec, TagGraph, _build_csr, sample_label_fraction, synth_sbm
 from gicl.nncore import Tape, Tensor2, adam_step, backward
 from gicl.prompts import DEFAULT_TEMPLATE, render
@@ -29,6 +29,7 @@ from gicl.training import (
     collect_feedback_round,
     combined_loss,
     epoch_loss,
+    feedback_lists,
     feedback_loss,
     positive_weights,
     round_batch,
@@ -46,6 +47,11 @@ def unit_rows(*rows):
 def fb(query_to_ranked):
     total = sum(len(r) for r in query_to_ranked.values())
     return FeedbackSet(by_query=query_to_ranked, round_index=0, n_scored=total, n_unscored=0)
+
+
+def lists(feedback, config):
+    """feedback_loss's last two arguments for ``feedback`` under ``config``."""
+    return feedback_lists(feedback, config), config.tau
 
 
 class TestPositiveWeights:
@@ -75,14 +81,14 @@ class TestFeedbackLoss:
         emb = Tensor2(unit_rows([1, 0], [0, 1]))
         ranked = {0: RankedSet(query_id=0, example_ids=(1,), utilities=(0.5,))}
         for mode in ("top_m", "all", "rank_discount"):
-            loss = feedback_loss(Tape(), emb, fb(ranked), self.config(feedback_mode=mode))
+            loss = feedback_loss(Tape(), emb, *lists(fb(ranked), self.config(feedback_mode=mode)))
             assert loss.item() == 0.0
 
     def test_two_candidate_hand_value(self):
         # sims: query row 0 against candidates 1 (cos 1) and 2 (cos 0)
         emb = Tensor2(unit_rows([1, 0], [1, 0], [0, 1]))
         ranked = {0: RankedSet(query_id=0, example_ids=(1, 2), utilities=(0.9, 0.1))}
-        loss = feedback_loss(Tape(), emb, fb(ranked), self.config(top_m=1))
+        loss = feedback_loss(Tape(), emb, *lists(fb(ranked), self.config(top_m=1)))
         assert math.isclose(loss.item(), math.log(1 + math.exp(-1)), rel_tol=1e-12)
 
     def test_all_mode_ignores_ranking_permutation(self):
@@ -92,14 +98,14 @@ class TestFeedbackLoss:
         for order in orders:
             ranked = {0: RankedSet(query_id=0, example_ids=order, utilities=(0.9, 0.5, 0.1))}
             losses.append(
-                feedback_loss(Tape(), emb, fb(ranked), self.config(feedback_mode="all")).item()
+                feedback_loss(Tape(), emb, *lists(fb(ranked), self.config(feedback_mode="all"))).item()
             )
         assert math.isclose(losses[0], losses[1], rel_tol=1e-12)
 
     def test_temperature_scales_scores(self):
         emb = Tensor2(unit_rows([1, 0], [1, 0], [0, 1]))
         ranked = {0: RankedSet(query_id=0, example_ids=(1, 2), utilities=(0.9, 0.1))}
-        loss_tau_half = feedback_loss(Tape(), emb, fb(ranked), self.config(tau=0.5))
+        loss_tau_half = feedback_loss(Tape(), emb, *lists(fb(ranked), self.config(tau=0.5)))
         assert math.isclose(loss_tau_half.item(), math.log(1 + math.exp(-2)), rel_tol=1e-10)
 
     def test_nonnegative_and_zero_only_at_full_mass(self):
@@ -109,13 +115,13 @@ class TestFeedbackLoss:
             tape = Tape()
             normed = nncore.l2_normalize_rows(tape, emb)
             ranked = {0: RankedSet(query_id=0, example_ids=(1, 2, 3), utilities=(3, 2, 1))}
-            loss = feedback_loss(tape, normed, fb(ranked), self.config())
+            loss = feedback_loss(tape, normed, *lists(fb(ranked), self.config()))
             assert loss.item() >= 0
 
     def test_empty_feedback_rejected(self):
         emb = Tensor2(np.eye(3))
         with pytest.raises(ValueError):
-            feedback_loss(Tape(), emb, fb({}), self.config())
+            feedback_loss(Tape(), emb, *lists(fb({}), self.config()))
 
     def test_dropping_unscored_pairs_preserves_scored_contribution(self):
         # in top_m mode with the positive scored, removing an unscored
@@ -126,10 +132,10 @@ class TestFeedbackLoss:
             3: RankedSet(query_id=3, example_ids=(2, 4), utilities=(0.8, 0.2)),
         }
         cfg = self.config(top_m=1)
-        full = feedback_loss(Tape(), emb, fb(both), cfg).item()
+        full = feedback_loss(Tape(), emb, *lists(fb(both), cfg)).item()
         # per-query contributions, each computed alone
-        alone0 = feedback_loss(Tape(), emb, fb({0: both[0]}), cfg).item()
-        alone3 = feedback_loss(Tape(), emb, fb({3: both[3]}), cfg).item()
+        alone0 = feedback_loss(Tape(), emb, *lists(fb({0: both[0]}), cfg)).item()
+        alone3 = feedback_loss(Tape(), emb, *lists(fb({3: both[3]}), cfg)).item()
         assert math.isclose(full, (alone0 + alone3) / 2, rel_tol=1e-12)
 
 
@@ -313,9 +319,9 @@ class TestTapeGradients:
 
     def epoch_loss(self, tape, graph, split, params, features, feedback):
         enc = self.CFG.encoder_config(graph)
-        batch = round_batch(graph, split, feedback, features, enc.n_layers)
-        # the features' own rows and means on this tape, so a gradient could reach them
-        batch = replace(batch, inputs=feature_inputs(tape, features, batch.plan))
+        batch = round_batch(graph, split, feedback, features, self.CFG)
+        # layer 0's feature rows gathered on this tape, so a gradient could reach them
+        batch = replace(batch, inputs=nncore.gather_rows(tape, features, batch.plan.rows[0]))
         loss, _, _ = epoch_loss(tape, batch, params, enc, self.CFG, rng=np.random.default_rng(0))
         return loss
 
@@ -379,7 +385,7 @@ class TestTapeGradients:
         feedback = collect_feedback_round(graph, split, params, self.RING_CFG, ORACLE,
                                           DEFAULT_TEMPLATE, FeedbackCache())
         features = Tensor2(graph.features.astype(np.float64))
-        return graph, params, round_batch(graph, split, feedback, features, self.RING_CFG.n_layers)
+        return graph, params, round_batch(graph, split, feedback, features, self.RING_CFG)
 
     def test_training_epoch_on_a_subgraph_matches_finite_differences(self):
         graph, params, batch = self.ring_round()
@@ -435,7 +441,7 @@ class TestTrain:
         params = init_params(enc, cfg.seed)
         rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, 0xD0])
         plan = encode_plan(clean_sbm, enc.n_layers, clean_split.labeled_ids)
-        inputs = feature_inputs(Tape(), Tensor2(clean_sbm.features.astype(params.dtype)), plan)
+        inputs = Tensor2(clean_sbm.features.astype(params.dtype)[plan.rows[0]])
         rows = np.searchsorted(plan.rows[-1], clean_split.labeled_ids)
         for _ in range(cfg.epochs):
             tape = Tape()
