@@ -24,12 +24,13 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 UNLABELED = -1
-SBM_BLOCK_DRAWS = 1 << 22  # uniforms per synth_sbm row block: 32 MB of float64
+SBM_BLOCK_DRAWS = 1 << 18  # uniforms per synth_sbm row block: 2 MB of float64
 
 BUNDLE_FILES = ("nodes.jsonl", "edges.tsv", "features.bin", "features.json", "labels.json")
 
@@ -148,7 +149,8 @@ def _build_csr(n_nodes: int, edges: np.ndarray, symmetrize: bool) -> tuple[np.nd
     src, dst = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
     if symmetrize:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    keys = np.unique((src * n_nodes + dst)[src != dst])
+    keys = np.sort((src * n_nodes + dst)[src != dst])
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
     offsets = np.zeros(n_nodes + 1, dtype=np.int64)
     offsets[1:] = np.cumsum(np.bincount(keys // n_nodes, minlength=n_nodes))
     return offsets, keys % n_nodes
@@ -211,6 +213,35 @@ def read_matrix(prefix: Path, expected_rows: int | None = None) -> np.ndarray:
     return raw.reshape(rows, cols)
 
 
+def _read_edges(path: Path, id_map: dict[int, int]) -> np.ndarray:
+    """The (src, dst) rows of edges.tsv as node indices; ``id_map`` maps the
+    nodes.jsonl ids to them. All cells are converted in one pass; a file that
+    fails is read again line by line, to name its first bad line."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    rows = list(filter(None, map(str.strip, lines)))
+    cells = "\t".join(rows).split("\t") if rows else []
+    try:
+        if len(cells) != 2 * len(rows) or not all(map(str.__contains__, rows, repeat("\t"))):
+            raise ValueError("a line is not two tab-separated cells")
+        return np.fromiter(map(id_map.__getitem__, map(int, cells)), dtype=np.int64,
+                           count=len(cells)).reshape(-1, 2)
+    except (ValueError, KeyError):
+        pass
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.strip().split("\t")
+        if parts == [""]:
+            continue
+        if len(parts) != 2:
+            raise BundleError(f"edges.tsv line {lineno}: expected two tab-separated ids")
+        try:
+            unknown = [end for end in map(int, parts) if end not in id_map]
+        except ValueError as exc:
+            raise BundleError(f"edges.tsv line {lineno}: non-integer node id") from exc
+        if unknown:
+            raise BundleError(f"edges.tsv line {lineno}: unknown node id {unknown[0]}")
+    raise BundleError(f"{path}: no line is bad, yet the ids did not convert")
+
+
 def load_bundle(path: str | Path, symmetrize: bool = True) -> TagGraph:
     """Load and validate a graph bundle directory."""
     root = Path(path)
@@ -224,32 +255,38 @@ def load_bundle(path: str | Path, symmetrize: bool = True) -> TagGraph:
         raise BundleError(f"{root / 'labels.json'}: expected a JSON array of class strings")
     class_index = {name: i for i, name in enumerate(vocab)}
 
+    decode = json.JSONDecoder().raw_decode
     texts: list[str] = []
     labels: list[int] = []
     id_map: dict[int, int] = {}
-    with open(root / "nodes.jsonl", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    lines = (root / "nodes.jsonl").read_text(encoding="utf-8").split("\n")  # not splitlines: U+2028
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj, end = decode(line)
+            if end != len(line):
+                json.loads(line)  # raises the "Extra data" error
+        except json.JSONDecodeError as exc:
+            raise BundleError(f"nodes.jsonl line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict) or "id" not in obj or not isinstance(obj.get("text"), str):
+            raise BundleError(f"nodes.jsonl line {lineno}: object needs 'id' and 'text', a string")
+        orig, raw_label = obj["id"], obj.get("label")
+        if isinstance(orig, (str, float)):  # 3.0 and "3" are integer-valued ids too
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise BundleError(f"nodes.jsonl line {lineno}: invalid JSON ({exc.msg})") from exc
-            if "id" not in obj or "text" not in obj:
-                raise BundleError(f"nodes.jsonl line {lineno}: object needs 'id' and 'text'")
-            orig = int(obj["id"])
-            if orig in id_map:
-                raise BundleError(f"nodes.jsonl line {lineno}: duplicate node id {orig}")
-            id_map[orig] = len(texts)
-            texts.append(str(obj["text"]))
-            raw_label = obj.get("label")
-            if raw_label is None:
-                labels.append(UNLABELED)
-            elif raw_label in class_index:
-                labels.append(class_index[raw_label])
-            else:
-                raise BundleError(f"nodes.jsonl line {lineno}: unknown label {raw_label!r}")
+                orig = int(orig) if isinstance(orig, str) or orig.is_integer() else None
+            except ValueError:
+                orig = None
+        if type(orig) is not int:
+            raise BundleError(f"nodes.jsonl line {lineno}: node id {obj['id']!r} is not an integer")
+        if orig in id_map:
+            raise BundleError(f"nodes.jsonl line {lineno}: duplicate node id {orig}")
+        if raw_label is not None and not (isinstance(raw_label, str) and raw_label in class_index):
+            raise BundleError(f"nodes.jsonl line {lineno}: unknown label {raw_label!r}")
+        id_map[orig] = len(texts)
+        texts.append(obj["text"])
+        labels.append(UNLABELED if raw_label is None else class_index[raw_label])
     n_nodes = len(texts)
 
     features = read_matrix(root / "features", expected_rows=n_nodes)
@@ -258,23 +295,7 @@ def load_bundle(path: str | Path, symmetrize: bool = True) -> TagGraph:
         r, c = bad[0]
         raise BundleError(f"features.bin row {r} col {c}: non-finite value")
 
-    edge_list: list[tuple[int, int]] = []
-    with open(root / "edges.tsv", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise BundleError(f"edges.tsv line {lineno}: expected two tab-separated ids")
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise BundleError(f"edges.tsv line {lineno}: non-integer node id") from exc
-            if src not in id_map or dst not in id_map:
-                raise BundleError(f"edges.tsv line {lineno}: unknown node id {src if src not in id_map else dst}")
-            edge_list.append((id_map[src], id_map[dst]))
-    edges = np.array(edge_list, dtype=np.int64).reshape(-1, 2)
+    edges = _read_edges(root / "edges.tsv", id_map)
     offsets, targets = _build_csr(n_nodes, edges, symmetrize=symmetrize)
 
     return TagGraph(
@@ -301,11 +322,11 @@ def write_bundle(graph: TagGraph, path: str | Path) -> None:
         for i in range(graph.n_nodes):
             label = None if graph.labels[i] == UNLABELED else graph.label_vocab[graph.labels[i]]
             fh.write(json.dumps({"id": i, "text": graph.texts[i], "label": label}) + "\n")
+    src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.csr_offsets))
+    keep = slice(None) if graph.directed else src < graph.csr_targets
     with atomic_write(root / "edges.tsv", "w", encoding="utf-8") as fh:
-        for src in range(graph.n_nodes):
-            for dst in neighbors(graph, src):
-                if graph.directed or src < dst:
-                    fh.write(f"{src}\t{int(dst)}\n")
+        fh.write("".join(f"{s}\t{d}\n" for s, d in zip(src[keep].tolist(),
+                                                      graph.csr_targets[keep].tolist())))
     write_matrix(root / "features", graph.features)
     with atomic_write(root / "labels.json", "w", encoding="utf-8") as fh:
         json.dump(list(graph.label_vocab), fh)

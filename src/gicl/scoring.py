@@ -38,6 +38,7 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, ClassVar, Sequence
 from urllib.parse import urlsplit
@@ -120,18 +121,20 @@ def ppl(logprobs: Sequence[float]) -> float:
     return math.exp(-sum(logprobs) / len(logprobs))
 
 
-def utility(ppl_by_class: Sequence[float], gold_class: int) -> float:
-    """Normalized inverse perplexity of the gold class (a share in (0,1))."""
+def utility(ppl_by_class: Sequence[float] | np.ndarray, gold_class: int) -> float | np.ndarray:
+    """Normalized inverse perplexity of the gold class (a share in (0,1)); given a
+    (candidates, classes) matrix, each row's share, bit for bit as for the row alone."""
     ppls = np.asarray(ppl_by_class, dtype=np.float64)
-    if not 0 <= gold_class < len(ppls):
-        raise ValueError(f"gold_class {gold_class} out of range for {len(ppls)} classes")
+    if not 0 <= gold_class < ppls.shape[-1]:
+        raise ValueError(f"gold_class {gold_class} out of range for {ppls.shape[-1]} classes")
     if np.any(ppls <= 0) or np.any(np.isnan(ppls)):
         raise ValueError("perplexities must be positive")
-    inv = np.where(np.isinf(ppls), 0.0, 1.0 / ppls)
-    denom = inv.sum()
-    if denom == 0:
+    inv = 1.0 / ppls  # an infinite perplexity gives 0
+    denom = inv.sum(axis=-1)
+    if np.any(denom == 0):
         raise ValueError("all perplexities are infinite")
-    return float(inv[gold_class] / denom)
+    share = inv[..., gold_class] / denom
+    return float(share) if share.ndim == 0 else share
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +216,16 @@ class FeedbackCache:
         self._fh = None  # append handle, opened by the first put
         if self.path is not None and self.path.is_file():
             with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.endswith("\n"):
-                        self._torn_at = self.path.stat().st_size - len(line.encode("utf-8"))
-                    elif line.strip():
-                        obj = json.loads(line)
-                        self._data[obj["k"]] = float(obj["ppl"])
+                while lines := fh.readlines(1 << 16):  # blocks of ~450 records stay under gc's 700
+                    if not lines[-1].endswith("\n"):
+                        torn = lines.pop()
+                        self._torn_at = self.path.stat().st_size - len(torn.encode("utf-8"))
+                    lines = list(filter(str.strip, lines))
+                    records = json.loads("[" + ",".join(lines) + "]")
+                    if len(records) != len(lines):
+                        raise ValueError(f"{self.path}: a line does not hold one record")
+                    self._data.update(zip(map(itemgetter("k"), records),
+                                          map(float, map(itemgetter("ppl"), records))))
 
     def __len__(self) -> int:
         return len(self._data)
@@ -235,12 +242,8 @@ class FeedbackCache:
         file in one write, flushed before ``put`` returns; each line is
         ``json.dumps`` of its record.
         """
-        scope = hashlib.sha256(f"{scorer_id}|{template_hash}|{graph_hash}|".encode("utf-8"))
-        keyed = []
-        for c, value in ppl_by_class.items():
-            digest = scope.copy()
-            digest.update(f"{q}|{e}|{c}".encode("utf-8"))
-            keyed.append((digest.hexdigest()[:24], c, float(value)))
+        keyed = [(cache_key(scorer_id, template_hash, graph_hash, q, e, c), c, float(value))
+                 for c, value in ppl_by_class.items()]
         with self._lock:
             keyed = [(key, c, value) for key, c, value in keyed if key not in self._data]
             for key, _, value in keyed:
@@ -692,14 +695,10 @@ def rank_candidates(
     by_query: dict[int, RankedSet] = {}
     n_unscored = 0
     for q, ids in lists.items():
-        scored = []  # (-utility, example id): best first, ties by id
-        for e in ids:
-            vector = ppls[(q, e)]
-            if None in vector:
-                n_unscored += 1
-            else:
-                scored.append((-utility(vector, int(graph.labels[q])), e))
-        scored.sort()
-        if scored:
+        kept = [e for e in ids if None not in ppls[(q, e)]]
+        n_unscored += len(ids) - len(kept)
+        if kept:
+            u = utility([ppls[(q, e)] for e in kept], int(graph.labels[q]))
+            scored = sorted(zip((-u).tolist(), kept))  # (-utility, id): best first, ties by id
             by_query[q] = RankedSet(q, tuple(e for _, e in scored), tuple(-u for u, _ in scored))
     return by_query, n_unscored

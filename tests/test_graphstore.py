@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tempfile
 import tracemalloc
 
@@ -117,6 +118,85 @@ class TestLoadBundle:
         with pytest.raises(BundleError, match="edges.tsv line 1"):
             load_bundle(tmp_path / "b")
 
+    GOOD_NODE = '{"id": 0, "text": "t", "label": "a"}'
+
+    @pytest.mark.parametrize("lines, message", [
+        ([GOOD_NODE, "", "{not json"], "nodes.jsonl line 3: invalid JSON"),
+        ([GOOD_NODE, '{"id": 1, "text": "t"} {"id": 2, "text": "u"}'],
+         "nodes.jsonl line 2: invalid JSON"),
+        # each line is malformed alone, though joined they would be one object
+        ([GOOD_NODE, '{"id": 1, "text": "t", "x": [0', '1]}'], "nodes.jsonl line 2: invalid JSON"),
+        ([GOOD_NODE, '{"id": 1}'], "nodes.jsonl line 2: object needs 'id' and 'text'"),
+        ([GOOD_NODE, '{"text": "t"}'], "nodes.jsonl line 2: object needs 'id' and 'text'"),
+        ([GOOD_NODE, "", '{"id": 0, "text": "u"}'], "nodes.jsonl line 3: duplicate node id 0"),
+        ([GOOD_NODE, '{"id": 1, "text": "t", "label": "zzz"}'],
+         "nodes.jsonl line 2: unknown label 'zzz'"),
+    ])
+    def test_node_line_errors_name_their_line(self, tmp_path, lines, message):
+        write_raw_bundle(tmp_path / "b", [], [], np.zeros((1, 2)), ["a"])
+        (tmp_path / "b" / "nodes.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(BundleError, match="^" + re.escape(message)):
+            load_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("line", [
+        '{"id": 1.7, "text": "t"}', '{"id": true, "text": "t"}', '{"id": null, "text": "t"}',
+        '{"id": "x", "text": "t"}', '{"id": "1.0", "text": "t"}', '{"id": NaN, "text": "t"}',
+        '{"id": 1e400, "text": "t"}',
+        '{"id": [1], "text": "t"}', '{"id": 1, "text": null}', '{"id": 1, "text": 5}',
+        '{"id": 1, "text": "t", "label": ["a"]}', '{"id": 1, "text": "t", "label": 0}',
+        "5", "[1, 2]", '"text"',
+    ])
+    def test_every_malformed_node_line_is_refused_by_number(self, tmp_path, line):
+        write_raw_bundle(tmp_path / "b", [], [], np.zeros((2, 2)), ["a"])
+        (tmp_path / "b" / "nodes.jsonl").write_text(self.GOOD_NODE + "\n" + line + "\n")
+        with pytest.raises(BundleError, match="^nodes.jsonl line 2: "):
+            load_bundle(tmp_path / "b")
+
+    def test_integer_valued_ids_are_accepted(self, tmp_path):
+        big = 2**70
+        nodes = [{"id": 3, "text": "a"}, {"id": 4.0, "text": "b"}, {"id": "5", "text": "c"},
+                 {"id": big, "text": "d"}]
+        write_raw_bundle(tmp_path / "b", nodes, [(3, 4), (4, 5), (5, big)], np.zeros((4, 2)), ["a"])
+        g = load_bundle(tmp_path / "b", symmetrize=False)
+        assert g.csr_offsets.tolist() == [0, 1, 2, 3, 3]
+        assert g.csr_targets.tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("edges, message", [
+        ("0\t1\n\n1\t2\t0\n", "edges.tsv line 3: expected two tab-separated ids"),
+        ("0\t1\n0 1\n", "edges.tsv line 2: expected two tab-separated ids"),
+        ("0\t1\n0\tx\n", "edges.tsv line 2: non-integer node id"),
+        ("0\t1\n1\t1.5\n", "edges.tsv line 2: non-integer node id"),
+        ("0\t1\n\n0\t7\n", "edges.tsv line 3: unknown node id 7"),
+        ("5\t1\n", "edges.tsv line 1: unknown node id 5"),
+        ("0\t99999999999999999999\n", "edges.tsv line 1: unknown node id 99999999999999999999"),
+        # the first bad line wins, whatever is wrong with the later ones
+        ("0\t9\n0\tx\n", "edges.tsv line 1: unknown node id 9"),
+        ("0\tx\n0\t9\n", "edges.tsv line 1: non-integer node id"),
+        ("0\t1\t2\n0\t9\n", "edges.tsv line 1: expected two tab-separated ids"),
+    ])
+    def test_edge_line_errors_name_their_line(self, tmp_path, edges, message):
+        nodes = [{"id": i, "text": "t", "label": "a"} for i in range(3)]
+        write_raw_bundle(tmp_path / "b", nodes, [], np.zeros((3, 2)), ["a"])
+        (tmp_path / "b" / "edges.tsv").write_text(edges)
+        with pytest.raises(BundleError, match="^" + re.escape(message)):
+            load_bundle(tmp_path / "b")
+
+    def test_blank_lines_crlf_and_unicode_line_breaks_in_text(self, tmp_path):
+        # a text mode read splits on "\n" after newline translation; U+2028,
+        # U+0085 and form feed inside a JSON string are not line breaks
+        texts = ["a\u2028b", "c\x85d", "e\x0cf"]
+        nodes = [json.dumps({"id": 10 + i, "text": t, "label": "a"}, ensure_ascii=False)
+                 for i, t in enumerate(texts)]
+        write_raw_bundle(tmp_path / "b", [], [], np.zeros((3, 2)), ["a"])
+        (tmp_path / "b" / "nodes.jsonl").write_bytes(
+            ("\r\n".join([nodes[0], "", "  ", nodes[1], nodes[2]]) + "\r\n").encode("utf-8"))
+        (tmp_path / "b" / "edges.tsv").write_bytes(b"10\t11\r\n\r\n \t \n 11\t12 \r\n12\t10")
+        g = load_bundle(tmp_path / "b", symmetrize=False)
+        assert g.texts == tuple(texts)
+        assert g.labels.tolist() == [0, 0, 0]
+        assert g.csr_offsets.tolist() == [0, 1, 2, 3]
+        assert g.csr_targets.tolist() == [1, 2, 0]
+
 
 @st.composite
 def small_graphs(draw):
@@ -185,6 +265,10 @@ class TestRoundTrip:
         write_bundle(noisy_sbm, tmp_path / "three")
         assert bundle_hash(tmp_path / "one") == bundle_hash(tmp_path / "two")
         assert bundle_hash(tmp_path / "one") != bundle_hash(tmp_path / "three")
+
+    def test_written_synth_bundle_is_pinned(self, tmp_path):
+        write_bundle(synth_sbm(300, 3, 0.1, 0.01, 8, 0.5, 7), tmp_path / "b")
+        assert bundle_hash(tmp_path / "b") == "4f0c4e83b5c649bf"
 
     def test_content_hash_survives_round_trip_and_tracks_content(self, tmp_path, noisy_sbm):
         write_bundle(noisy_sbm, tmp_path / "out")

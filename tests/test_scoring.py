@@ -73,6 +73,27 @@ class TestUtility:
             doubled = [utility(ppls * 2.0, c) for c in range(6)]
             assert base == doubled  # power-of-two scaling is exact
 
+    @pytest.mark.parametrize("c", range(1, 41))
+    def test_a_matrix_is_each_row_bit_for_bit(self, c):
+        rng = np.random.default_rng(c)
+        for rows in (1, 2, 7, 20, 33):
+            ppls = np.exp(rng.uniform(0.0, 6.0, size=(rows, c)))
+            ppls[rng.random((rows, c)) < 0.2] = np.inf
+            ppls[:, rng.integers(c)] = rng.uniform(1.0, 9.0, size=rows)  # one finite per row
+            for gold in {0, c // 2, c - 1}:
+                got = utility(ppls, gold)
+                assert got.shape == (rows,)
+                assert got.tobytes() == np.array([utility(row, gold) for row in ppls]).tobytes()
+                assert utility(ppls[0].tolist(), gold) == got[0]
+
+    def test_a_matrix_with_a_bad_row_is_refused(self):
+        with pytest.raises(ValueError, match="positive"):
+            utility(np.array([[1.0, 2.0], [1.0, 0.0]]), 0)
+        with pytest.raises(ValueError, match="infinite"):
+            utility(np.array([[1.0, 2.0], [np.inf, np.inf]]), 0)
+        with pytest.raises(ValueError, match="gold_class"):
+            utility(np.ones((3, 2)), 2)
+
     def test_order_invariant_under_any_positive_scaling(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -248,6 +269,50 @@ class TestFeedbackCache:
         assert [json.loads(line)["c"] for line in path.read_text().splitlines()] == [0, 1, 2, 3]
         assert FeedbackCache(path).get("s", "t", "g", 0, 0, 1) == 2.0
 
+    def test_a_file_of_many_blocks_loads_as_a_per_line_parse(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = FeedbackCache(path)
+        values = [math.inf, 1.0, 2.5, math.exp(0.1 + 2.0 * 0.87654321098766)]
+        for q in range(800):  # about 600 KB: several read blocks
+            cache.put("sid", "th", "g", q, q + 1, {c: values[(q + c) % 4] for c in range(5)})
+            cache.put("sid", "th", "g", q, q + 1, {0: 9.0})  # a duplicate: no line
+        cache.close()
+        lines = path.read_text().split("\n")[:-1]
+        lines[100:100] = ["", "   "]
+        lines[2500:2500] = [""]
+        text = "\n".join(lines) + "\n"
+        path.write_text(text + lines[7][:30])  # a torn last line
+        expected = {}
+        for line in text.split("\n"):
+            if line.strip():
+                record = json.loads(line)
+                expected[record["k"]] = float(record["ppl"])
+        loaded = FeedbackCache(path)
+        assert len(loaded) == len(expected) == 4000
+        for q in range(800):
+            for c in range(5):
+                got = loaded.get("sid", "th", "g", q, q + 1, c)
+                assert got == expected[cache_key("sid", "th", "g", q, q + 1, c)]
+                assert got == values[(q + c) % 4]
+        loaded.put("sid", "th", "g", 0, 0, {0: 1.0})  # cuts the torn line off
+        loaded.close()
+        assert path.read_text().startswith(text)
+        assert len(FeedbackCache(path)) == 4001
+
+    @pytest.mark.parametrize("bad", ["{not json", '{"k": "a", "ppl": 1.0}, {"k": "b", "ppl": 2.0}',
+                                     '{"k": "a", "ppl": [1', '2]}'])
+    def test_a_malformed_middle_line_raises(self, tmp_path, bad):
+        path = tmp_path / "cache.jsonl"
+        cache = FeedbackCache(path)
+        for q in range(500):
+            cache.put("s", "t", "g", q, 0, {c: 1.0 + c for c in range(5)})
+        cache.close()
+        lines = path.read_text().split("\n")
+        lines[1200:1200] = [bad]
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError):
+            FeedbackCache(path)
+
     def test_malformed_line_before_the_last_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         FeedbackCache(path).put("s", "t", "g", 0, 0, {0: 1.0})
@@ -383,6 +448,21 @@ class TestRankCandidates:
         fresh = rank_candidates(graph_b, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE, FeedbackCache())
         assert through_shared == fresh
         assert len(shared) == 2 * 3 * graph_a.n_classes
+
+    def test_ranked_utilities_are_the_per_pair_utilities(self, noisy_sbm):
+        spec = ScorerSpec(kind="oracle")
+        cache = FeedbackCache()
+        candidates = {q: [e for e in range(0, noisy_sbm.n_nodes, 7) if e != q][:25]
+                      for q in (0, 5, 13)}
+        by_query, _ = rank_candidates(noisy_sbm, candidates, spec, DEFAULT_TEMPLATE, cache)
+        scope = (spec.scorer_id, DEFAULT_TEMPLATE.template_hash, noisy_sbm.content_hash)
+        for q, ids in candidates.items():
+            gold = int(noisy_sbm.labels[q])
+            pairs = sorted((-utility([cache.get(*scope, q, e, c)
+                                      for c in range(noisy_sbm.n_classes)], gold), e) for e in ids)
+            assert by_query[q].example_ids == tuple(e for _, e in pairs)
+            assert by_query[q].utilities == tuple(-u for u, _ in pairs)
+            assert all(type(u) is float for u in by_query[q].utilities)
 
     def test_ties_break_by_example_id(self, clean_sbm):
         cache = FeedbackCache()
