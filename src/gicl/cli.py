@@ -129,7 +129,7 @@ def resolve_inputs(args: argparse.Namespace) -> RunInputs:
                              f"but {args.bundle} hashes to {digest}")
     model = None
     if mdir:
-        model = TrainedModel(params=ParamSet.load(mdir / "params.bin"), config=config,
+        model = TrainedModel(params=ParamSet.load(mdir / "params.bin"),
                              embeddings=EmbeddingTable.load(mdir / "embeddings"))
     recorded = {k: v for k, v in vars(args).items() if k not in UNRECORDED}
     manifest = RunManifest(

@@ -37,12 +37,6 @@ class EncoderConfig:
     hidden_dim: int
     dropout: float
 
-    def __post_init__(self) -> None:
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1")
-
 
 @dataclass
 class EmbeddingTable:

@@ -125,7 +125,6 @@ class SplitSpec:
     labeled_ids: np.ndarray
     test_ids: np.ndarray
     fraction: float
-    seed: int
 
     def __post_init__(self) -> None:
         labeled = np.ascontiguousarray(np.sort(self.labeled_ids), dtype=np.int64)
@@ -418,7 +417,6 @@ def sample_label_fraction(
         labeled_ids=labeled_ids,
         test_ids=test_ids,
         fraction=fraction,
-        seed=seed,
     )
 
 

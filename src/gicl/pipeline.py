@@ -283,8 +283,9 @@ def run_strategy(
         spec = replace(spec, max_parallel=1)
     queries = [int(q) for q in split.test_ids]
     source = plan.examples
-    if k_icl == 0 and source in (RANDOM, RAW_KNN, TRAINED_KNN) and not plan.vote:
-        source = NO_EXAMPLES  # an LLM strategy asked for no retrieved examples is zero-shot
+    if k_icl == 0 and source in (RANDOM, RAW_KNN, TRAINED_KNN):
+        # no retrieved examples: an LLM strategy is zero-shot, a vote has nothing to vote on
+        source = NO_EXAMPLES
 
     def llm_row(q: int, ids: Sequence[int], examples: Sequence[IclExample]) -> EvalRow:
         return _llm_row(graph, template, client, q, ids, examples, strategy)

@@ -7,8 +7,8 @@ steps on
     L = beta * L_feedback + (1 - beta) * L_clf
 
 where L_feedback is a temperature-scaled listwise softmax over each
-query's candidate list (positives chosen by feedback_mode) and L_clf is
-softmax cross-entropy of the linear head over the supervised nodes.
+query's candidate list, its best-scored candidate the positive, and L_clf
+is softmax cross-entropy of the linear head over the supervised nodes.
 Both read only the embeddings of labeled nodes, queries and candidates,
 so an epoch encodes only their receptive field (``encoder.encode_plan``),
 and the losses index its output rows.
@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -41,8 +42,6 @@ from .prompts import PromptTemplate
 from .retrieval import build_index, retrieve_topk
 from .scoring import FeedbackCache, RankedSet, ScorerSpec, rank_candidates
 
-FEEDBACK_MODES = ("top_m", "all", "rank_discount")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -50,8 +49,6 @@ class TrainConfig:
     k_feedback: int = 20
     k_icl: int = 30
     tau: float = 1.0
-    feedback_mode: str = "top_m"
-    top_m: int = 1
     rounds: int = 1
     epochs: int = 200
     lr: float = 0.01
@@ -62,20 +59,19 @@ class TrainConfig:
     coverage_floor: float = 0.5
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value, whole = getattr(self, f.name), isinstance(f.default, int)
+            kind = numbers.Integral if whole else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{f.name} must be {'an integer' if whole else 'a number'}, got {value!r}")
         if not 0 <= self.beta <= 1:
             raise ValueError("beta must be in [0, 1]")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be finite and positive")
-        if self.feedback_mode not in FEEDBACK_MODES:
-            raise ValueError(f"feedback_mode must be one of {FEEDBACK_MODES}")
-        if self.k_feedback < 1 or self.top_m < 1:
-            raise ValueError("k_feedback and top_m must be >= 1")
-        if self.top_m > self.k_feedback:
-            raise ValueError("top_m cannot exceed k_feedback")
-        if self.k_icl < 0:
-            raise ValueError("k_icl must be >= 0")
-        if self.rounds < 1 or self.epochs < 0:
-            raise ValueError("rounds must be >= 1 and epochs >= 0")
+        if min(self.k_feedback, self.rounds, self.n_layers, self.hidden_dim) < 1:
+            raise ValueError("k_feedback, rounds, n_layers and hidden_dim must be >= 1")
+        if min(self.k_icl, self.epochs) < 0:
+            raise ValueError("k_icl and epochs must be >= 0")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError("lr must be finite and positive")
         if not 0 <= self.dropout < 1:
@@ -111,7 +107,6 @@ class FeedbackSet:
 @dataclass
 class TrainedModel:
     params: ParamSet
-    config: TrainConfig
     embeddings: EmbeddingTable
     log: list[dict] = field(default_factory=list)
 
@@ -126,21 +121,6 @@ class TrainedModel:
             writer.writerows(self.log)
 
 
-def positive_weights(ranked: RankedSet, mode: str, top_m: int) -> np.ndarray:
-    """Per-candidate positive weight, aligned with the ranked order."""
-    n = len(ranked)
-    if mode == "top_m":
-        w = np.zeros(n)
-        w[: min(top_m, n)] = 1.0
-    elif mode == "all":
-        w = np.ones(n)
-    elif mode == "rank_discount":
-        w = 1.0 / np.log2(np.arange(1, n + 1) + 1.0)
-    else:
-        raise ValueError(f"unknown feedback mode {mode!r}")
-    return w
-
-
 @dataclass(frozen=True)
 class FeedbackLists:
     """A round's non-empty candidate lists, flat and in query order: pair j
@@ -153,26 +133,26 @@ class FeedbackLists:
     weights: np.ndarray
 
 
-def feedback_lists(feedback: FeedbackSet, config: TrainConfig) -> FeedbackLists:
-    """Flatten each query's ranked candidates, positives by feedback_mode."""
+def feedback_lists(feedback: FeedbackSet) -> FeedbackLists:
+    """Flatten each query's ranked candidates; each list's first (best-scored) is its positive."""
     lists = [(q, r) for q, r in sorted(feedback.by_query.items()) if len(r) > 0]
     sizes = np.array([len(r) for _, r in lists], dtype=np.int64)
+    weights = np.zeros(int(sizes.sum()))
+    weights[np.cumsum(sizes) - sizes] = 1.0
     return FeedbackLists(
         queries=np.repeat(np.array([q for q, _ in lists], dtype=np.int64), sizes),
         candidates=np.array([e for _, r in lists for e in r.example_ids], dtype=np.int64),
         sizes=sizes,
-        weights=np.concatenate([np.zeros(0)] + [positive_weights(r, config.feedback_mode, config.top_m)
-                                                for _, r in lists]),
+        weights=weights,
     )
 
 
 def feedback_loss(tape: Tape, embeddings: Tensor2, lists: FeedbackLists, tau: float) -> Tensor2:
     """Listwise softmax loss over each query's candidates at temperature tau.
 
-    For every query the full candidate set forms the softmax denominator;
-    positives supply the numerators. Normalized by the total positive
-    weight. Embedding rows must already be L2-normalized so the similarity
-    is a cosine.
+    For every query the full candidate set forms the softmax denominator and
+    its positive the numerator; the loss is the mean over queries. Embedding
+    rows must already be L2-normalized so the similarity is a cosine.
     """
     if lists.sizes.size == 0:
         raise ValueError("feedback_loss: no query has a scored candidate")
@@ -217,7 +197,7 @@ def round_batch(
     graph: TagGraph, split: SplitSpec, feedback: FeedbackSet, features: Tensor2, config: TrainConfig
 ) -> RoundBatch:
     """Plan the rows both losses can reach and map their node ids to them."""
-    lists = feedback_lists(feedback, config)
+    lists = feedback_lists(feedback)
     nodes = np.concatenate([split.labeled_ids, lists.queries, lists.candidates])
     plan = encode_plan(graph, config.n_layers, nodes)
     out = plan.rows[-1]
@@ -337,4 +317,4 @@ def train(
             )
 
     final = encode_all(graph, params, enc)
-    return TrainedModel(params=params, config=config, embeddings=final, log=log)
+    return TrainedModel(params=params, embeddings=final, log=log)

@@ -127,7 +127,7 @@ def test_c2_closed_form_unit_values():
         round_index=0, n_scored=1, n_unscored=0,
     )
     cfg = TrainConfig(k_feedback=3, epochs=1, hidden_dim=4, n_layers=1)
-    got = feedback_loss(Tape(), emb, feedback_lists(singleton, cfg), cfg.tau).item()
+    got = feedback_loss(Tape(), emb, feedback_lists(singleton), cfg.tau).item()
     if got != 0.0:
         failures.append(f"singleton feedback loss {got!r} != 0")
 

@@ -8,9 +8,12 @@ from pathlib import Path
 import pytest
 from stubserver import StubScorerServer, answer_first_label
 
-from gicl.cli import UNRECORDED, build_parser, main, resolve_inputs
+from gicl.cli import CONFIG_KEYS, SCORER_KEYS, UNRECORDED, build_parser, main, resolve_inputs
 from gicl.encoder import EmbeddingTable
 from gicl.graphstore import bundle_hash, load_bundle, sample_label_fraction
+from gicl.pipeline import read_report
+from gicl.scoring import ScorerSpec
+from gicl.training import TrainConfig
 
 
 def run(argv, capsys):
@@ -199,6 +202,41 @@ class TestInferAndBaselines:
                        "--scorer-kind", "oracle", "--single-thread"], capsys)
         assert summary["n"] == 30  # default 20% test carve of 150 nodes
 
+    @pytest.mark.parametrize("strategy, model", [("mv_knn", False), ("mv_askgnn", True)])
+    def test_vote_at_k_icl_zero_has_nothing_to_vote_on(self, bundle, model_dir, tmp_path, capsys,
+                                                       strategy, model):
+        out = tmp_path / "reports"
+        summary = run(["baseline", "--bundle", str(bundle), "--strategy", strategy,
+                       *(["--model", str(model_dir)] if model else []), "--k-icl", "0",
+                       "--out", str(out), "--scorer-kind", "oracle", "--single-thread"], capsys)
+        assert summary["n"] == summary["unparsed"] == 30
+        rows = read_report(next(out.glob(f"report-{strategy}-*.csv")))
+        assert len(rows) == 30
+        assert {(r.predicted, r.n_icl, r.parsed, r.note) for r in rows} == {
+            (None, 0, False, "no examples to vote on")}
+
+    def test_model_directory_with_the_removed_loss_keys_still_loads(self, bundle, model_dir,
+                                                                    tmp_path, capsys):
+        # manifests written before the one-positive loss recorded its two options
+        legacy = tmp_path / "legacy"
+        shutil.copytree(model_dir, legacy)
+        manifest = json.loads((legacy / "manifest.json").read_text())
+        manifest["config"].update({"feedback_mode": "top_m", "top_m": 1})
+        (legacy / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+        common = ["--bundle", str(bundle), "--scorer-kind", "oracle", "--single-thread"]
+        reports = []
+        for mdir in (legacy, model_dir):
+            out = tmp_path / f"reports-{mdir.name}"
+            run(["infer", *common, "--model", str(mdir), "--k-icl", "4", "--out", str(out)], capsys)
+            (csv_path,) = out.glob("report-askgnn-*.csv")
+            reports.append((csv_path.name, csv_path.read_bytes()))
+        assert reports[0] == reports[1]
+        summary = run(["baseline", *common, "--strategy", "mv_askgnn", "--model", str(legacy),
+                       "--k-icl", "3", "--out", str(tmp_path / "mv")], capsys)
+        assert summary["n"] == 30 and summary["unparsed"] == 0
+        summary = run(["feedback", *common, "--model", str(legacy)], capsys)
+        assert summary["coverage"] == 1.0 and summary["queries"] > 0
+
     def test_model_baseline_without_model_errors(self, bundle, tmp_path, capsys):
         code = main(["baseline", "--bundle", str(bundle), "--strategy", "npg",
                      "--out", str(tmp_path / "r"), "--scorer-kind", "oracle"])
@@ -300,6 +338,8 @@ class TestConfigFile:
         ({"bta": 0.9, "epochs": 1}, "bta"),
         ({"epochs": 1, "scorer": {"kind": "oracle", "max_paralel": 4}}, "scorer.max_paralel"),
         ({"scorer": {"oracle_alpha": 3.0}}, "scorer.oracle_alpha"),
+        ({"feedback_mode": "top_m", "epochs": 1}, "feedback_mode"),  # options of the old loss
+        ({"top_m": 1}, "top_m"),
     ])
     def test_unknown_key_is_refused_before_the_bundle_loads(self, tmp_path, capsys, cfg, key):
         path = tmp_path / "config.json"
@@ -309,6 +349,33 @@ class TestConfigFile:
         assert code == 1
         assert f"unknown config key(s) {key}" in capsys.readouterr().err
         assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"k_icl": 2.5}, "k_icl must be an integer, got 2.5"),
+        ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"beta": "0.2"}, "beta must be a number, got '0.2'"),
+    ])
+    def test_value_of_the_wrong_type_is_refused_before_any_scorer_call(self, bundle, tmp_path,
+                                                                       capsys, cfg, message):
+        path, cache, out = tmp_path / "config.json", tmp_path / "cache.jsonl", tmp_path / "model"
+        path.write_text(json.dumps({**cfg, "scorer": {"kind": "oracle"}}))
+        for bundle_dir in (bundle, tmp_path / "no-bundle"):  # refused before the bundle loads
+            code = main(["train", "--bundle", str(bundle_dir), "--config", str(path),
+                         "--cache", str(cache), "--out", str(out), "--single-thread"])
+            assert code == 1
+            assert message in capsys.readouterr().err
+        assert not cache.exists()
+        assert not out.exists()
+
+    def test_readme_example_config_is_valid(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+        cfg = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        assert set(cfg) <= CONFIG_KEYS
+        assert set(cfg["scorer"]) <= SCORER_KEYS
+        TrainConfig(**{k: v for k, v in cfg.items() if k in TrainConfig.__dataclass_fields__})
+        ScorerSpec(**cfg["scorer"])
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"scorer": "oracle"}'])
     def test_config_that_is_not_an_object_is_refused(self, bundle, tmp_path, capsys, text):

@@ -556,7 +556,7 @@ class TestAtomicWrites:
         from gicl.encoder import EmbeddingTable
         from gicl.nncore import ParamSet
         from gicl.pipeline import RunManifest, write_sweep_csv
-        from gicl.training import TrainConfig, TrainedModel
+        from gicl.training import TrainedModel
 
         def params(value):
             p = ParamSet()
@@ -566,7 +566,7 @@ class TestAtomicWrites:
         def model(value):
             log = [{"epoch": e, "round": 0, "loss_total": value, "loss_feedback": value,
                     "loss_clf": value, "lr": 0.01} for e in range(50)]
-            return TrainedModel(params(value), TrainConfig(), EmbeddingTable(np.zeros((1, 1))), log)
+            return TrainedModel(params(value), EmbeddingTable(np.zeros((1, 1))), log)
 
         def manifest(value):
             return RunManifest({"beta": value, "notes": "x" * 500}, 1, "b", "t", "s", created_at=0.0)

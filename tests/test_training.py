@@ -31,7 +31,6 @@ from gicl.training import (
     epoch_loss,
     feedback_lists,
     feedback_loss,
-    positive_weights,
     round_batch,
     train,
 )
@@ -51,23 +50,23 @@ def fb(query_to_ranked):
 
 def lists(feedback, config):
     """feedback_loss's last two arguments for ``feedback`` under ``config``."""
-    return feedback_lists(feedback, config), config.tau
+    return feedback_lists(feedback), config.tau
 
 
-class TestPositiveWeights:
-    def test_top_m(self):
-        r = RankedSet(query_id=0, example_ids=(5, 6, 7), utilities=(0.9, 0.5, 0.1))
-        assert positive_weights(r, "top_m", 1).tolist() == [1.0, 0.0, 0.0]
-        assert positive_weights(r, "top_m", 2).tolist() == [1.0, 1.0, 0.0]
-
-    def test_all(self):
-        r = RankedSet(query_id=0, example_ids=(5, 6), utilities=(0.9, 0.5))
-        assert positive_weights(r, "all", 1).tolist() == [1.0, 1.0]
-
-    def test_rank_discount(self):
-        r = RankedSet(query_id=0, example_ids=(5, 6, 7), utilities=(0.9, 0.5, 0.1))
-        w = positive_weights(r, "rank_discount", 1)
-        np.testing.assert_allclose(w, [1.0, 1.0 / math.log2(3), 0.5])
+class TestFeedbackLists:
+    def test_first_candidate_of_each_list_is_the_positive(self):
+        ranked = {
+            7: RankedSet(query_id=7, example_ids=(5, 6, 8), utilities=(0.9, 0.5, 0.1)),
+            2: RankedSet(query_id=2, example_ids=(3,), utilities=(0.4,)),
+            4: RankedSet(query_id=4, example_ids=(), utilities=()),
+            9: RankedSet(query_id=9, example_ids=(1, 0), utilities=(0.8, 0.2)),
+        }
+        got = feedback_lists(fb(ranked))
+        assert got.queries.tolist() == [2, 7, 7, 7, 9, 9]
+        assert got.candidates.tolist() == [3, 5, 6, 8, 1, 0]
+        assert got.sizes.tolist() == [1, 3, 2]
+        assert got.weights.dtype == np.float64
+        assert got.weights.tolist() == [1.0, 1.0, 0.0, 0.0, 1.0, 0.0]
 
 
 class TestFeedbackLoss:
@@ -80,27 +79,15 @@ class TestFeedbackLoss:
         tape = Tape()
         emb = Tensor2(unit_rows([1, 0], [0, 1]))
         ranked = {0: RankedSet(query_id=0, example_ids=(1,), utilities=(0.5,))}
-        for mode in ("top_m", "all", "rank_discount"):
-            loss = feedback_loss(Tape(), emb, *lists(fb(ranked), self.config(feedback_mode=mode)))
-            assert loss.item() == 0.0
+        loss = feedback_loss(tape, emb, *lists(fb(ranked), self.config()))
+        assert loss.item() == 0.0
 
     def test_two_candidate_hand_value(self):
         # sims: query row 0 against candidates 1 (cos 1) and 2 (cos 0)
         emb = Tensor2(unit_rows([1, 0], [1, 0], [0, 1]))
         ranked = {0: RankedSet(query_id=0, example_ids=(1, 2), utilities=(0.9, 0.1))}
-        loss = feedback_loss(Tape(), emb, *lists(fb(ranked), self.config(top_m=1)))
+        loss = feedback_loss(Tape(), emb, *lists(fb(ranked), self.config()))
         assert math.isclose(loss.item(), math.log(1 + math.exp(-1)), rel_tol=1e-12)
-
-    def test_all_mode_ignores_ranking_permutation(self):
-        emb = Tensor2(unit_rows([1, 0], [1, 0], [0, 1], [0.6, 0.8]))
-        orders = [(1, 2, 3), (3, 1, 2)]
-        losses = []
-        for order in orders:
-            ranked = {0: RankedSet(query_id=0, example_ids=order, utilities=(0.9, 0.5, 0.1))}
-            losses.append(
-                feedback_loss(Tape(), emb, *lists(fb(ranked), self.config(feedback_mode="all"))).item()
-            )
-        assert math.isclose(losses[0], losses[1], rel_tol=1e-12)
 
     def test_temperature_scales_scores(self):
         emb = Tensor2(unit_rows([1, 0], [1, 0], [0, 1]))
@@ -124,14 +111,14 @@ class TestFeedbackLoss:
             feedback_loss(Tape(), emb, *lists(fb({}), self.config()))
 
     def test_dropping_unscored_pairs_preserves_scored_contribution(self):
-        # in top_m mode with the positive scored, removing an unscored
+        # with the positive scored, removing an unscored
         # candidate from one query leaves other queries' terms unchanged
         emb = Tensor2(unit_rows([1, 0], [1, 0], [0, 1], [0.6, 0.8], [0, 1]))
         both = {
             0: RankedSet(query_id=0, example_ids=(1, 2), utilities=(0.9, 0.1)),
             3: RankedSet(query_id=3, example_ids=(2, 4), utilities=(0.8, 0.2)),
         }
-        cfg = self.config(top_m=1)
+        cfg = self.config()
         full = feedback_loss(Tape(), emb, *lists(fb(both), cfg)).item()
         # per-query contributions, each computed alone
         alone0 = feedback_loss(Tape(), emb, *lists(fb({0: both[0]}), cfg)).item()
@@ -379,8 +366,7 @@ class TestTapeGradients:
             texts=tuple(f"doc {i}" for i in range(n)), labels=np.arange(n) % 3,
             label_vocab=("a", "b", "c"),
         )
-        split = SplitSpec(labeled_ids=np.arange(6), test_ids=np.arange(20, 26), fraction=0.15,
-                          seed=0)
+        split = SplitSpec(labeled_ids=np.arange(6), test_ids=np.arange(20, 26), fraction=0.15)
         params = init_params(self.RING_CFG.encoder_config(graph), seed=2, dtype=np.float64)
         feedback = collect_feedback_round(graph, split, params, self.RING_CFG, ORACLE,
                                           DEFAULT_TEMPLATE, FeedbackCache())
@@ -528,13 +514,10 @@ class TestTrain:
             TrainConfig(beta=1.5)
         with pytest.raises(ValueError):
             TrainConfig(tau=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(feedback_mode="bogus")
-        with pytest.raises(ValueError):
-            TrainConfig(top_m=99, k_feedback=10)
 
     BAD_VALUES = [
-        {"k_feedback": 0}, {"top_m": 0}, {"k_icl": -1}, {"rounds": 0}, {"epochs": -1},
+        {"k_feedback": 0}, {"k_icl": -1}, {"rounds": 0}, {"epochs": -1},
+        {"n_layers": 0}, {"hidden_dim": 0}, {"hidden_dim": -3},
         {"lr": -1.0}, {"lr": 0.0}, {"lr": math.inf}, {"lr": math.nan},
         {"tau": math.inf}, {"tau": math.nan},
         {"dropout": 1.0}, {"dropout": 1.5}, {"dropout": -0.1},
@@ -551,6 +534,22 @@ class TestTrain:
         assert client.calls == 0
 
     def test_edge_values_are_accepted(self):
-        TrainConfig(k_feedback=1, top_m=1, k_icl=0, rounds=1, epochs=0, lr=1e-9,
-                    dropout=0.0, coverage_floor=0.0)
+        TrainConfig(k_feedback=1, k_icl=0, rounds=1, epochs=0, lr=1e-9,
+                    dropout=0.0, coverage_floor=0.0, n_layers=1, hidden_dim=1)
         TrainConfig(coverage_floor=1.0, dropout=0.99)
+
+    WRONG_TYPES = [
+        {"k_icl": 2.5}, {"epochs": 2.5}, {"hidden_dim": 16.0}, {"n_layers": "2"},
+        {"seed": True}, {"rounds": False}, {"k_feedback": None},
+        {"beta": True}, {"lr": "0.01"}, {"tau": None}, {"dropout": [0.5]},
+    ]
+
+    @pytest.mark.parametrize("bad", WRONG_TYPES, ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+    def test_value_of_the_wrong_type_is_refused_by_name(self, bad):
+        name = next(iter(bad))
+        with pytest.raises(TypeError, match=f"^{name} must be an? (integer|number), got "):
+            TrainConfig(**bad)
+
+    def test_numpy_scalars_and_whole_floats_are_accepted(self):
+        cfg = TrainConfig(k_icl=np.int64(3), seed=np.uint8(2), beta=1, tau=np.float32(0.5), lr=1)
+        assert (cfg.k_icl, cfg.seed, cfg.beta, cfg.tau, cfg.lr) == (3, 2, 1.0, 0.5, 1.0)
