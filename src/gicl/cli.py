@@ -10,8 +10,8 @@
     gicl sweep     sweep beta or k_icl and emit a CSV
 
 Config files are JSON objects mirroring TrainConfig plus a "scorer"
-sub-object mirroring ScorerSpec and optional "fraction"/"template" keys;
-a file with any other key is refused. Command-line flags override file
+sub-object mirroring ScorerSpec and an optional "template" key; a file
+with any other key is refused. Command-line flags override file
 values. The HTTP scorer reads its API key from the GICL_API_KEY
 environment variable.
 """
@@ -68,7 +68,7 @@ UNRECORDED = frozenset({"out", "force", "single_thread", "cache",
 # scorer flags and the ScorerSpec fields they set
 SCORER_FLAGS = {"scorer_kind": "kind", "endpoint": "endpoint", "model_name": "model"}
 # the keys a --config file may set, at its top level and in its "scorer" object
-CONFIG_KEYS = frozenset([f.name for f in fields(TrainConfig)] + ["scorer", "fraction", "template"])
+CONFIG_KEYS = frozenset([f.name for f in fields(TrainConfig)] + ["scorer", "template"])
 SCORER_KEYS = frozenset(f.name for f in fields(ScorerSpec))
 
 
@@ -114,12 +114,12 @@ def resolve_inputs(args: argparse.Namespace) -> RunInputs:
         scorer["max_parallel"] = 1
     spec = ScorerSpec(**scorer)
     name = settings.get("template")
+    if name is not None and not isinstance(name, str):
+        raise TypeError(f"template must be a string, got {name!r}")
     template = load_template(name) if name else DEFAULT_TEMPLATE
     graph = load_bundle(args.bundle)
-    preset = load_split_file(args.bundle)
-    test_ids = preset["test"] if preset is not None else None
-    split = sample_label_fraction(graph, float(settings.get("fraction", 0.1)), config.seed,
-                                  test_ids=test_ids)
+    split = sample_label_fraction(graph, config.fraction, config.seed,
+                                  test_ids=load_split_file(args.bundle))
     digest = bundle_hash(args.bundle)
     if "strategy" in flags and STRATEGY_TABLE[args.strategy].needs_model:
         if trained is None:
@@ -133,7 +133,7 @@ def resolve_inputs(args: argparse.Namespace) -> RunInputs:
                              embeddings=EmbeddingTable.load(mdir / "embeddings"))
     recorded = {k: v for k, v in vars(args).items() if k not in UNRECORDED}
     manifest = RunManifest(
-        config={**recorded, **asdict(config), "fraction": float(split.fraction)},
+        config={**recorded, **asdict(config)},
         seed=config.seed,
         bundle_hash=digest,
         template_hash=template.template_hash,
@@ -271,8 +271,7 @@ def _add_common(p: argparse.ArgumentParser, with_model: bool = False) -> None:
     p.add_argument("--bundle", required=True, help="bundle directory")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--template", default=None, help="template name or path")
-    p.add_argument("--fraction", type=float, default=None, help="labeled fraction")
-    p.add_argument("--seed", type=int, default=None)
+    _add_train_flags(p, TrainConfig.split_fields)
     p.add_argument("--scorer-kind", dest="scorer_kind", choices=["http", "oracle"], default=None)
     p.add_argument("--endpoint", default=None, help="http scorer base URL")
     p.add_argument("--model-name", dest="model_name", default=None, help="scoring model name")
@@ -329,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_model=True)
     methods = [s for s, plan in STRATEGY_TABLE.items() if plan.purifiable]
     p.add_argument("--strategy", default=methods[0], choices=methods)
-    p.add_argument("--k-icl", dest="k_icl", type=int, default=None)
+    _add_train_flags(p, ("k_icl",))
     p.add_argument("--purify", choices=["minority", "llm_select"], default=None)
     p.add_argument("--purify-budget", dest="purify_budget", type=int, default=None)
     p.add_argument("--out", required=True, help="report output directory")
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", required=True,
                    choices=[s for s in STRATEGY_TABLE if s not in methods])
     p.add_argument("--model", default=None, help="trained model directory (mv_askgnn, npg)")
-    p.add_argument("--k-icl", dest="k_icl", type=int, default=None)
+    _add_train_flags(p, ("k_icl",))
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_baseline)

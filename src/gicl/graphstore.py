@@ -20,9 +20,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -124,7 +125,6 @@ class SplitSpec:
 
     labeled_ids: np.ndarray
     test_ids: np.ndarray
-    fraction: float
 
     def __post_init__(self) -> None:
         labeled = np.ascontiguousarray(np.sort(self.labeled_ids), dtype=np.int64)
@@ -161,6 +161,18 @@ def neighbors(graph: TagGraph, node: int) -> np.ndarray:
         raise IndexError(f"node {node} out of range for graph with {graph.n_nodes} nodes")
     lo, hi = graph.csr_offsets[node], graph.csr_offsets[node + 1]
     return graph.csr_targets[lo:hi]
+
+
+def check_field_types(settings) -> None:
+    """Refuse, by name, a dataclass field whose value is not of its default's type (a bool
+    is no number), and store each number as a plain int or float: 1 and 1.0 are one value."""
+    for f in fields(settings):
+        kind, value = type(f.default), getattr(settings, f.name)
+        accepted, noun = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+                          str: (str, "a string")}[kind]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise TypeError(f"{f.name} must be {noun}, got {value!r}")
+        object.__setattr__(settings, f.name, kind(value))
 
 
 @contextmanager
@@ -331,8 +343,8 @@ def write_bundle(graph: TagGraph, path: str | Path) -> None:
         json.dump(list(graph.label_vocab), fh)
 
 
-def load_split_file(path: str | Path) -> dict[str, np.ndarray] | None:
-    """Read the test ids of a bundle's optional splits.json; it must name at least one."""
+def load_split_file(path: str | Path) -> np.ndarray | None:
+    """The test ids in a bundle's splits.json, at least one; None if it has no such file."""
     split_path = Path(path) / "splits.json"
     if not split_path.is_file():
         return None
@@ -341,7 +353,7 @@ def load_split_file(path: str | Path) -> dict[str, np.ndarray] | None:
     test = obj.get("test") if isinstance(obj, dict) else None
     if not isinstance(test, list) or not test or any(type(i) is not int for i in test):
         raise BundleError(f"{split_path}: 'test' must be a non-empty list of integer node ids")
-    return {"test": np.array(test, dtype=np.int64)}
+    return np.array(test, dtype=np.int64)
 
 
 def bundle_hash(path: str | Path) -> str:
@@ -413,11 +425,7 @@ def sample_label_fraction(
         raise ValueError("a class has no labeled nodes outside the test set")
 
     labeled_ids = pool if fraction == 1.0 else _stratified_sample(rng, pool, graph.labels, fraction)
-    return SplitSpec(
-        labeled_ids=labeled_ids,
-        test_ids=test_ids,
-        fraction=fraction,
-    )
+    return SplitSpec(labeled_ids=labeled_ids, test_ids=test_ids)
 
 
 def _sbm_edges(rng: np.random.Generator, labels: np.ndarray, n_classes: int, p_in: float,

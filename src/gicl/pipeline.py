@@ -21,10 +21,11 @@ import numpy as np
 
 from . import __version__
 from .encoder import classify_logits
-from .graphstore import UNLABELED, SplitSpec, TagGraph, atomic_write, neighbors
+from .graphstore import SplitSpec, TagGraph, atomic_write, neighbors
 from .prompts import (
     IclExample,
     PromptTemplate,
+    examples_from_ids,
     majority_vote,
     parse_answer,
     purify_llm_select,
@@ -187,16 +188,6 @@ def read_report(csv_path: str | Path) -> list[EvalRow]:
 # strategies
 
 
-def _examples_from_ids(graph: TagGraph, ids: Sequence[int]) -> list[IclExample]:
-    out = []
-    for i in ids:
-        label_idx = int(graph.labels[i])
-        if label_idx == UNLABELED:
-            raise ValueError(f"node {i} has no label to use as an ICL example")
-        out.append(IclExample(text=graph.texts[i], label=graph.label_vocab[label_idx]))
-    return out
-
-
 def _llm_row(
     graph: TagGraph,
     template: PromptTemplate,
@@ -312,7 +303,7 @@ def run_strategy(
             ids = random_examples(split.labeled_ids, k_icl, seed, query_id=q)
         else:
             ids = retrieve_topk(index, vectors[q], k_icl, query_id=q)
-        return ids, _examples_from_ids(graph, ids)
+        return ids, examples_from_ids(graph, ids)
 
     def one(q: int) -> EvalRow:
         ids, examples = examples_for(q)

@@ -18,10 +18,20 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
+from .graphstore import UNLABELED, TagGraph
+
 
 class IclExample(NamedTuple):
     text: str
     label: str
+
+
+def examples_from_ids(graph: TagGraph, ids: Sequence[int]) -> list[IclExample]:
+    """The labeled nodes ``ids`` as ICL examples, in order; an unlabeled one is refused."""
+    labels = graph.labels[list(ids)].tolist()
+    if UNLABELED in labels:
+        raise ValueError(f"node {ids[labels.index(UNLABELED)]} has no label to use as an ICL example")
+    return [IclExample(graph.texts[i], graph.label_vocab[c]) for i, c in zip(ids, labels)]
 
 
 @dataclass(frozen=True)

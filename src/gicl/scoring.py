@@ -45,8 +45,8 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .graphstore import UNLABELED, TagGraph
-from .prompts import PromptTemplate, render
+from .graphstore import UNLABELED, TagGraph, check_field_types
+from .prompts import PromptTemplate, examples_from_ids, render
 from .retrieval import _normalize_rows
 
 
@@ -68,6 +68,7 @@ class ScorerSpec:
     oracle_base: ClassVar[float] = 0.1
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.kind not in ("http", "oracle"):
             raise ValueError(f"unknown scorer kind {self.kind!r}")
         if self.kind == "http":
@@ -659,6 +660,8 @@ def rank_candidates(
             raise ValueError("rank_candidates needs a non-empty candidate set")
         if int(graph.labels[q]) == UNLABELED:
             raise ValueError(f"query node {q} has no gold label")
+    distinct = sorted({e for ids in lists.values() for e in ids})
+    examples = dict(zip(distinct, examples_from_ids(graph, distinct)))
     if client is None:
         client = make_client(spec, graph)
 
@@ -672,8 +675,7 @@ def rank_candidates(
         """Request each class the cache lacks; a failed class leaves a None."""
         q, e = pair
         vector = ppls[pair]
-        prompt = render(template, [(graph.texts[e], graph.label_vocab[int(graph.labels[e])])],
-                        graph.texts[q])
+        prompt = render(template, [examples[e]], graph.texts[q])
         scored = {}
         try:
             for c in classes:

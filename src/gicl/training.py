@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .encoder import (
     init_params,
     logits_on_tape,
 )
-from .graphstore import SplitSpec, TagGraph, atomic_write
+from .graphstore import SplitSpec, TagGraph, atomic_write, check_field_types
 from .nncore import ParamSet, Tape, Tensor2
 from .prompts import PromptTemplate
 from .retrieval import build_index, retrieve_topk
@@ -57,13 +56,13 @@ class TrainConfig:
     hidden_dim: int = 256
     dropout: float = 0.5
     coverage_floor: float = 0.5
+    fraction: float = 0.1  # of the labeled nodes outside the test set, sampled with seed
+    split_fields: ClassVar[tuple[str, str]] = ("fraction", "seed")  # pick the labeled split
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value, whole = getattr(self, f.name), isinstance(f.default, int)
-            kind = numbers.Integral if whole else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise TypeError(f"{f.name} must be {'an integer' if whole else 'a number'}, got {value!r}")
+        check_field_types(self)
+        if not 0 < self.fraction <= 1:
+            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
         if not 0 <= self.beta <= 1:
             raise ValueError("beta must be in [0, 1]")
         if not (math.isfinite(self.tau) and self.tau > 0):

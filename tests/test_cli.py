@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import re
+import shlex
 import shutil
 from pathlib import Path
 
@@ -318,7 +320,7 @@ class TestConfigFile:
             "--out", str(tmp_path), "--k-icl", "4"])
         inputs = resolve_inputs(args)
         assert inputs.config.k_icl == 4  # flag
-        assert inputs.split.fraction == 0.3 and inputs.config.seed == 2  # model, not file
+        assert inputs.config.fraction == 0.3 and inputs.config.seed == 2  # model, not file
         assert inputs.config.tau == 1.0  # the model's value, not the file's
 
     def test_bad_scorer_block_fails_before_any_request(self, bundle, tmp_path, capsys):
@@ -368,6 +370,37 @@ class TestConfigFile:
         assert not cache.exists()
         assert not out.exists()
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"fraction": True}, "fraction must be a number, got True"),
+        ({"fraction": "0.3"}, "fraction must be a number, got '0.3'"),
+        ({"fraction": 0}, "fraction must be in (0, 1]"),
+        ({"scorer": {"retries": 2.5}}, "retries must be an integer, got 2.5"),
+        ({"scorer": {"max_parallel": True}}, "max_parallel must be an integer, got True"),
+        ({"scorer": {"timeout": "30"}}, "timeout must be a number, got '30'"),
+        ({"template": 5}, "template must be a string, got 5"),
+    ])
+    def test_unusable_setting_is_refused_by_name_before_the_bundle_loads(self, tmp_path, capsys,
+                                                                         cfg, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["train", "--bundle", str(tmp_path / "no-bundle"), "--config", str(path),
+                     "--out", str(tmp_path / "model")])
+        assert code == 1
+        assert message in capsys.readouterr().err  # not the missing bundle
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize("key", ["beta", "fraction"])
+    def test_one_and_one_point_zero_give_one_manifest_hash(self, bundle, tmp_path, key):
+        hashes = set()
+        for text in (f'{{"{key}": 1}}', f'{{"{key}": 1.0}}'):
+            path = tmp_path / "config.json"
+            path.write_text(text)
+            args = build_parser().parse_args([
+                "baseline", "--bundle", str(bundle), "--strategy", "few_knn",
+                "--config", str(path), "--out", str(tmp_path)])
+            hashes.add(resolve_inputs(args).manifest.manifest_hash)
+        assert len(hashes) == 1
+
     def test_readme_example_config_is_valid(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
@@ -386,6 +419,23 @@ class TestConfigFile:
         assert code == 1
         assert "must be JSON objects" in capsys.readouterr().err
         assert not (tmp_path / "model").exists()
+
+
+def test_every_readme_command_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["gicl"]:
+                commands.append(words[1:])
+    assert len(commands) >= 9 and any("http" in argv for argv in commands)
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: gicl {shlex.join(argv)}")
 
 
 class TestDeterminism:

@@ -286,7 +286,7 @@ class TestRoundTrip:
         write_raw_bundle(tmp_path / "b", nodes, [], np.zeros((4, 2)), ["a"],
                          splits={"labeled": [0, 1], "test": [2, 3]})
         got = load_split_file(tmp_path / "b")
-        assert got["test"].tolist() == [2, 3]
+        assert got.dtype == np.int64 and got.tolist() == [2, 3]
         assert load_split_file(tmp_path) is None
 
     def test_split_file_without_test_ids_is_refused(self, tmp_path):

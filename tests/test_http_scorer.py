@@ -290,10 +290,23 @@ class TestSpecValidation:
         ("timeout", float("nan"), "timeout must be a finite number > 0"),
         ("timeout", float("inf"), "timeout must be a finite number > 0"),
         ("max_parallel", 0, "max_parallel must be >= 1"),
+        ("retries", 2.5, "retries must be an integer, got 2.5"),
+        ("retries", True, "retries must be an integer, got True"),
+        ("max_parallel", True, "max_parallel must be an integer, got True"),
+        ("max_parallel", 2.5, "max_parallel must be an integer, got 2.5"),
+        ("timeout", "30", "timeout must be a number, got '30'"),
+        ("backoff", "0.1", "backoff must be a number, got '0.1'"),
+        ("model", 5, "model must be a string, got 5"),
     ])
     def test_unusable_retry_and_pool_settings_rejected(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises((TypeError, ValueError), match=message):
             ScorerSpec(kind="http", endpoint="http://127.0.0.1:1", **{field: value})
+
+    def test_numbers_are_stored_as_plain_int_and_float(self):
+        spec = ScorerSpec(kind="http", endpoint="http://127.0.0.1:1", timeout=30, backoff=0,
+                          retries=np.int64(2), max_parallel=np.uint8(4))
+        assert [type(v) for v in (spec.timeout, spec.backoff, spec.retries, spec.max_parallel)] == [
+            float, float, int, int]
 
     def test_boundary_settings_accepted(self):
         ScorerSpec(kind="http", endpoint="http://127.0.0.1:1", retries=0, backoff=0.0,

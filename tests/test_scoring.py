@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import math
+from contextlib import closing
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gicl.graphstore import synth_sbm
+from gicl.graphstore import UNLABELED, synth_sbm
 from gicl.prompts import DEFAULT_TEMPLATE
 from gicl.scoring import (
     FeedbackCache,
@@ -485,6 +487,20 @@ class TestRankCandidates:
         )
         with pytest.raises(ValueError, match="gold"):
             rank_candidates(g, {0: [1]}, ScorerSpec(kind="oracle"), DEFAULT_TEMPLATE, FeedbackCache(), client=make_client(ScorerSpec(kind="oracle"), g))
+
+    def test_unlabeled_candidate_is_refused_before_any_call(self, clean_sbm, tmp_path):
+        labels = clean_sbm.labels.copy()
+        labels[5] = UNLABELED
+        g = dataclasses.replace(clean_sbm, labels=labels)
+        spec = ScorerSpec(kind="oracle")
+        client = make_client(spec, g)
+        path = tmp_path / "cache.jsonl"
+        with closing(FeedbackCache(path)) as cache:
+            with pytest.raises(ValueError, match="^node 5 has no label"):
+                rank_candidates(g, {0: [1, 5], 2: [3]}, spec, DEFAULT_TEMPLATE, cache,
+                                client=client)
+        assert client.calls == 0
+        assert not path.exists()
 
     def test_empty_candidates_rejected(self, clean_sbm):
         with pytest.raises(ValueError, match="non-empty"):

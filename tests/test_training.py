@@ -366,7 +366,7 @@ class TestTapeGradients:
             texts=tuple(f"doc {i}" for i in range(n)), labels=np.arange(n) % 3,
             label_vocab=("a", "b", "c"),
         )
-        split = SplitSpec(labeled_ids=np.arange(6), test_ids=np.arange(20, 26), fraction=0.15)
+        split = SplitSpec(labeled_ids=np.arange(6), test_ids=np.arange(20, 26))
         params = init_params(self.RING_CFG.encoder_config(graph), seed=2, dtype=np.float64)
         feedback = collect_feedback_round(graph, split, params, self.RING_CFG, ORACLE,
                                           DEFAULT_TEMPLATE, FeedbackCache())
@@ -522,6 +522,7 @@ class TestTrain:
         {"tau": math.inf}, {"tau": math.nan},
         {"dropout": 1.0}, {"dropout": 1.5}, {"dropout": -0.1},
         {"coverage_floor": 2.0}, {"coverage_floor": -0.5},
+        {"fraction": 0}, {"fraction": -0.1}, {"fraction": 1.5}, {"fraction": math.nan},
     ]
 
     @pytest.mark.parametrize("bad", BAD_VALUES, ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
@@ -536,12 +537,13 @@ class TestTrain:
     def test_edge_values_are_accepted(self):
         TrainConfig(k_feedback=1, k_icl=0, rounds=1, epochs=0, lr=1e-9,
                     dropout=0.0, coverage_floor=0.0, n_layers=1, hidden_dim=1)
-        TrainConfig(coverage_floor=1.0, dropout=0.99)
+        TrainConfig(coverage_floor=1.0, dropout=0.99, fraction=1.0)
 
     WRONG_TYPES = [
         {"k_icl": 2.5}, {"epochs": 2.5}, {"hidden_dim": 16.0}, {"n_layers": "2"},
         {"seed": True}, {"rounds": False}, {"k_feedback": None},
         {"beta": True}, {"lr": "0.01"}, {"tau": None}, {"dropout": [0.5]},
+        {"fraction": True}, {"fraction": "0.3"},
     ]
 
     @pytest.mark.parametrize("bad", WRONG_TYPES, ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
@@ -553,3 +555,7 @@ class TestTrain:
     def test_numpy_scalars_and_whole_floats_are_accepted(self):
         cfg = TrainConfig(k_icl=np.int64(3), seed=np.uint8(2), beta=1, tau=np.float32(0.5), lr=1)
         assert (cfg.k_icl, cfg.seed, cfg.beta, cfg.tau, cfg.lr) == (3, 2, 1.0, 0.5, 1.0)
+        # stored as plain Python numbers, so 1 and 1.0 are one setting
+        assert [type(v) for v in (cfg.k_icl, cfg.seed, cfg.beta, cfg.tau, cfg.lr)] == [
+            int, int, float, float, float]
+        assert cfg == TrainConfig(k_icl=3, seed=2, beta=1.0, tau=0.5, lr=1.0)
