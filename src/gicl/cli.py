@@ -42,6 +42,7 @@ from .graphstore import (
 )
 from .nncore import ParamSet
 from .pipeline import (
+    PURIFY_MODES,
     STRATEGY_TABLE,
     SWEEP_AXES,
     RunManifest,
@@ -134,7 +135,6 @@ def resolve_inputs(args: argparse.Namespace) -> RunInputs:
     recorded = {k: v for k, v in vars(args).items() if k not in UNRECORDED}
     manifest = RunManifest(
         config={**recorded, **asdict(config)},
-        seed=config.seed,
         bundle_hash=digest,
         template_hash=template.template_hash,
         scorer_id=spec.scorer_id,
@@ -201,7 +201,6 @@ def cmd_feedback(args: argparse.Namespace) -> int:
         feedback = collect_feedback_round(run.graph, run.split, params, run.config, run.spec,
                                           run.template, cache)
     payload = {
-        "round": feedback.round_index,
         "coverage": feedback.coverage,
         "queries": {
             str(q): {"examples": list(r.example_ids), "utilities": list(r.utilities)}
@@ -329,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     methods = [s for s, plan in STRATEGY_TABLE.items() if plan.purifiable]
     p.add_argument("--strategy", default=methods[0], choices=methods)
     _add_train_flags(p, ("k_icl",))
-    p.add_argument("--purify", choices=["minority", "llm_select"], default=None)
+    p.add_argument("--purify", choices=PURIFY_MODES, default=None)
     p.add_argument("--purify-budget", dest="purify_budget", type=int, default=None)
     p.add_argument("--out", required=True, help="report output directory")
     p.add_argument("--force", action="store_true", help="allow overwriting a report")

@@ -1,10 +1,10 @@
 """End-to-end inference, baselines, evaluation, and sweeps.
 
-Every run is described by a RunManifest whose hash covers the config,
-seeds, data, template, and scorer identity (but not wall-clock time), so
-identical manifests in single-thread mode produce byte-identical reports.
-Reports are append-only: a rerun writes a new file, never mutates an old
-one.
+Every run is described by a RunManifest whose hash covers the config
+(seeds included), data, template, and scorer identity (but not wall-clock
+time), so identical manifests in single-thread mode produce byte-identical
+reports. Reports are append-only: a rerun writes a new file, never mutates
+an old one.
 """
 
 from __future__ import annotations
@@ -73,13 +73,13 @@ STRATEGY_TABLE = {
     "npl": Strategy(LLM_NEIGHBORS),
 }
 STRATEGIES = tuple(STRATEGY_TABLE)
+PURIFY_MODES = ("minority", "llm_select")
 SWEEP_AXES = ("beta", "k_icl")
 
 
 @dataclass(frozen=True)
 class RunManifest:
     config: dict
-    seed: int
     bundle_hash: str
     template_hash: str
     scorer_id: str
@@ -226,24 +226,19 @@ def _apply_purify(
     budget: int | None,
     client,
 ) -> tuple[list[int], list[IclExample], str]:
-    """Filter (id, example) pairs with the configured purification mode."""
+    """Keep the (id, example) pairs at the positions the purification mode picks."""
     if purify is None or not examples:
         return ids, examples, ""
+    note = ""
     if purify == "minority":
-        selected = purify_minority(examples)
-        note = ""
-    elif purify == "llm_select":
+        keep = purify_minority(examples)
+    else:
         chosen = budget if budget is not None else max(1, (2 * len(examples)) // 3)
-        chosen = min(chosen, len(examples))
-        selected, fell_back = purify_llm_select(
-            examples, lambda p: client.complete(p, meta=None), chosen
+        keep, fell_back = purify_llm_select(
+            examples, lambda p: client.complete(p, meta=None), min(chosen, len(examples))
         )
         note = "purify fallback" if fell_back else ""
-    else:
-        raise ValueError(f"unknown purify mode {purify!r}")
-    # both modes return distinct objects taken from ``examples``
-    node_of = {id(ex): node_id for node_id, ex in zip(ids, examples)}
-    return [node_of[id(ex)] for ex in selected], list(selected), note
+    return [ids[i] for i in keep], [examples[i] for i in keep], note
 
 
 def run_strategy(
@@ -266,6 +261,12 @@ def run_strategy(
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     if plan.needs_model and model is None:
         raise ValueError(f"strategy {strategy!r} needs a trained model")
+    if purify is not None and not plan.purifiable:
+        raise ValueError(f"strategy {strategy!r} takes no purify mode, got {purify!r}")
+    if purify not in (None, *PURIFY_MODES):
+        raise ValueError(f"purify mode must be one of {PURIFY_MODES}, got {purify!r}")
+    if purify_budget is not None and purify != "llm_select":
+        raise ValueError(f"a purify budget needs purify 'llm_select', got {purify!r}")
     if purify_budget is not None and purify_budget < 1:
         raise ValueError(f"purify budget must be at least 1, got {purify_budget}")
     if client is None:
@@ -309,9 +310,7 @@ def run_strategy(
         ids, examples = examples_for(q)
         if plan.vote:
             return _mv_row(graph, q, examples, strategy)
-        note = ""
-        if plan.purifiable:
-            ids, examples, note = _apply_purify(ids, examples, purify, purify_budget, client)
+        ids, examples, note = _apply_purify(ids, examples, purify, purify_budget, client)
         row = llm_row(q, ids, examples)
         return replace(row, note=note) if note else row
 

@@ -139,18 +139,16 @@ def majority_vote(examples: Sequence[IclExample | tuple[str, str]]) -> str:
     return max(counts, key=lambda lab: (counts[lab], -first_rank[lab]))
 
 
-def purify_minority(
-    examples: Sequence[IclExample | tuple[str, str]],
-) -> list[IclExample | tuple[str, str]]:
-    """Drop examples whose label appears only once.
+def purify_minority(examples: Sequence[IclExample | tuple[str, str]]) -> list[int]:
+    """Positions of the examples whose label appears at least twice.
 
-    If that would remove everything, the input is returned unchanged.
+    If that would remove everything, every position is kept.
     """
     counts: dict[str, int] = {}
     for _, label in examples:
         counts[label] = counts.get(label, 0) + 1
-    kept = [ex for ex in examples if counts[ex[1]] >= 2]
-    return kept if kept else list(examples)
+    kept = [i for i, (_, label) in enumerate(examples) if counts[label] >= 2]
+    return kept if kept else list(range(len(examples)))
 
 
 SELECTION_PROMPT = (
@@ -166,17 +164,18 @@ def purify_llm_select(
     examples: Sequence[IclExample | tuple[str, str]],
     complete_fn,
     budget: int,
-) -> tuple[list[IclExample | tuple[str, str]], bool]:
+) -> tuple[list[int], bool]:
     """Ask the model to pick ``budget`` examples; fall back to original rank.
 
     ``complete_fn(prompt) -> str`` issues the selection request. Returns the
-    selected examples and a flag set when the fallback was used (unparseable
-    reply or scorer failure).
+    positions of the selected examples, in the order picked, and a flag set
+    when the fallback (the first ``budget`` positions) was used: an
+    unparseable reply or a scorer failure.
     """
     if budget > len(examples):
         raise ValueError("budget cannot exceed the number of examples")
     if budget == len(examples):
-        return list(examples), False
+        return list(range(budget)), False
     lines = "\n".join(
         f"{i + 1}. {truncate_at_whitespace(str(text), 200)} -> {label}"
         for i, (text, label) in enumerate(examples)
@@ -185,7 +184,7 @@ def purify_llm_select(
     try:
         reply = complete_fn(prompt)
     except Exception:
-        return list(examples[:budget]), True
+        return list(range(budget)), True
     picks: list[int] = []
     for token in re.findall(r"\d+", reply):
         i = int(token) - 1
@@ -194,5 +193,5 @@ def purify_llm_select(
         if len(picks) == budget:
             break
     if not picks:
-        return list(examples[:budget]), True
-    return [examples[i] for i in picks], False
+        return list(range(budget)), True
+    return picks, False

@@ -71,7 +71,11 @@ class ScorerSpec:
         check_field_types(self)
         if self.kind not in ("http", "oracle"):
             raise ValueError(f"unknown scorer kind {self.kind!r}")
-        if self.kind == "http":
+        if self.kind == "oracle":
+            # the oracle reads neither, so they name no cache key or manifest
+            object.__setattr__(self, "endpoint", "")
+            object.__setattr__(self, "model", "")
+        else:
             if not self.endpoint:
                 raise ValueError("http scorer needs an endpoint")
             url = urlsplit(self.endpoint)
@@ -283,8 +287,7 @@ class OracleClient:
     closed form is a function of node identity, not prompt text.
     """
 
-    def __init__(self, spec: ScorerSpec, graph: TagGraph):
-        self.spec = spec
+    def __init__(self, graph: TagGraph):
         self.graph = graph
         self.calls = 0
         self._unit = _normalize_rows(graph.features)
@@ -608,7 +611,7 @@ def make_client(spec: ScorerSpec, graph: TagGraph | None = None):
     if spec.kind == "oracle":
         if graph is None:
             raise ValueError("oracle scorer needs the graph")
-        return OracleClient(spec, graph)
+        return OracleClient(graph)
     return HttpClient(spec)
 
 

@@ -55,7 +55,6 @@ class TrainConfig:
     n_layers: int = 3
     hidden_dim: int = 256
     dropout: float = 0.5
-    coverage_floor: float = 0.5
     fraction: float = 0.1  # of the labeled nodes outside the test set, sampled with seed
     split_fields: ClassVar[tuple[str, str]] = ("fraction", "seed")  # pick the labeled split
 
@@ -75,8 +74,6 @@ class TrainConfig:
             raise ValueError("lr must be finite and positive")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
-        if not 0 <= self.coverage_floor <= 1:
-            raise ValueError("coverage_floor must be in [0, 1]")
 
     def encoder_config(self, graph: TagGraph) -> EncoderConfig:
         return EncoderConfig(
@@ -93,7 +90,6 @@ class FeedbackSet:
     """Per-query ranked candidates collected in one feedback round."""
 
     by_query: dict[int, RankedSet]
-    round_index: int
     n_scored: int
     n_unscored: int
 
@@ -226,8 +222,11 @@ def epoch_loss(
     return combined_loss(tape, lf, lc, config.beta), lf, lc
 
 
+COVERAGE_FLOOR = 0.5  # a round that scores a smaller share of its candidate pairs aborts
+
+
 class ScorerCoverageError(Exception):
-    """Feedback collection fell below the configured scored-pair floor."""
+    """Feedback collection fell below the scored-pair floor."""
 
 
 def collect_feedback_round(
@@ -243,7 +242,7 @@ def collect_feedback_round(
 ) -> FeedbackSet:
     """Retrieve each query's top-K candidates under the frozen encoder and
     rank them by scored utility, all queries in one ``rank_candidates`` pass.
-    Aborts when scored coverage falls below the configured floor (partial
+    Aborts when scored coverage falls below ``COVERAGE_FLOOR`` (partial
     results stay cached)."""
     enc = config.encoder_config(graph)
     table = encode_all(graph, params, enc)
@@ -256,13 +255,11 @@ def collect_feedback_round(
     by_query, n_unscored = rank_candidates(graph, candidates, spec, template, cache, client=client)
     n_scored = sum(len(r) for r in by_query.values())
 
-    feedback = FeedbackSet(
-        by_query=by_query, round_index=round_index, n_scored=n_scored, n_unscored=n_unscored
-    )
-    if feedback.coverage < config.coverage_floor:
+    feedback = FeedbackSet(by_query=by_query, n_scored=n_scored, n_unscored=n_unscored)
+    if feedback.coverage < COVERAGE_FLOOR:
         raise ScorerCoverageError(
             f"round {round_index}: only {n_scored}/{n_scored + n_unscored} candidate pairs "
-            f"scored, below the {config.coverage_floor:.0%} floor"
+            f"scored, below the {COVERAGE_FLOOR:.0%} floor"
         )
     return feedback
 

@@ -124,7 +124,7 @@ def test_c2_closed_form_unit_values():
     emb = Tensor2(np.array([[1.0, 0.0], [0.0, 1.0]]))
     singleton = FeedbackSet(
         by_query={0: RankedSet(query_id=0, example_ids=(1,), utilities=(0.9,))},
-        round_index=0, n_scored=1, n_unscored=0,
+        n_scored=1, n_unscored=0,
     )
     cfg = TrainConfig(k_feedback=3, epochs=1, hidden_dim=4, n_layers=1)
     got = feedback_loss(Tape(), emb, feedback_lists(singleton), cfg.tau).item()

@@ -196,6 +196,16 @@ class TestInferAndBaselines:
         assert f"purify budget must be at least 1, got {budget}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("purify", [[], ["--purify", "minority"]])
+    def test_purify_budget_without_llm_select_is_refused(self, bundle, model_dir, tmp_path,
+                                                         capsys, purify):
+        out = tmp_path / "reports"
+        assert main(["infer", "--bundle", str(bundle), "--model", str(model_dir),
+                     "--k-icl", "4", "--out", str(out), "--scorer-kind", "oracle",
+                     *purify, "--purify-budget", "3", "--single-thread"]) == 1
+        assert "purify budget needs purify 'llm_select'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy", ["mv_askgnn", "npg"])
     def test_model_baselines(self, bundle, model_dir, tmp_path, capsys, strategy):
         out = tmp_path / "reports"
@@ -219,11 +229,13 @@ class TestInferAndBaselines:
 
     def test_model_directory_with_the_removed_loss_keys_still_loads(self, bundle, model_dir,
                                                                     tmp_path, capsys):
-        # manifests written before the one-positive loss recorded its two options
+        # manifests written before the one-positive loss recorded its two options, and
+        # before the coverage floor was fixed, that floor and a top-level copy of the seed
         legacy = tmp_path / "legacy"
         shutil.copytree(model_dir, legacy)
         manifest = json.loads((legacy / "manifest.json").read_text())
-        manifest["config"].update({"feedback_mode": "top_m", "top_m": 1})
+        manifest["config"].update({"feedback_mode": "top_m", "top_m": 1, "coverage_floor": 0.5})
+        manifest["seed"] = manifest["config"]["seed"]
         (legacy / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
         common = ["--bundle", str(bundle), "--scorer-kind", "oracle", "--single-thread"]
         reports = []
@@ -268,7 +280,7 @@ class TestInferAndBaselines:
         assert summary["coverage"] == 1.0
         assert cache.is_file()
         payload = json.loads(out.read_text())
-        assert payload["queries"]
+        assert set(payload) == {"coverage", "queries"} and payload["queries"]
 
     def test_feedback_with_model_collects_over_the_models_split(self, bundle, model_dir,
                                                                 capsys):
@@ -342,6 +354,7 @@ class TestConfigFile:
         ({"scorer": {"oracle_alpha": 3.0}}, "scorer.oracle_alpha"),
         ({"feedback_mode": "top_m", "epochs": 1}, "feedback_mode"),  # options of the old loss
         ({"top_m": 1}, "top_m"),
+        ({"coverage_floor": 0.5}, "coverage_floor"),  # now the fixed training.COVERAGE_FLOOR
     ])
     def test_unknown_key_is_refused_before_the_bundle_loads(self, tmp_path, capsys, cfg, key):
         path = tmp_path / "config.json"
@@ -402,13 +415,22 @@ class TestConfigFile:
         assert len(hashes) == 1
 
     def test_readme_example_config_is_valid(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
-        cfg = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        cfg = readme_config()
         assert set(cfg) <= CONFIG_KEYS
         assert set(cfg["scorer"]) <= SCORER_KEYS
         TrainConfig(**{k: v for k, v in cfg.items() if k in TrainConfig.__dataclass_fields__})
         ScorerSpec(**cfg["scorer"])
+
+    def test_oracle_run_ignores_the_http_settings_of_a_shared_config(self, bundle, tmp_path,
+                                                                      capsys):
+        path, cache = tmp_path / "config.json", tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(readme_config()))
+        train = ["train", "--bundle", str(bundle), "--cache", str(cache), *TRAIN_FLAGS]
+        plain = run([*train, "--out", str(tmp_path / "plain")], capsys)
+        lines = len(cache.read_text().splitlines())
+        shared = run([*train, "--config", str(path), "--out", str(tmp_path / "shared")], capsys)
+        assert lines > 0 and len(cache.read_text().splitlines()) == lines
+        assert shared["manifest_hash"] == plain["manifest_hash"]
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"scorer": "oracle"}'])
     def test_config_that_is_not_an_object_is_refused(self, bundle, tmp_path, capsys, text):
@@ -419,6 +441,13 @@ class TestConfigFile:
         assert code == 1
         assert "must be JSON objects" in capsys.readouterr().err
         assert not (tmp_path / "model").exists()
+
+
+def readme_config() -> dict:
+    """The example JSON of README's "Config files" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
 
 
 def test_every_readme_command_parses():

@@ -100,23 +100,21 @@ class TestReports:
         assert read_report(tmp_path / "r.csv") == rows
 
     def test_manifest_hash_ignores_timestamp(self):
-        kw = dict(config={"beta": 0.2}, seed=1, bundle_hash="b", template_hash="t", scorer_id="s")
+        kw = dict(config={"beta": 0.2}, bundle_hash="b", template_hash="t", scorer_id="s")
         a = RunManifest(**kw, created_at=1.0)
         b = RunManifest(**kw, created_at=999.0)
-        c = RunManifest(**{**kw, "seed": 2}, created_at=1.0)
         assert a.manifest_hash == b.manifest_hash
-        assert a.manifest_hash != c.manifest_hash
 
     def test_manifest_save_load(self, tmp_path):
-        m = RunManifest(config={"k": 1}, seed=3, bundle_hash="b", template_hash="t", scorer_id="s")
+        m = RunManifest(config={"k": 1}, bundle_hash="b", template_hash="t", scorer_id="s")
         m.save(tmp_path / "m.json")
         back = RunManifest.load(tmp_path / "m.json")
         assert back.manifest_hash == m.manifest_hash
 
     def test_manifest_without_version_or_time_loads(self, tmp_path):
-        old = {"config": {"k": 1}, "seed": 3, "bundle_hash": "b", "template_hash": "t",
-               "scorer_id": "s"}
-        (tmp_path / "m.json").write_text(json.dumps(old))
+        old = {"config": {"k": 1}, "bundle_hash": "b", "template_hash": "t", "scorer_id": "s"}
+        # manifests once repeated the config's seed at the top level; it is not read
+        (tmp_path / "m.json").write_text(json.dumps({**old, "seed": 3}))
         back = RunManifest.load(tmp_path / "m.json")
         assert back.created_at == 0.0
         assert back.manifest_hash == RunManifest(**old).manifest_hash
@@ -209,7 +207,7 @@ class TestStrategies:
                     return super().complete(prompt, meta=meta)
                 return g.label_vocab[0]  # zero-shot pseudo-label requests
 
-        client = FirstClassClient(ORACLE, g)
+        client = FirstClassClient(g)
         rows = run_strategy("npl", g, split, ORACLE, DEFAULT_TEMPLATE,
                             seed=cfg.seed, client=client, single_thread=True)
         assert len(rows) == len(split.test_ids)
@@ -256,6 +254,31 @@ class TestStrategies:
             run_strategy("askgnn", g, split, ORACLE, DEFAULT_TEMPLATE, model=model,
                          k_icl=cfg.k_icl, purify="llm_select", purify_budget=budget)
 
+    @pytest.mark.parametrize("strategy, model", [("few_knn", False), ("mv_askgnn", True)])
+    def test_purify_on_a_strategy_without_it_is_refused(self, trained_clean, strategy, model):
+        g, split, cfg, trained = trained_clean
+        client = make_client(ORACLE, g)
+        with pytest.raises(ValueError, match="takes no purify mode"):
+            run_strategy(strategy, g, split, ORACLE, DEFAULT_TEMPLATE,
+                         model=trained if model else None, k_icl=cfg.k_icl, purify="minority",
+                         client=client)
+        assert client.calls == 0
+
+    @pytest.mark.parametrize("purify", [None, "minority"])
+    def test_purify_budget_without_llm_select_is_refused(self, trained_clean, purify):
+        g, split, cfg, model = trained_clean
+        client = make_client(ORACLE, g)
+        with pytest.raises(ValueError, match="purify budget needs purify 'llm_select'"):
+            run_strategy("askgnn", g, split, ORACLE, DEFAULT_TEMPLATE, model=model,
+                         k_icl=cfg.k_icl, purify=purify, purify_budget=3, client=client)
+        assert client.calls == 0
+
+    def test_unknown_purify_mode_is_refused(self, trained_clean):
+        g, split, cfg, model = trained_clean
+        with pytest.raises(ValueError, match="purify mode must be one of"):
+            run_strategy("askgnn", g, split, ORACLE, DEFAULT_TEMPLATE, model=model,
+                         k_icl=cfg.k_icl, purify="majority")
+
     def test_transport_failures_become_unparsed_rows(self, trained_clean):
         from gicl.scoring import ScorerError
 
@@ -266,7 +289,7 @@ class TestStrategies:
                 raise ScorerError("endpoint unreachable")
 
         rows = run_strategy("askgnn", g, split, ORACLE, DEFAULT_TEMPLATE, model=model,
-                            k_icl=3, seed=cfg.seed, client=DownClient(ORACLE, g),
+                            k_icl=3, seed=cfg.seed, client=DownClient(g),
                             single_thread=True)
         assert len(rows) == len(split.test_ids)  # the sweep never aborts
         assert all(not r.parsed and r.predicted is None for r in rows)

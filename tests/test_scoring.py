@@ -396,6 +396,12 @@ class TestOracleClient:
         http = ScorerSpec(kind="http", endpoint="http://127.0.0.1:8000", model="m")
         assert http.scorer_id == "da5924ce998f392a"
 
+    def test_oracle_keeps_no_endpoint_or_model(self):
+        # a shared config's http settings must not split the oracle's cache or manifest
+        spec = ScorerSpec(kind="oracle", endpoint="http://x", model="m")
+        assert spec.endpoint == spec.model == ""
+        assert spec.scorer_id == "b64369079ceb46c0"
+
     def test_free_function_builds_client(self, clean_sbm):
         spec = ScorerSpec(kind="oracle")
         meta = {"query_id": 0, "example_ids": [], "class_index": 0}
@@ -515,7 +521,7 @@ class TestRankCandidates:
                     raise ScorerError("injected")
                 return super().token_logprobs(prompt, continuation, meta=meta)
 
-        client = Flaky(spec, clean_sbm)
+        client = Flaky(clean_sbm)
         by_query, n_unscored = rank_candidates(clean_sbm, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE,
                                                FeedbackCache(), client=client)
         assert n_unscored == 1  # candidate 3
@@ -533,7 +539,7 @@ class TestRankCandidates:
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
         _, n_unscored = rank_candidates(clean_sbm, {0: [1, 3]}, spec, DEFAULT_TEMPLATE, cache,
-                                        client=FailsClassOne(spec, clean_sbm))
+                                        client=FailsClassOne(clean_sbm))
         cache.close()
         assert n_unscored == 1
         records = [json.loads(line) for line in path.read_text().splitlines()]

@@ -45,7 +45,7 @@ def unit_rows(*rows):
 
 def fb(query_to_ranked):
     total = sum(len(r) for r in query_to_ranked.values())
-    return FeedbackSet(by_query=query_to_ranked, round_index=0, n_scored=total, n_unscored=0)
+    return FeedbackSet(by_query=query_to_ranked, n_scored=total, n_unscored=0)
 
 
 def lists(feedback, config):
@@ -290,7 +290,7 @@ class TestOnePassRound:
         cache = FeedbackCache(path)
         with pytest.raises(RuntimeError, match="killed"):
             collect_feedback_round(clean_sbm, clean_split, params, cfg, ORACLE, DEFAULT_TEMPLATE,
-                                   cache, client=CrashOnSeventh(ORACLE, clean_sbm))
+                                   cache, client=CrashOnSeventh(clean_sbm))
         cache.close()
         assert len(FeedbackCache(path)) == 6
         full = FeedbackCache()
@@ -521,7 +521,6 @@ class TestTrain:
         {"lr": -1.0}, {"lr": 0.0}, {"lr": math.inf}, {"lr": math.nan},
         {"tau": math.inf}, {"tau": math.nan},
         {"dropout": 1.0}, {"dropout": 1.5}, {"dropout": -0.1},
-        {"coverage_floor": 2.0}, {"coverage_floor": -0.5},
         {"fraction": 0}, {"fraction": -0.1}, {"fraction": 1.5}, {"fraction": math.nan},
     ]
 
@@ -536,8 +535,8 @@ class TestTrain:
 
     def test_edge_values_are_accepted(self):
         TrainConfig(k_feedback=1, k_icl=0, rounds=1, epochs=0, lr=1e-9,
-                    dropout=0.0, coverage_floor=0.0, n_layers=1, hidden_dim=1)
-        TrainConfig(coverage_floor=1.0, dropout=0.99, fraction=1.0)
+                    dropout=0.0, n_layers=1, hidden_dim=1)
+        TrainConfig(dropout=0.99, fraction=1.0)
 
     WRONG_TYPES = [
         {"k_icl": 2.5}, {"epochs": 2.5}, {"hidden_dim": 16.0}, {"n_layers": "2"},
