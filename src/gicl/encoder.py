@@ -1,20 +1,17 @@
-"""GraphSAGE-style encoder: mean neighbor aggregation plus a linear head.
+"""Decoupled graph encoder: propagate the features once, then a 2-layer MLP.
 
-Layer rule (every neighbour, no neighbor sampling):
+    Z = (D^-1 (A + I))^h X                            (``propagate``)
+    e_v = normalize( ReLU(z_v @ W1 + b1) @ W2 + b2 )
 
-    h_v <- ReLU( h_v @ W_self + mean_{u in N(v)} h_u @ W_neigh + b )
-
-The last layer skips the ReLU so embeddings are not confined to the
-positive orthant, and the output rows are L2-normalized so cosine
-similarity downstream reduces to a dot product. Dropout (inverted) sits
-between layers and only fires when the training flag is set. Each layer,
-dropout included, is one ``nncore.sage_layer`` node on the tape.
-
-An EncodePlan says which rows each layer computes. Evaluation encodes the
-whole graph; training computes only the receptive field of the nodes its
-losses read: layer l within L-1-l hops of them. Each row it computes is
-the same sum, over the same neighbours in the same order, as on the whole
-graph. Dropout draws its masks for the computed rows alone.
+Propagation averages each node's features with its neighbours' h times
+(h = ``n_layers``, the number of hops). It has no parameters, so it runs
+once per graph in float64, outside the tape. The MLP is the only learned
+part: inverted dropout sits after its ReLU and fires only when the
+training flag is set, and the output rows are L2-normalized so cosine
+similarity downstream reduces to a dot product. This is the SGC / SIGN
+member of the GNN family (Wu et al., arXiv 1902.07153; Frasca et al.,
+arXiv 2004.11198): a node's embedding depends on its own propagated row
+alone, so training reads only the rows its losses use.
 """
 
 from __future__ import annotations
@@ -28,12 +25,14 @@ from . import nncore
 from .graphstore import TagGraph, read_matrix, write_matrix
 from .nncore import ParamSet, RowAggregator, Tape, Tensor2
 
+MLP_PARAMS = ("mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
     input_dim: int
     n_classes: int
-    n_layers: int
+    n_layers: int  # propagation hops
     hidden_dim: int
     dropout: float
 
@@ -57,101 +56,62 @@ def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> ParamSet:
     """Glorot-uniform weights, zero biases; deterministic for a given seed."""
     rng = np.random.default_rng(seed)
     params = ParamSet(dtype=dtype)
-    d_in, d_out = config.input_dim, config.hidden_dim
-    for i in range(config.n_layers):
+    for i, (d_in, d_out) in enumerate(((config.input_dim, config.hidden_dim),
+                                       (config.hidden_dim, config.hidden_dim)), start=1):
         a = np.sqrt(6.0 / (d_in + d_out))
-        params.add(f"layer{i}.w_self", rng.uniform(-a, a, size=(d_in, d_out)))
-        params.add(f"layer{i}.w_neigh", rng.uniform(-a, a, size=(d_in, d_out)))
-        params.add(f"layer{i}.b", np.zeros((1, d_out)))
-        d_in = d_out
+        params.add(f"mlp.w{i}", rng.uniform(-a, a, size=(d_in, d_out)))
+        params.add(f"mlp.b{i}", np.zeros((1, d_out)))
     a = np.sqrt(6.0 / (config.hidden_dim + config.n_classes))
     params.add("head.w", rng.uniform(-a, a, size=(config.hidden_dim, config.n_classes)))
     params.add("head.b", np.zeros((1, config.n_classes)))
     return params
 
 
-@dataclass(frozen=True)
-class EncodePlan:
-    """The rows each layer computes.
-
-    ``rows[l]`` holds the ascending ids of the nodes layer l reads and
-    ``rows[l + 1]`` those it writes, so ``rows[-1]`` are the embedding rows
-    returned. Layer l's aggregator has one group per node of ``rows[l + 1]``
-    over positions in ``rows[l]``; ``own[l]`` holds the positions of
-    ``rows[l + 1]`` in ``rows[l]``, or None where the two are equal. Every
-    group keeps its node's full neighbourhood, so each computed row is the
-    sum the full graph computes, in the same order.
-    """
-
-    rows: tuple[np.ndarray, ...]
-    aggregators: tuple[RowAggregator, ...]
-    own: tuple[np.ndarray | None, ...]
-
-
-def encode_plan(graph: TagGraph, n_layers: int, nodes: np.ndarray | None = None) -> EncodePlan:
-    """The plan whose last layer yields the embeddings of ``nodes``; every
-    node when None. Layer l then computes the nodes within
-    ``n_layers - 1 - l`` hops of them (GraphSAGE's minibatch receptive field)."""
+def propagate(graph: TagGraph, hops: int) -> np.ndarray:
+    """(D^-1 (A + I))^hops X in float64: each hop replaces every row by the
+    mean of its own and its stored neighbours' rows, so an isolated node
+    keeps its own row."""
     n = graph.n_nodes
-    out = np.arange(n) if nodes is None else np.unique(np.asarray(nodes, dtype=np.int64))
-    if out.size and (out[0] < 0 or out[-1] >= n):
-        raise ValueError(f"encode_plan: node ids must lie in [0, {n}), got {out[0]}..{out[-1]}")
-    offsets, targets = graph.csr_offsets, graph.csr_targets
-    rows, aggregators, own = [out], [], []
-    agg, self_pos = None, None
-    for _ in range(n_layers):
-        groups = rows[0]
-        # once a layer reads only the rows it writes, every layer below it is the same
-        if agg is None or self_pos is not None:
-            counts = offsets[groups + 1] - offsets[groups]
-            group_offsets = np.concatenate([[0], np.cumsum(counts)])
-            edges = np.repeat(offsets[groups] - group_offsets[:-1], counts) + np.arange(group_offsets[-1])
-            neigh = targets[edges]
-            inputs = groups if groups.size == n else np.union1d(groups, neigh)
-            pos = neigh if inputs.size == n else np.searchsorted(inputs, neigh)
-            agg = RowAggregator(group_offsets, pos, inputs.size)
-            self_pos = None if inputs.size == groups.size else np.searchsorted(inputs, groups)
-        rows.insert(0, groups if self_pos is None else inputs)
-        aggregators.insert(0, agg)
-        own.insert(0, self_pos)
-    return EncodePlan(tuple(rows), tuple(aggregators), tuple(own))
+    # each node's group is its neighbours followed by itself
+    targets = np.insert(graph.csr_targets, graph.csr_offsets[1:], np.arange(n))
+    matrix, _ = RowAggregator(graph.csr_offsets + np.arange(n + 1), targets, n).by_dtype[np.dtype(np.float64)]
+    x = graph.features.astype(np.float64)
+    for _ in range(hops):
+        x = matrix @ x
+    return x
 
 
 def encode_on_tape(
     tape: Tape,
     inputs: Tensor2,
-    plan: EncodePlan,
     params: ParamSet,
     config: EncoderConfig,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor2:
-    """Forward pass on an existing tape, one ``nncore.sage_layer`` per layer,
-    from ``inputs``, the feature rows of ``plan.rows[0]``; returns the
-    L2-normalized embeddings of ``plan.rows[-1]``."""
-    if inputs.shape != (plan.rows[0].size, config.input_dim):
-        raise ValueError(f"feature rows x dim {inputs.shape}: the plan reads {plan.rows[0].size} rows, "
-                         f"input_dim is {config.input_dim}")
-    if len(plan.aggregators) != config.n_layers:
-        raise ValueError(f"plan has {len(plan.aggregators)} layers, config {config.n_layers}")
+    """The MLP on an existing tape, from ``inputs``, propagated feature rows;
+    returns their L2-normalized embeddings, one per row."""
+    missing = [name for name in MLP_PARAMS if name not in params]
+    if missing:
+        raise ValueError(f"parameter set has no {', '.join(missing)}: it is not a propagate-then-MLP "
+                         "encoder (a GraphSAGE model from gicl 0.1 has layer* parameters), so it "
+                         "cannot encode; retrain the model")
+    if inputs.cols != config.input_dim:
+        raise ValueError(f"feature rows have dim {inputs.cols}, input_dim is {config.input_dim}")
     rate = config.dropout if training else 0.0
     if rate > 0 and rng is None:
         raise ValueError("training-mode encoding with dropout needs an rng")
-    h = inputs
-    for i in range(config.n_layers):
-        hidden = i < config.n_layers - 1
-        h = nncore.sage_layer(
-            tape, h, plan.aggregators[i], plan.own[i], params[f"layer{i}.w_self"],
-            params[f"layer{i}.w_neigh"], params[f"layer{i}.b"], hidden, rate if hidden else 0.0, rng,
-        )
+    h = nncore.relu(tape, nncore.linear(tape, inputs, params["mlp.w1"], params["mlp.b1"]))
+    if rate > 0:
+        h = nncore.dropout(tape, h, rate, rng)
+    h = nncore.linear(tape, h, params["mlp.w2"], params["mlp.b2"])
     return nncore.l2_normalize_rows(tape, h)
 
 
 def encode_all(graph: TagGraph, params: ParamSet, config: EncoderConfig) -> EmbeddingTable:
     """Encode every node in eval mode (no dropout); bitwise repeatable."""
-    feats = Tensor2(graph.features.astype(params.dtype))
-    out = encode_on_tape(Tape(), feats, encode_plan(graph, config.n_layers), params, config)
-    return EmbeddingTable(vectors=out.data)
+    rows = Tensor2(propagate(graph, config.n_layers).astype(params.dtype))
+    return EmbeddingTable(vectors=encode_on_tape(Tape(), rows, params, config).data)
 
 
 def logits_on_tape(tape: Tape, embeddings: Tensor2, params: ParamSet) -> Tensor2:

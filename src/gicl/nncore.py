@@ -1,13 +1,12 @@
 """Minimal dense 2-D tensor math with reverse-mode gradients.
 
-The operator set the graph encoder and its losses need: a whole
-GraphSAGE layer (``sage_layer``, one node with a hand-written backward
-pass), affine maps, row normalization, row gather, Gram-block pair dots,
-softmax cross-entropy and a segmented listwise softmax loss. ``add``,
-``relu``, ``mean_rows`` and ``dropout`` are the primitives a layer is
-made of, kept as its reference. Every op appends its output node to a
-Tape; backward() walks the tape in reverse creation order, which is a
-valid topological order by construction.
+The operator set the encoder's MLP and its losses need: affine maps,
+ReLU, inverted dropout, row normalization, row gather, Gram-block pair
+dots, softmax cross-entropy and a segmented listwise softmax loss.
+``RowAggregator`` is the sparse group-mean operator that feature
+propagation runs on. Every op appends its output node to a Tape;
+backward() walks the tape in reverse creation order, which is a valid
+topological order by construction.
 
 Values keep the dtype of their inputs (float32 by default, float64 for
 gradient checking). Matmuls, group means and elementwise work run in that
@@ -258,57 +257,6 @@ def dropout(tape: Tape, x: Tensor2, rate: float, rng: np.random.Generator) -> Te
         _accum(x, g * mask)
 
     return tape.record(Tensor2(x.data * mask), (x,), back)
-
-
-def sage_layer(
-    tape: Tape, h: Tensor2, aggregator: RowAggregator, own_pos: Array | None,
-    w_self: Tensor2, w_neigh: Tensor2, b: Tensor2, relu: bool, rate: float, rng: np.random.Generator | None,
-) -> Tensor2:
-    """One GraphSAGE layer as one tape node: ``h[own_pos] @ w_self + b +
-    mean(h) @ w_neigh``, then ReLU when ``relu`` is set and inverted dropout
-    with a float64 mask from ``rng`` when ``rate`` > 0. ``own_pos`` holds the
-    rows of h the layer writes (None: all), one per aggregator group. Values,
-    draws and the order of every sum are those of gather_rows, mean_rows, two
-    linear, add, relu and dropout, without their intermediate arrays."""
-    if not 0 <= rate < 1:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    matrix, matrix_t = aggregator.by_dtype[h.data.dtype]
-    own_rows = slice(None) if own_pos is None else own_pos
-    own, neigh = h.data[own_rows], matrix @ h.data
-    if own.shape[0] != aggregator.n_groups or w_neigh.shape != w_self.shape or b.shape != (1, w_self.cols):
-        raise ValueError(f"sage_layer: own rows, weights, bias {own.shape} {w_self.shape} "
-                         f"{w_neigh.shape} {b.shape} for {aggregator.n_groups} groups")
-    y = own @ w_self.data
-    y += b.data
-    y += neigh @ w_neigh.data
-    mask, scale = None, None
-    if relu:
-        np.maximum(y, 0, out=y)
-    if rate > 0:
-        mask = rng.random(y.shape) >= rate
-        scale = y.dtype.type(1) / y.dtype.type(1 - rate)
-        y *= mask
-        y *= scale
-    if relu:  # a kept ReLU output stays positive once scaled, so one mask serves both
-        mask = y > 0
-
-    def back(g: Array) -> None:  # g is this node's gradient, which nothing reads later
-        if mask is not None:
-            g *= mask
-        if scale is not None:
-            g *= scale
-        if w_self.requires_grad:
-            _accum(w_self, own.T @ g)
-        if w_neigh.requires_grad:
-            _accum(w_neigh, neigh.T @ g)
-        if b.requires_grad:
-            _accum(b, g.sum(axis=0, dtype=np.float64).reshape(1, -1))
-        if h.requires_grad:
-            grad = matrix_t @ (g @ w_neigh.data.T)
-            grad[own_rows] += g @ w_self.data.T
-            _accum(h, grad)
-
-    return tape.record(Tensor2(y), (h, w_self, w_neigh, b), back)
 
 
 def gather_rows(tape: Tape, x: Tensor2, ids: Sequence[int]) -> Tensor2:

@@ -9,9 +9,9 @@ steps on
 where L_feedback is a temperature-scaled listwise softmax over each
 query's candidate list, its best-scored candidate the positive, and L_clf
 is softmax cross-entropy of the linear head over the supervised nodes.
-Both read only the embeddings of labeled nodes, queries and candidates,
-so an epoch encodes only their receptive field (``encoder.encode_plan``),
-and the losses index its output rows.
+Queries and candidates are labeled nodes too, so both losses read only
+the labeled nodes' embeddings. An epoch runs the encoder's MLP on their
+propagated rows alone, whatever the size of the graph.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ import numpy as np
 from . import nncore
 from .encoder import (
     EmbeddingTable,
-    EncodePlan,
     EncoderConfig,
     encode_all,
     encode_on_tape,
-    encode_plan,
     init_params,
     logits_on_tape,
+    propagate,
 )
 from .graphstore import SplitSpec, TagGraph, atomic_write, check_field_types
 from .nncore import ParamSet, Tape, Tensor2
@@ -52,8 +51,8 @@ class TrainConfig:
     epochs: int = 200
     lr: float = 0.01
     seed: int = 0
-    n_layers: int = 3
-    hidden_dim: int = 256
+    n_layers: int = 3  # propagation hops
+    hidden_dim: int = 64
     dropout: float = 0.5
     fraction: float = 0.1  # of the labeled nodes outside the test set, sampled with seed
     split_fields: ClassVar[tuple[str, str]] = ("fraction", "seed")  # pick the labeled split
@@ -177,32 +176,29 @@ def combined_loss(tape: Tape, lf: Tensor2, lc: Tensor2, beta: float) -> Tensor2:
 
 @dataclass(frozen=True)
 class RoundBatch:
-    """One round's fixed training inputs: layer 0's feature rows, then the
-    feedback lists, labeled nodes and labels with each node id replaced by its
-    row in the plan's output (which keeps id order), where the losses read it."""
+    """One round's fixed training inputs, one row per labeled node in id
+    order: their propagated feature rows and labels, and the feedback lists
+    with each node id replaced by its row."""
 
-    plan: EncodePlan
     inputs: Tensor2
     feedback: FeedbackLists
-    labeled: np.ndarray
     labels: np.ndarray
 
 
-def round_batch(
-    graph: TagGraph, split: SplitSpec, feedback: FeedbackSet, features: Tensor2, config: TrainConfig
-) -> RoundBatch:
-    """Plan the rows both losses can reach and map their node ids to them."""
+def round_batch(graph: TagGraph, split: SplitSpec, feedback: FeedbackSet, inputs: Tensor2) -> RoundBatch:
+    """Map the feedback lists onto ``inputs``, the labeled nodes' propagated rows."""
+    ids = split.labeled_ids
+    if inputs.rows != ids.size:
+        raise ValueError(f"{inputs.rows} input rows for {ids.size} labeled nodes")
     lists = feedback_lists(feedback)
-    nodes = np.concatenate([split.labeled_ids, lists.queries, lists.candidates])
-    plan = encode_plan(graph, config.n_layers, nodes)
-    out = plan.rows[-1]
+    outside = np.setdiff1d(np.concatenate([lists.queries, lists.candidates]), ids)
+    if outside.size:
+        raise ValueError(f"feedback names node {outside[0]}, which is not labeled")
     return RoundBatch(
-        plan=plan,
-        inputs=Tensor2(features.data[plan.rows[0]]),
-        feedback=replace(lists, queries=np.searchsorted(out, lists.queries),
-                         candidates=np.searchsorted(out, lists.candidates)),
-        labeled=np.searchsorted(out, split.labeled_ids),
-        labels=graph.labels[out],
+        inputs=inputs,
+        feedback=replace(lists, queries=np.searchsorted(ids, lists.queries),
+                         candidates=np.searchsorted(ids, lists.candidates)),
+        labels=graph.labels[ids],
     )
 
 
@@ -216,9 +212,9 @@ def epoch_loss(
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor2, Tensor2, Tensor2]:
     """(combined, feedback, classification) losses of one forward pass."""
-    emb = encode_on_tape(tape, batch.inputs, batch.plan, params, enc, training=training, rng=rng)
+    emb = encode_on_tape(tape, batch.inputs, params, enc, training=training, rng=rng)
     lf = feedback_loss(tape, emb, batch.feedback, config.tau)
-    lc = clf_loss(tape, emb, params, batch.labels, batch.labeled)
+    lc = clf_loss(tape, emb, params, batch.labels, np.arange(batch.labels.size))
     return combined_loss(tape, lf, lc, config.beta), lf, lc
 
 
@@ -282,7 +278,8 @@ def train(
     enc = config.encoder_config(graph)
     params = init_params(enc, config.seed)
     dropout_rng = np.random.default_rng([config.seed & 0x7FFFFFFF, 0xD0])
-    features = Tensor2(graph.features.astype(params.dtype))
+    # the only rows the losses read, propagated once for every round
+    inputs = Tensor2(propagate(graph, config.n_layers)[split.labeled_ids].astype(params.dtype))
 
     log: list[dict] = []
     for round_index in range(config.rounds):
@@ -290,7 +287,7 @@ def train(
             graph, split, params, config, spec, template, cache,
             client=client, round_index=round_index,
         )
-        batch = round_batch(graph, split, feedback, features, config)
+        batch = round_batch(graph, split, feedback, inputs)
         for epoch in range(config.epochs):
             try:
                 tape = Tape()

@@ -1,19 +1,24 @@
 """End-to-end command line runs on a small synthetic bundle."""
 
 import argparse
+import hashlib
 import json
 import re
 import shlex
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from stubserver import StubScorerServer, answer_first_label
 
+from gicl import training
 from gicl.cli import CONFIG_KEYS, SCORER_KEYS, UNRECORDED, build_parser, main, resolve_inputs
 from gicl.encoder import EmbeddingTable
 from gicl.graphstore import bundle_hash, load_bundle, sample_label_fraction
-from gicl.pipeline import read_report
+from gicl.nncore import ParamSet
+from gicl.pipeline import RunManifest, read_report
+from gicl.prompts import DEFAULT_TEMPLATE
 from gicl.scoring import ScorerSpec
 from gicl.training import TrainConfig
 
@@ -308,6 +313,73 @@ class TestInferAndBaselines:
         lines = out.read_text().splitlines()
         assert lines[0] == "value,accuracy,error"
         assert len(lines) == 3
+
+
+def write_legacy_model_dir(bundle, out):
+    """A model directory as gicl 0.1.0 wrote it for TRAIN_FLAGS: two GraphSAGE layers
+    (``w_self``, ``w_neigh`` and ``b`` each) and the head in params.bin, the embeddings,
+    a training log and a version-0.1.0 manifest. The values are seeded draws, so the
+    directory does not depend on how this version trains."""
+    rng = np.random.default_rng(21)
+    params = ParamSet()
+    for i, d_in in enumerate((8, 16)):
+        params.add(f"layer{i}.w_self", rng.uniform(-0.4, 0.4, (d_in, 16)))
+        params.add(f"layer{i}.w_neigh", rng.uniform(-0.4, 0.4, (d_in, 16)))
+        params.add(f"layer{i}.b", np.zeros((1, 16)))
+    params.add("head.w", rng.uniform(-0.5, 0.5, (16, 3)))
+    params.add("head.b", np.zeros((1, 3)))
+    vectors = rng.standard_normal((150, 16))
+    out.mkdir()
+    params.save(out / "params.bin")
+    EmbeddingTable(vectors=vectors / np.linalg.norm(vectors, axis=1, keepdims=True)).save(
+        out / "embeddings")
+    (out / "train_log.csv").write_text("epoch,round,loss_total,loss_feedback,loss_clf,lr\n"
+                                       "0,0,1.25,1.5,1.0,0.01\n")
+    config = {"beta": 0.2, "dropout": 0.5, "epochs": 20, "fraction": 0.3, "hidden_dim": 16,
+              "k_feedback": 4, "k_icl": 30, "lr": 0.01, "n_layers": 2, "rounds": 1, "seed": 2,
+              "tau": 1.0}
+    RunManifest(config=config, bundle_hash=bundle_hash(bundle),
+                template_hash=DEFAULT_TEMPLATE.template_hash,
+                scorer_id=ScorerSpec(kind="oracle").scorer_id, version="0.1.0",
+                created_at=0.0).save(out / "manifest.json")
+    return out
+
+
+class TestLegacyModelDirectory:
+    """A GraphSAGE model directory from gicl 0.1.0: the commands that read its stored
+    embeddings and head still run; the one that re-encodes the graph refuses it."""
+
+    COMMON = ["--scorer-kind", "oracle", "--single-thread"]
+    # sha256 prefixes of the report CSVs gicl 0.1.0 writes for write_legacy_model_dir
+    REPORTS_0_1_0 = {
+        "askgnn": "8abf29c5e19207f9",
+        "mv_askgnn": "9c8e9aea301981b4",
+        "npg": "a657e34c0a55fa20",
+    }
+
+    def test_infer_and_model_baselines_write_the_reports_of_0_1_0(self, bundle, tmp_path, capsys):
+        legacy = write_legacy_model_dir(bundle, tmp_path / "legacy")
+        digests = {}
+        for strategy, argv in (("askgnn", ["infer", "--k-icl", "4"]),
+                               ("mv_askgnn", ["baseline", "--strategy", "mv_askgnn", "--k-icl", "3"]),
+                               ("npg", ["baseline", "--strategy", "npg"])):
+            out = tmp_path / strategy
+            run([*argv, "--bundle", str(bundle), *self.COMMON, "--model", str(legacy),
+                 "--out", str(out)], capsys)
+            (csv_path,) = out.glob(f"report-{strategy}-*.csv")
+            digests[strategy] = hashlib.sha256(csv_path.read_bytes()).hexdigest()[:16]
+        assert digests == self.REPORTS_0_1_0
+
+    def test_feedback_is_refused_by_name_before_any_scorer_call(self, bundle, tmp_path, capsys,
+                                                                 monkeypatch):
+        legacy = write_legacy_model_dir(bundle, tmp_path / "legacy")
+        calls = []
+        monkeypatch.setattr(training, "rank_candidates", lambda *a, **kw: calls.append(a))
+        code = main(["feedback", "--bundle", str(bundle), *self.COMMON, "--model", str(legacy)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "no mlp.w1" in err and "GraphSAGE" in err and "retrain" in err
+        assert calls == []
 
 
 class TestConfigFile:

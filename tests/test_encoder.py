@@ -1,26 +1,23 @@
 import numpy as np
 import pytest
 
-from gicl import nncore
 from gicl.encoder import (
     EmbeddingTable,
     EncoderConfig,
     classify_logits,
     encode_all,
     encode_on_tape,
-    encode_plan,
     init_params,
-    logits_on_tape,
+    propagate,
 )
-from gicl.graphstore import BundleError, TagGraph, _build_csr
-from gicl.nncore import Tape, Tensor2, backward
+from gicl.graphstore import BundleError, TagGraph, _build_csr, load_bundle, synth_sbm, write_bundle
+from gicl.nncore import ParamSet, Tape, Tensor2
 
 
-def encode(tape, graph, params, cfg, nodes=None, training=False, rng=None):
-    """Embeddings of ``nodes`` (every node when None) through one plan."""
-    plan = encode_plan(graph, cfg.n_layers, nodes)
-    inputs = Tensor2(graph.features.astype(params.dtype)[plan.rows[0]])
-    return encode_on_tape(tape, inputs, plan, params, cfg, training=training, rng=rng)
+def encode(tape, graph, params, cfg, training=False, rng=None):
+    """Every node's embedding, from its propagated row."""
+    inputs = Tensor2(propagate(graph, cfg.n_layers).astype(params.dtype))
+    return encode_on_tape(tape, inputs, params, cfg, training=training, rng=rng)
 
 
 def graph_from_edges(n, edges, features, labels=None, n_classes=2):
@@ -46,10 +43,10 @@ class TestInitParams:
     def test_shapes_follow_config(self):
         cfg = EncoderConfig(input_dim=128, n_classes=7, n_layers=3, hidden_dim=256, dropout=0.5)
         params = init_params(cfg, seed=0)
-        assert params["layer0.w_self"].shape == (128, 256)
-        assert params["layer0.w_neigh"].shape == (128, 256)
-        assert params["layer1.w_self"].shape == (256, 256)
-        assert params["layer2.w_neigh"].shape == (256, 256)
+        assert params.names() == ["mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2", "head.w", "head.b"]
+        assert params["mlp.w1"].shape == (128, 256)
+        assert params["mlp.b1"].shape == (1, 256)
+        assert params["mlp.w2"].shape == (256, 256)
         assert params["head.w"].shape == (256, 7)
         assert params["head.b"].shape == (1, 7)
 
@@ -57,10 +54,10 @@ class TestInitParams:
         cfg = EncoderConfig(input_dim=16, n_classes=2, n_layers=2, hidden_dim=32, dropout=0.5)
         params = init_params(cfg, seed=1)
         a0 = np.sqrt(6.0 / (16 + 32))
-        assert np.all(np.abs(params["layer0.w_self"].data) < a0)
+        assert np.all(np.abs(params["mlp.w1"].data) < a0)
         a1 = np.sqrt(6.0 / (32 + 32))
-        assert np.all(np.abs(params["layer1.w_neigh"].data) < a1)
-        assert np.all(params["layer0.b"].data == 0)
+        assert np.all(np.abs(params["mlp.w2"].data) < a1)
+        assert np.all(params["mlp.b1"].data == 0)
 
 
 class TestEncodeAll:
@@ -74,13 +71,13 @@ class TestEncodeAll:
         assert np.all(table.vectors == 0)
 
     def test_two_node_hand_aggregation(self):
-        # 0 <-> 1, one layer, identity weights: both rows become e1 + e2
+        # 0 <-> 1, one hop, identity weights: both rows become (e1 + e2) / 2
         g = graph_from_edges(2, [(0, 1)], np.eye(2, 2))
         cfg = EncoderConfig(input_dim=2, n_classes=2, n_layers=1, hidden_dim=2, dropout=0.0)
         params = init_params(cfg, seed=0)
-        params["layer0.w_self"].data[:] = np.eye(2)
-        params["layer0.w_neigh"].data[:] = np.eye(2)
-        params["layer0.b"].data[:] = 0
+        for i in (1, 2):
+            params[f"mlp.w{i}"].data[:] = np.eye(2)
+            params[f"mlp.b{i}"].data[:] = 0
         table = encode_all(g, params, cfg)
         expected = np.array([[1.0, 1.0], [1.0, 1.0]]) / np.sqrt(2)
         np.testing.assert_allclose(table.vectors, expected, atol=1e-6)
@@ -147,11 +144,11 @@ class TestEncodeAll:
 
     def test_last_layer_is_linear(self):
         # negative entries survive in the final embedding (no terminal ReLU)
-        g = graph_from_edges(3, [(0, 1), (1, 2)], -np.eye(3, 3))
+        g = graph_from_edges(3, [(0, 1), (1, 2)], np.eye(3, 3))
         cfg = EncoderConfig(input_dim=3, n_classes=2, n_layers=1, hidden_dim=3, dropout=0.0)
         params = init_params(cfg, seed=0)
-        params["layer0.w_self"].data[:] = np.eye(3)
-        params["layer0.w_neigh"].data[:] = 0
+        params["mlp.w1"].data[:] = np.eye(3)
+        params["mlp.w2"].data[:] = -np.eye(3)
         table = encode_all(g, params, cfg)
         assert table.vectors.min() < 0
 
@@ -161,83 +158,54 @@ class TestEncodeAll:
         with pytest.raises(ValueError, match="dim"):
             encode_all(noisy_sbm, params, cfg)
 
+    def test_graphsage_parameters_are_refused_by_name(self, noisy_sbm):
+        # a model directory written by gicl 0.1 holds per-layer GraphSAGE weights
+        cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=2, hidden_dim=4, dropout=0.5)
+        legacy = ParamSet()
+        for name, shape in (("layer0.w_self", (8, 4)), ("layer0.b", (1, 4)), ("head.w", (4, 3)),
+                            ("head.b", (1, 3))):
+            legacy.add(name, np.ones(shape))
+        with pytest.raises(ValueError, match="no mlp.w1, mlp.b1, mlp.w2, mlp.b2.*GraphSAGE"):
+            encode_all(noisy_sbm, legacy, cfg)
 
-class TestEncodePlan:
-    """Training encodes only the receptive field of the loss nodes; in eval
-    mode each row it computes must be the row the whole graph gives."""
 
-    @staticmethod
-    def sparse_graph():
-        # 40 nodes, about 2 neighbours each; nodes 36-39 have no edge at all
-        rng = np.random.default_rng(21)
-        n = 40
-        edges = [(i, j) for i in range(36) for j in range(i + 1, 36) if rng.random() < 0.06]
-        return graph_from_edges(n, edges, rng.standard_normal((n, 5)),
-                                labels=rng.integers(0, 3, n), n_classes=3)
+def dense_propagation(graph, hops):
+    """(D^-1 (A + I))^hops X from a dense adjacency with A[v, u] = 1 for every
+    stored edge v -> u."""
+    n = graph.n_nodes
+    a = np.eye(n)
+    for v in range(n):
+        a[v, graph.csr_targets[graph.csr_offsets[v]:graph.csr_offsets[v + 1]]] = 1.0
+    p = a / a.sum(axis=1, keepdims=True)
+    return np.linalg.matrix_power(p, hops) @ graph.features.astype(np.float64)
 
-    LOSS_NODES = np.array([30, 3, 37, 11, 3, 24])  # unsorted, repeated, one isolated
 
-    def loss_and_grads(self, graph, params, cfg, nodes):
-        tape = Tape()
-        emb = encode(tape, graph, params, cfg, nodes)
-        out = np.arange(graph.n_nodes) if nodes is None else np.unique(nodes)
-        rows = nncore.gather_rows(tape, emb, np.searchsorted(out, self.LOSS_NODES))
-        loss = nncore.softmax_xent(tape, logits_on_tape(tape, rows, params),
-                                   graph.labels[self.LOSS_NODES])
-        return emb.data, loss.item(), backward(tape, loss, params)
+class TestPropagate:
+    @pytest.mark.parametrize("hops", [0, 1, 2, 3])
+    def test_path_graph_matches_dense_operator(self, path_graph, hops):
+        got = propagate(path_graph, hops)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, dense_propagation(path_graph, hops), rtol=0, atol=1e-14)
+        # node 6 has no edge: every hop keeps its own row
+        assert np.array_equal(got[6], path_graph.features[6].astype(np.float64))
 
-    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
-    def test_rows_equal_full_graph_and_gradients_agree(self, dtype, tol):
-        graph = self.sparse_graph()
-        cfg = EncoderConfig(input_dim=5, n_classes=3, n_layers=3, hidden_dim=12, dropout=0.5)
-        params = init_params(cfg, seed=4, dtype=dtype)
-        full_emb, full_loss, full_grads = self.loss_and_grads(graph, params, cfg, None)
-        emb, loss, grads = self.loss_and_grads(graph, params, cfg, self.LOSS_NODES)
-        plan = encode_plan(graph, cfg.n_layers, self.LOSS_NODES)
-        assert plan.rows[0].size < graph.n_nodes  # the plan does skip rows
-        assert emb.dtype == dtype
-        assert emb.tobytes() == full_emb[np.unique(self.LOSS_NODES)].tobytes()
-        assert loss == full_loss
-        for name, g in full_grads.items():
-            assert np.abs(grads[name] - g).max() <= tol * np.abs(g).max(), name
+    def test_directed_bundle_follows_stored_edges(self, tmp_path):
+        write_bundle(synth_sbm(n_nodes=40, n_classes=3, p_in=0.2, p_out=0.02, d=5, noise=0.3,
+                               seed=7), tmp_path / "b")
+        directed = load_bundle(tmp_path / "b", symmetrize=False)
+        undirected = load_bundle(tmp_path / "b")
+        assert directed.n_edges * 2 == undirected.n_edges  # each edge stored one way only
+        for graph in (directed, undirected):
+            np.testing.assert_allclose(propagate(graph, 3), dense_propagation(graph, 3),
+                                       rtol=0, atol=1e-13)
+        assert not np.allclose(propagate(directed, 3), propagate(undirected, 3))
 
-    def test_training_encode_draws_one_mask_per_hidden_layer_in_order(self):
-        graph = self.sparse_graph()
-        cfg = EncoderConfig(input_dim=5, n_classes=3, n_layers=3, hidden_dim=12, dropout=0.5)
-        params = init_params(cfg, seed=4)
-        plan = encode_plan(graph, cfg.n_layers, self.LOSS_NODES)
-        used, expected = np.random.default_rng(8), np.random.default_rng(8)
-        encode(Tape(), graph, params, cfg, self.LOSS_NODES, training=True, rng=used)
-        for rows in plan.rows[1:-1]:  # what layers 0 .. L-2 write
-            expected.random((rows.size, cfg.hidden_dim))
-        assert [rows.size for rows in plan.rows[1:-1]] != [graph.n_nodes] * 2
-        assert used.bit_generator.state == expected.bit_generator.state
-
-    def test_plan_rows_are_the_receptive_field(self, path_graph):
-        # path 0-1-2-3-4-5 plus isolated 6: layer l reads 3 - l hops around {1, 6}
-        plan = encode_plan(path_graph, 3, [6, 1])
-        assert [r.tolist() for r in plan.rows] == [
-            [0, 1, 2, 3, 4, 6], [0, 1, 2, 3, 6], [0, 1, 2, 6], [1, 6]]
-        assert plan.own[2].tolist() == [1, 3]
-
-    def test_all_loss_nodes_record_no_gather(self, noisy_sbm, monkeypatch):
-        cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=3, hidden_dim=16, dropout=0.5)
+    def test_encode_all_reads_the_propagated_rows(self, noisy_sbm):
+        cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=2, hidden_dim=16, dropout=0.5)
         params = init_params(cfg, seed=6)
-        calls = []
-        original = nncore.gather_rows
-        monkeypatch.setattr(nncore, "gather_rows", lambda *a: calls.append(a) or original(*a))
-        every = np.arange(noisy_sbm.n_nodes)[::-1]
-        emb = encode(Tape(), noisy_sbm, params, cfg, every, training=True,
-                     rng=np.random.default_rng(0))
-        assert calls == []
-        assert all(pos is None for pos in encode_plan(noisy_sbm, 3, every).own)
-        assert emb.rows == noisy_sbm.n_nodes
-
-    @pytest.mark.parametrize("bad", [[-1], [0, 90], [2**40]])
-    def test_node_outside_the_graph_is_refused(self, noisy_sbm, bad):
-        assert noisy_sbm.n_nodes == 90
-        with pytest.raises(ValueError, match="node ids must lie in"):
-            encode_plan(noisy_sbm, 2, bad)
+        rows = Tensor2(propagate(noisy_sbm, 2).astype(np.float32))
+        assert np.array_equal(encode_on_tape(Tape(), rows, params, cfg).data,
+                              encode_all(noisy_sbm, params, cfg).vectors)
 
 
 class TestClassifyLogits:

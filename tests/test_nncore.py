@@ -266,12 +266,6 @@ def _loss_builders():
         "gram_pairs": lambda t, p: quadratic_readout(
             t, nncore.gram_pairs(t, p["x"], [0, 2, 2, 4, 1], [1, 2, 3, 0, 1], 0.7)
         ),
-        # rows 0, 2 and 4 written; the last group is empty
-        "sage_layer": lambda t, p: quadratic_readout(
-            t, nncore.sage_layer(t, p["x"], RowAggregator(np.array([0, 2, 5, 5]), [1, 3, 0, 1, 2], 5),
-                                 np.array([0, 2, 4]), p["w"], p["v"], p["b"], True, 0.5,
-                                 np.random.default_rng(99))
-        ),
     }
 
 
@@ -287,64 +281,12 @@ def test_gradcheck_each_primitive(which):
     params.add("w", rng.standard_normal((4, 4)))
     params.add("b", rng.standard_normal((1, 4)))
     params.add("y", rng.standard_normal((5, 4)))
-    params.add("v", rng.standard_normal((4, 4)))
     build = _loss_builders()[which]
 
     numeric = finite_difference_grads(lambda: build(Tape(), params).item(), params)
     tape = Tape()
     analytic = backward(tape, build(tape, params), params)
     assert gradcheck_errors(analytic, numeric) <= 1e-4
-
-
-class TestSageLayer:
-    """sage_layer against the primitive chain it replaces, in float32."""
-
-    # (rows of h, own positions or None, neighbour groups as CSR offsets and targets)
-    LAYOUTS = {
-        "own_is_all": (6, None, [0, 2, 3, 3, 5, 7, 8], [1, 2, 0, 3, 5, 4, 5, 0]),
-        "own_gathered": (7, np.array([0, 2, 3, 6]), [0, 3, 4, 4, 6], [1, 2, 5, 4, 1, 5]),
-        "one_row": (3, np.array([1]), [0, 2], [0, 2]),
-        "one_row_no_neighbours": (1, None, [0, 0], []),
-    }
-
-    @staticmethod
-    def chain(tape, h, agg, own_pos, ws, wn, b, relu, rate, rng):
-        own = h if own_pos is None else nncore.gather_rows(tape, h, own_pos)
-        neigh = nncore.mean_rows(tape, h, agg)
-        y = nncore.add(tape, nncore.linear(tape, own, ws, b), nncore.linear(tape, neigh, wn))
-        if relu:
-            y = nncore.relu(tape, y)
-        return nncore.dropout(tape, y, rate, rng) if rate > 0 else y
-
-    @pytest.mark.parametrize("relu, rate", [(True, 0.0), (True, 0.5), (False, 0.0), (False, 0.3)])
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_output_and_gradients_equal_the_primitive_chain(self, layout, relu, rate):
-        n_in, own_pos, offsets, targets = self.LAYOUTS[layout]
-        agg = RowAggregator(np.array(offsets), targets, n_in)
-        data = np.random.default_rng(len(offsets) + n_in)
-        values = [data.standard_normal(shape).astype(np.float32)
-                  for shape in ((n_in, 5), (5, 6), (5, 6), (1, 6))]
-        readout = Tensor2(data.standard_normal((agg.n_groups, 6)).astype(np.float32))
-        results = []
-        for layer in (nncore.sage_layer, self.chain):
-            tape, rng = Tape(), np.random.default_rng(3)
-            h, ws, wn, b = (leaf(v, np.float32) for v in values)
-            out = layer(tape, h, agg, own_pos, ws, wn, b, relu, rate, rng)
-            backward(tape, nncore.sum_all(tape, nncore.rowwise_dot(tape, out, readout)))
-            results.append((out.data, h.grad, ws.grad, wn.grad, b.grad, rng.random()))
-        for got, want in zip(*results):
-            assert np.array_equal(got, want)
-
-    def test_one_node_per_layer_and_checked_shapes(self):
-        agg = RowAggregator(np.array([0, 1, 2]), [1, 0], 2)
-        h, w, b = leaf(np.ones((2, 3))), leaf(np.ones((3, 4))), leaf(np.zeros((1, 4)))
-        tape = Tape()
-        nncore.sage_layer(tape, h, agg, None, w, w, b, True, 0.0, None)
-        assert len(tape.nodes) == 1
-        with pytest.raises(ValueError, match="groups"):
-            nncore.sage_layer(Tape(), h, agg, np.array([0]), w, w, b, True, 0.0, None)
-        with pytest.raises(ValueError, match="rate"):
-            nncore.sage_layer(Tape(), h, agg, None, w, w, b, True, 1.0, None)
 
 
 class TestGramPairs:

@@ -1,7 +1,6 @@
 import gc
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from conftest import finite_difference_grads, gradcheck_errors
 
 from gicl import nncore
 from gicl import scoring as scoring_mod
-from gicl.encoder import encode_on_tape, encode_plan, init_params
+from gicl.encoder import encode_on_tape, init_params, propagate
 from gicl.graphstore import SplitSpec, TagGraph, _build_csr, sample_label_fraction, synth_sbm
 from gicl.nncore import Tape, Tensor2, adam_step, backward
 from gicl.prompts import DEFAULT_TEMPLATE, render
@@ -306,11 +305,15 @@ class TestTapeGradients:
 
     def epoch_loss(self, tape, graph, split, params, features, feedback):
         enc = self.CFG.encoder_config(graph)
-        batch = round_batch(graph, split, feedback, features, self.CFG)
-        # layer 0's feature rows gathered on this tape, so a gradient could reach them
-        batch = replace(batch, inputs=nncore.gather_rows(tape, features, batch.plan.rows[0]))
+        # the labeled nodes' propagated rows gathered on this tape, so a gradient could reach them
+        batch = round_batch(graph, split, feedback,
+                            nncore.gather_rows(tape, features, split.labeled_ids))
         loss, _, _ = epoch_loss(tape, batch, params, enc, self.CFG, rng=np.random.default_rng(0))
         return loss
+
+    def propagated(self, graph, dtype, requires_grad=False):
+        rows = propagate(graph, self.CFG.n_layers).astype(dtype)
+        return Tensor2(rows, requires_grad=requires_grad)
 
     def params_and_feedback(self, graph, split, dtype=np.float32):
         params = init_params(self.CFG.encoder_config(graph), self.CFG.seed, dtype=dtype)
@@ -321,7 +324,7 @@ class TestTapeGradients:
 
     def test_finished_tape_leaves_no_reference_cycle(self, clean_sbm, clean_split):
         params, feedback = self.params_and_feedback(clean_sbm, clean_split)
-        features = Tensor2(clean_sbm.features.astype(params.dtype))
+        features = self.propagated(clean_sbm, params.dtype)
         gc.collect()
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
@@ -342,7 +345,7 @@ class TestTapeGradients:
         params, feedback = self.params_and_feedback(clean_sbm, clean_split, dtype=np.float64)
         grads = {}
         for requires_grad in (False, True):
-            features = Tensor2(clean_sbm.features.astype(np.float64), requires_grad=requires_grad)
+            features = self.propagated(clean_sbm, np.float64, requires_grad)
             tape = Tape()
             loss = self.epoch_loss(tape, clean_sbm, clean_split, params, features, feedback)
             grads[requires_grad] = {k: g.copy() for k, g in backward(tape, loss, params).items()}
@@ -355,8 +358,7 @@ class TestTapeGradients:
 
     def ring_round(self):
         """Float64 parameters and one round's batch on a 40-node ring whose six
-        labeled nodes sit side by side, so every layer computes a proper
-        subset of the graph."""
+        labeled nodes sit side by side."""
         n = 40
         offsets, targets = _build_csr(n, np.array([(i, (i + 1) % n) for i in range(n)]),
                                       symmetrize=True)
@@ -368,14 +370,18 @@ class TestTapeGradients:
         )
         split = SplitSpec(labeled_ids=np.arange(6), test_ids=np.arange(20, 26))
         params = init_params(self.RING_CFG.encoder_config(graph), seed=2, dtype=np.float64)
+        # biases off zero: a row whose hidden units dropout zeroes entirely then keeps a
+        # direction, where a zero output row would make the loss jump at b2 = 0
+        for name in ("mlp.b1", "mlp.b2"):
+            params[name].data[:] = np.random.default_rng(5).uniform(-0.3, 0.3, params[name].shape)
         feedback = collect_feedback_round(graph, split, params, self.RING_CFG, ORACLE,
                                           DEFAULT_TEMPLATE, FeedbackCache())
-        features = Tensor2(graph.features.astype(np.float64))
-        return graph, params, round_batch(graph, split, feedback, features, self.RING_CFG)
+        inputs = Tensor2(propagate(graph, self.RING_CFG.n_layers)[split.labeled_ids])
+        return graph, params, round_batch(graph, split, feedback, inputs)
 
-    def test_training_epoch_on_a_subgraph_matches_finite_differences(self):
+    def test_training_epoch_matches_finite_differences(self):
         graph, params, batch = self.ring_round()
-        assert all(rows.size < graph.n_nodes for rows in batch.plan.rows)
+        assert batch.inputs.shape == (6, 5)
         enc = self.RING_CFG.encoder_config(graph)
 
         def build_loss(tape, training=True):
@@ -389,26 +395,45 @@ class TestTapeGradients:
         numeric = finite_difference_grads(lambda: build_loss(Tape()).item(), params, step=1e-4)
         assert gradcheck_errors(analytic, numeric) <= 1e-4
 
-    def test_training_epoch_draws_masks_for_the_rows_each_layer_computes(self):
+    def test_feedback_outside_the_labeled_rows_is_refused(self):
         graph, params, batch = self.ring_round()
-        enc = self.RING_CFG.encoder_config(graph)
+        split = SplitSpec(labeled_ids=np.arange(6), test_ids=np.arange(20, 26))
+        stray = fb({0: RankedSet(query_id=0, example_ids=(1, 30), utilities=(0.9, 0.1))})
+        with pytest.raises(ValueError, match="node 30, which is not labeled"):
+            round_batch(graph, split, stray, batch.inputs)
+        with pytest.raises(ValueError, match="5 input rows for 6 labeled nodes"):
+            round_batch(graph, split, stray, Tensor2(batch.inputs.data[:5]))
 
-        class ShapeLog:
-            """A generator that notes the shape of every draw."""
+    @pytest.mark.parametrize("n", [300, 3000])
+    def test_epoch_rows_and_dropout_draws_do_not_depend_on_graph_size(self, n, monkeypatch):
+        # 30 labeled nodes on either graph: an epoch reads their 30 propagated rows
+        # and draws one float64 dropout mask of 30 x hidden, however many nodes there are
+        import gicl.training as training_mod
 
-            def __init__(self):
-                self.rng, self.shapes = np.random.default_rng(0), []
+        graph = synth_sbm(n_nodes=n, n_classes=3, p_in=30 / n, p_out=3 / n, d=6, noise=0.5, seed=4)
+        split = SplitSpec(labeled_ids=np.arange(0, n, n // 30), test_ids=np.arange(1, n, n // 30))
+        cfg = TrainConfig(epochs=2, hidden_dim=8, k_feedback=3, seed=4)
+        inputs, draws = [], []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
 
             def random(self, shape):
-                self.shapes.append(shape)
-                return self.rng.random(shape)
+                out = self.rng.random(shape)
+                draws.append((shape, out.dtype))
+                return out
 
-        rng = ShapeLog()
-        epoch_loss(Tape(), batch, params, enc, self.RING_CFG, rng=rng)
-        # layers 0 and 1 write plan.rows[1] and [2]: the six nodes and two hops,
-        # then one hop, on either side of them
-        assert rng.shapes == [(rows.size, enc.hidden_dim) for rows in batch.plan.rows[1:-1]]
-        assert [shape[0] for shape in rng.shapes] == [10, 8]
+        def encode_spy(tape, rows, *args, **kwargs):
+            inputs.append((rows.shape, rows.data.dtype, kwargs["training"]))
+            return encode_on_tape(tape, rows, *args, **kwargs)
+
+        dropout = nncore.dropout
+        monkeypatch.setattr(nncore, "dropout", lambda tape, x, rate, rng: dropout(tape, x, rate, Recording(rng)))
+        monkeypatch.setattr(training_mod, "encode_on_tape", encode_spy)
+        train(graph, split, ORACLE, DEFAULT_TEMPLATE, cfg)
+        assert inputs == [((30, 6), np.float32, True)] * cfg.epochs
+        assert draws == [((30, cfg.hidden_dim), np.float64)] * cfg.epochs
 
 
 class TestTrain:
@@ -422,17 +447,16 @@ class TestTrain:
         model = train(clean_sbm, clean_split, ORACLE, DEFAULT_TEMPLATE, cfg)
 
         # independent classification-only loop with the same seed streams, over
-        # the labeled nodes' receptive field (queries and candidates are labeled)
+        # the labeled nodes' propagated rows (queries and candidates are labeled)
         enc = cfg.encoder_config(clean_sbm)
         params = init_params(enc, cfg.seed)
         rng = np.random.default_rng([cfg.seed & 0x7FFFFFFF, 0xD0])
-        plan = encode_plan(clean_sbm, enc.n_layers, clean_split.labeled_ids)
-        inputs = Tensor2(clean_sbm.features.astype(params.dtype)[plan.rows[0]])
-        rows = np.searchsorted(plan.rows[-1], clean_split.labeled_ids)
+        ids = clean_split.labeled_ids
+        inputs = Tensor2(propagate(clean_sbm, enc.n_layers)[ids].astype(params.dtype))
         for _ in range(cfg.epochs):
             tape = Tape()
-            emb = encode_on_tape(tape, inputs, plan, params, enc, training=True, rng=rng)
-            loss = clf_loss(tape, emb, params, clean_sbm.labels[plan.rows[-1]], rows)
+            emb = encode_on_tape(tape, inputs, params, enc, training=True, rng=rng)
+            loss = clf_loss(tape, emb, params, clean_sbm.labels[ids], np.arange(ids.size))
             grads = backward(tape, loss, params)
             adam_step(params, grads, lr=cfg.lr)
         for name in params.names():
