@@ -71,6 +71,8 @@ def propagate(graph: TagGraph, hops: int) -> np.ndarray:
     """(D^-1 (A + I))^hops X in float64: each hop replaces every row by the
     mean of its own and its stored neighbours' rows, so an isolated node
     keeps its own row."""
+    if hops < 0:
+        raise ValueError(f"hops must be >= 0, got {hops}")
     n = graph.n_nodes
     # each node's group is its neighbours followed by itself
     targets = np.insert(graph.csr_targets, graph.csr_offsets[1:], np.arange(n))

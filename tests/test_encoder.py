@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from conftest import finite_difference_grads, gradcheck_errors
 
+from gicl import nncore
 from gicl.encoder import (
     EmbeddingTable,
     EncoderConfig,
@@ -11,7 +13,7 @@ from gicl.encoder import (
     propagate,
 )
 from gicl.graphstore import BundleError, TagGraph, _build_csr, load_bundle, synth_sbm, write_bundle
-from gicl.nncore import ParamSet, Tape, Tensor2
+from gicl.nncore import ParamSet, Tape, Tensor2, backward
 
 
 def encode(tape, graph, params, cfg, training=False, rng=None):
@@ -206,6 +208,120 @@ class TestPropagate:
         rows = Tensor2(propagate(noisy_sbm, 2).astype(np.float32))
         assert np.array_equal(encode_on_tape(Tape(), rows, params, cfg).data,
                               encode_all(noisy_sbm, params, cfg).vectors)
+
+
+    @pytest.mark.parametrize("hops", [-1, -3])
+    def test_negative_hops_are_refused(self, path_graph, hops):
+        with pytest.raises(ValueError, match=f"hops must be >= 0, got {hops}"):
+            propagate(path_graph, hops)
+
+
+class TestEncodeOnTape:
+    """The MLP against a numpy transcription of the formula, and the row
+    independence that lets an epoch encode only the rows its losses read."""
+
+    CFG = EncoderConfig(input_dim=4, n_classes=3, n_layers=2, hidden_dim=5, dropout=0.5)
+
+    @staticmethod
+    def layout(name):
+        rng = np.random.default_rng(len(name))
+        rows = {"one_row": 1, "many_rows": 7, "dead_row": 4}[name]
+        x = rng.standard_normal((rows, 4))
+        if name == "dead_row":
+            x[2] = -5.0  # every hidden unit of row 2 is negative before the ReLU
+        return x
+
+    def mlp_params(self, dtype):
+        params = init_params(self.CFG, seed=3, dtype=dtype)
+        rng = np.random.default_rng(30)
+        # positive first-layer weights, so a row of -5 has no live hidden unit;
+        # biases off zero, so such a row still keeps a direction after the MLP
+        params["mlp.w1"].data[:] = np.abs(params["mlp.w1"].data) + 0.1
+        for name in ("mlp.b1", "mlp.b2"):
+            params[name].data[:] = rng.uniform(-0.3, 0.3, params[name].shape)
+        return params
+
+    def reference(self, x, params, rate):
+        """e = normalize(dropout(ReLU(x W1 + b1)) W2 + b2) in float64, drawing the
+        mask as nncore.dropout does, from a generator seeded like the one used."""
+        p = {name: params[name].data.astype(np.float64) for name in params.names()}
+        h = np.maximum(x @ p["mlp.w1"] + p["mlp.b1"], 0)
+        if rate > 0:
+            h = h * (np.random.default_rng(8).random(h.shape) >= rate) / (1 - rate)
+        y = h @ p["mlp.w2"] + p["mlp.b2"]
+        return y / np.linalg.norm(y, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("training, rate", [(False, 0.5), (True, 0.0), (True, 0.3), (True, 0.5)])
+    @pytest.mark.parametrize("name", ["dead_row", "many_rows", "one_row"])
+    def test_output_and_gradients_match_the_formula(self, name, training, rate):
+        x = self.layout(name)
+        cfg = EncoderConfig(input_dim=4, n_classes=3, n_layers=2, hidden_dim=5, dropout=rate)
+        params = self.mlp_params(np.float64)
+        readout = Tensor2(np.random.default_rng(31).standard_normal((x.shape[0], 5)))
+
+        def build(tape):
+            emb = encode_on_tape(tape, Tensor2(x), params, cfg, training=training,
+                                 rng=np.random.default_rng(8))
+            return emb, nncore.sum_all(tape, nncore.rowwise_dot(tape, emb, readout))
+
+        tape = Tape()
+        emb, loss = build(tape)
+        want = self.reference(x, params, rate if training else 0.0)
+        np.testing.assert_allclose(emb.data, want, rtol=0, atol=1e-12)
+        analytic = backward(tape, loss, params)
+        numeric = finite_difference_grads(lambda: build(Tape())[1].item(), params)
+        assert gradcheck_errors(analytic, numeric) <= 1e-4
+        if name == "dead_row":
+            # row 2 is b2 normalized, dropout or not: no hidden unit of it is live
+            np.testing.assert_allclose(
+                emb.data[2], params["mlp.b2"].data[0] / np.linalg.norm(params["mlp.b2"].data),
+                atol=1e-12)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_subset_rows_equal_full_graph_and_gradients_agree(self, noisy_sbm, dtype, tol):
+        # the loss reads rows 30, 3, 11 and 24 (3 twice): encoding those rows
+        # alone gives the same embeddings, loss and gradients as encoding all 90
+        cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=3, hidden_dim=12, dropout=0.5)
+        params = init_params(cfg, seed=4, dtype=dtype)
+        rows = propagate(noisy_sbm, cfg.n_layers).astype(dtype)
+        loss_nodes = np.array([30, 3, 11, 3, 24])
+        subset = np.unique(loss_nodes)
+
+        def loss_and_grads(inputs, positions):
+            tape = Tape()
+            emb = encode_on_tape(tape, Tensor2(inputs), params, cfg)
+            picked = nncore.gather_rows(tape, emb, positions)
+            loss = nncore.softmax_xent(tape, nncore.linear(tape, picked, params["head.w"],
+                                                           params["head.b"]),
+                                       noisy_sbm.labels[loss_nodes])
+            return emb.data, loss.item(), backward(tape, loss, params)
+
+        full_emb, full_loss, full_grads = loss_and_grads(rows, loss_nodes)
+        emb, loss, grads = loss_and_grads(rows[subset], np.searchsorted(subset, loss_nodes))
+        assert emb.dtype == dtype
+        assert emb.tobytes() == full_emb[subset].tobytes()
+        assert loss == full_loss
+        for name, g in full_grads.items():
+            assert np.abs(grads[name] - g).max() <= tol * np.abs(g).max(), name
+
+    @pytest.mark.parametrize("training, rate, n_draws", [(False, 0.5, 0), (True, 0.0, 0), (True, 0.5, 1)])
+    def test_training_with_dropout_draws_one_mask_of_rows_by_hidden(self, training, rate, n_draws):
+        cfg = EncoderConfig(input_dim=4, n_classes=3, n_layers=2, hidden_dim=5, dropout=rate)
+        x = Tensor2(self.layout("many_rows").astype(np.float32))
+        used, expected = np.random.default_rng(8), np.random.default_rng(8)
+        encode_on_tape(Tape(), x, self.mlp_params(np.float32), cfg, training=training, rng=used)
+        for _ in range(n_draws):
+            expected.random((7, cfg.hidden_dim))
+        assert used.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("cols, training, match", [
+        (3, False, "feature rows have dim 3, input_dim is 4"),
+        (4, True, "dropout needs an rng"),
+    ])
+    def test_unusable_inputs_are_refused(self, cols, training, match):
+        x = Tensor2(np.ones((2, cols), np.float32))
+        with pytest.raises(ValueError, match=match):
+            encode_on_tape(Tape(), x, self.mlp_params(np.float32), self.CFG, training=training)
 
 
 class TestClassifyLogits:
