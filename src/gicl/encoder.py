@@ -76,10 +76,10 @@ def propagate(graph: TagGraph, hops: int) -> np.ndarray:
     n = graph.n_nodes
     # each node's group is its neighbours followed by itself
     targets = np.insert(graph.csr_targets, graph.csr_offsets[1:], np.arange(n))
-    matrix, _ = RowAggregator(graph.csr_offsets + np.arange(n + 1), targets, n).by_dtype[np.dtype(np.float64)]
+    mean = RowAggregator(graph.csr_offsets + np.arange(n + 1), targets, n)
     x = graph.features.astype(np.float64)
     for _ in range(hops):
-        x = matrix @ x
+        x = mean.apply(x)
     return x
 
 
@@ -112,8 +112,13 @@ def encode_on_tape(
 
 def encode_all(graph: TagGraph, params: ParamSet, config: EncoderConfig) -> EmbeddingTable:
     """Encode every node in eval mode (no dropout); bitwise repeatable."""
-    rows = Tensor2(propagate(graph, config.n_layers).astype(params.dtype))
-    return EmbeddingTable(vectors=encode_on_tape(Tape(), rows, params, config).data)
+    return encode_rows(propagate(graph, config.n_layers), params, config)
+
+
+def encode_rows(rows: np.ndarray, params: ParamSet, config: EncoderConfig) -> EmbeddingTable:
+    """Eval-mode embeddings of already propagated feature rows, one per row."""
+    inputs = Tensor2(rows.astype(params.dtype))
+    return EmbeddingTable(vectors=encode_on_tape(Tape(), inputs, params, config).data)
 
 
 def logits_on_tape(tape: Tape, embeddings: Tensor2, params: ParamSet) -> Tensor2:

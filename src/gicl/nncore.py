@@ -3,10 +3,10 @@
 The operator set the encoder's MLP and its losses need: affine maps,
 ReLU, inverted dropout, row normalization, row gather, Gram-block pair
 dots, softmax cross-entropy and a segmented listwise softmax loss.
-``RowAggregator`` is the sparse group-mean operator that feature
-propagation runs on. Every op appends its output node to a Tape;
-backward() walks the tape in reverse creation order, which is a valid
-topological order by construction.
+``RowAggregator`` is the group-mean operator that feature propagation
+runs on, in plain numpy: gicl imports no scipy. Every op appends its
+output node to a Tape; backward() walks the tape in reverse creation
+order, which is a valid topological order by construction.
 
 Values keep the dtype of their inputs (float32 by default, float64 for
 gradient checking). Matmuls, group means and elementwise work run in that
@@ -26,7 +26,6 @@ import json
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphstore import atomic_write
 
@@ -196,38 +195,60 @@ def scale(tape: Tape, x: Tensor2, alpha: float) -> Tensor2:
 
 
 class RowAggregator:
-    """Precomputed sparse mean-over-group operator, reusable across calls.
+    """Precomputed mean-over-group operator, reusable across calls.
 
-    Groups are given in CSR form: row g of the output is the mean of the
-    input rows targets[offsets[g]:offsets[g + 1]]; an empty group
-    contributes an all-zero row. The matrix and its transpose are kept in
-    float32 and float64, so products run in the dtype of their input.
+    Row g of ``apply(x)`` is the mean of x[targets[offsets[g]:offsets[g + 1]]],
+    zero for an empty group. It sums the (1/size) * x[j] terms in group order
+    from zero, as a CSR sparse product does, to the same bits: by falling group
+    size, one vectorized step adds the k-th terms of every group that has one.
     """
 
     def __init__(self, offsets: Array, targets: Array, n_in: int):
+        offsets = np.asarray(offsets, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
+        problem = ("must be 1-D" if offsets.ndim != 1 or targets.ndim != 1
+                   else "are empty" if offsets.size == 0
+                   else "must start at 0" if offsets[0] != 0
+                   else "must not decrease" if np.any(offsets[1:] < offsets[:-1])
+                   else f"must end at the {targets.size} targets" if offsets[-1] != targets.size else "")
+        if problem:
+            raise ValueError(f"RowAggregator: offsets {problem}")
         if targets.size and (targets.min() < 0 or targets.max() >= n_in):
             raise IndexError(f"RowAggregator: row index out of range for {n_in} rows")
-        counts = np.diff(offsets)
-        self.n_groups = counts.size
-        self.n_in = n_in
-        vals = np.repeat(1.0 / np.maximum(counts, 1), counts)
-        matrix = sp.csr_matrix((vals, targets, offsets), shape=(self.n_groups, n_in))
-        self.by_dtype = {
-            np.dtype(dt): (matrix.astype(dt), matrix.T.tocsr().astype(dt)) for dt in (np.float32, np.float64)
-        }
+        self.targets, self.n_in, self.counts = targets, n_in, np.diff(offsets)
+        self.n_groups = self.counts.size
+        self.inv = (1.0 / np.maximum(self.counts, 1)).reshape(-1, 1)
+        self.order = np.argsort(-self.counts, kind="stable")
+        sizes, firsts = self.counts[self.order], offsets[:-1][self.order]
+        # step k: the m groups that have a k-th member, and those members
+        with_kth = np.searchsorted(-sizes, -np.arange(sizes.max(initial=0)))
+        self.steps = [(m, targets[firsts[:m] + k]) for k, m in enumerate(with_kth.tolist())]
+
+    def apply(self, x: Array) -> Array:
+        """The group means of x's rows, in x's dtype."""
+        if x.shape[0] != self.n_in:
+            raise ValueError(f"RowAggregator expects {self.n_in} rows, got {x.shape[0]}")
+        inv = self.inv[self.order].astype(x.dtype)
+        total = np.zeros((self.n_groups, x.shape[1]), dtype=x.dtype)
+        term = np.empty_like(total)
+        for m, cols in self.steps:
+            np.take(x, cols, axis=0, out=term[:m], mode="clip")  # ids checked in __init__; raise would buffer
+            term[:m] *= inv[:m]
+            total[:m] += term[:m]
+        out = np.empty_like(total)
+        out[self.order] = total
+        return out
 
 
 def mean_rows(tape: Tape, x: Tensor2, agg: RowAggregator) -> Tensor2:
     """Group-wise row means; empty groups yield zero rows."""
-    if agg.n_in != x.rows:
-        raise ValueError(f"mean_rows: aggregator expects {agg.n_in} rows, got {x.rows}")
-    matrix, matrix_t = agg.by_dtype[x.data.dtype]
 
     def back(g: Array) -> None:
-        _accum(x, matrix_t @ g)
+        grad = np.zeros((agg.n_in, g.shape[1]), dtype=g.dtype)
+        np.add.at(grad, agg.targets, np.repeat(g * agg.inv.astype(g.dtype), agg.counts, axis=0))
+        _accum(x, grad)
 
-    return tape.record(Tensor2(matrix @ x.data), (x,), back)
+    return tape.record(Tensor2(agg.apply(x.data)), (x,), back)
 
 
 def l2_normalize_rows(tape: Tape, x: Tensor2) -> Tensor2:
@@ -268,15 +289,12 @@ def gather_rows(tape: Tape, x: Tensor2, ids: Sequence[int]) -> Tensor2:
     increasing = bool(np.all(idx[1:] > idx[:-1]))
 
     def back(g: Array) -> None:
+        grad = np.zeros((x.rows, g.shape[1]), dtype=g.dtype)
         if increasing:  # each row takes one output row's gradient
-            grad = np.zeros((x.rows, g.shape[1]), dtype=g.dtype)
             grad[idx] = g
-            _accum(x, grad)
-            return
-        # one sparse product sums repeated rows, in order of occurrence
-        ones = np.ones(idx.size, dtype=g.dtype)
-        scatter = sp.csr_matrix((ones, (idx, np.arange(idx.size))), shape=(x.rows, idx.size))
-        _accum(x, scatter @ g)
+        else:  # repeated rows sum their gradients in order of occurrence
+            np.add.at(grad, idx, g)
+        _accum(x, grad)
 
     return tape.record(Tensor2(x.data[idx]), (x,), back)
 

@@ -235,22 +235,19 @@ class FeedbackCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(self, scorer_id: str, template_hash: str, graph_hash: str, q: int, e: int,
-            c: int) -> float | None:
-        return self._data.get(cache_key(scorer_id, template_hash, graph_hash, q, e, c))
+    def get(self, key: str) -> float | None:
+        return self._data.get(key)
 
-    def put(self, scorer_id: str, template_hash: str, graph_hash: str, q: int, e: int,
-            ppl_by_class: dict[int, float]) -> None:
-        """Cache the perplexities of one (query, example) pair, keyed by class.
+    def put(self, scorer_id: str, template_hash: str, q: int, e: int,
+            records: Sequence[tuple[str, int, float]]) -> None:
+        """Cache one (query, example) pair's (``cache_key``, class, perplexity) records.
 
-        A class already cached keeps its value. The new records go to the
+        A key already cached keeps its value. The new records go to the
         file in one write, flushed before ``put`` returns; each line is
         ``json.dumps`` of its record.
         """
-        keyed = [(cache_key(scorer_id, template_hash, graph_hash, q, e, c), c, float(value))
-                 for c, value in ppl_by_class.items()]
         with self._lock:
-            keyed = [(key, c, value) for key, c, value in keyed if key not in self._data]
+            keyed = [(key, c, float(value)) for key, c, value in records if key not in self._data]
             for key, _, value in keyed:
                 self._data[key] = value
             if self.path is None or not keyed:
@@ -670,8 +667,8 @@ def rank_candidates(
 
     scope = (spec.scorer_id, template.template_hash, graph.content_hash)
     classes = range(graph.n_classes)
-    ppls = {(q, e): [cache.get(*scope, q, e, c) for c in classes]
-            for q, ids in lists.items() for e in ids}
+    keys = {(q, e): [cache_key(*scope, q, e, c) for c in classes] for q, ids in lists.items() for e in ids}
+    ppls = {pair: [cache.get(key) for key in pair_keys] for pair, pair_keys in keys.items()}
     todo = [pair for pair, vector in ppls.items() if None in vector]
 
     def score_pair(pair: tuple[int, int]) -> None:
@@ -693,7 +690,8 @@ def rank_candidates(
                 vector[c] = scored[c] = ppl(lps)
         finally:  # what was paid for is kept even if a request raises
             if scored:
-                cache.put(*scope, q, e, scored)
+                cache.put(spec.scorer_id, template.template_hash, q, e,
+                          [(keys[pair][c], c, value) for c, value in scored.items()])
 
     fan_out(spec, score_pair, todo)
 

@@ -30,6 +30,7 @@ from .encoder import (
     EncoderConfig,
     encode_all,
     encode_on_tape,
+    encode_rows,
     init_params,
     logits_on_tape,
     propagate,
@@ -236,12 +237,17 @@ def collect_feedback_round(
     client=None,
     round_index: int = 0,
 ) -> FeedbackSet:
-    """Retrieve each query's top-K candidates under the frozen encoder and
-    rank them by scored utility, all queries in one ``rank_candidates`` pass.
-    Aborts when scored coverage falls below ``COVERAGE_FLOOR`` (partial
-    results stay cached)."""
-    enc = config.encoder_config(graph)
-    table = encode_all(graph, params, enc)
+    """``rank_round`` on the embeddings of the frozen encoder ``params``."""
+    table = encode_all(graph, params, config.encoder_config(graph))
+    return rank_round(graph, split, table, config, spec, template, cache, client, round_index)
+
+
+def rank_round(graph: TagGraph, split: SplitSpec, table: EmbeddingTable, config: TrainConfig,
+               spec: ScorerSpec, template: PromptTemplate, cache: FeedbackCache, client=None,
+               round_index: int = 0) -> FeedbackSet:
+    """Rank each query's top-K candidates in ``table`` by scored utility, in one
+    ``rank_candidates`` pass. Aborts when scored coverage falls below
+    ``COVERAGE_FLOOR`` (partial results stay cached)."""
     index = build_index(table.vectors, split.labeled_ids)
     candidates: dict[int, list[int]] = {}
     for q in split.query_train_ids.tolist():
@@ -278,15 +284,14 @@ def train(
     enc = config.encoder_config(graph)
     params = init_params(enc, config.seed)
     dropout_rng = np.random.default_rng([config.seed & 0x7FFFFFFF, 0xD0])
-    # the only rows the losses read, propagated once for every round
-    inputs = Tensor2(propagate(graph, config.n_layers)[split.labeled_ids].astype(params.dtype))
+    # propagated once: every round's retrieval, the losses' labeled rows and the final table read it
+    propagated = propagate(graph, config.n_layers)
+    inputs = Tensor2(propagated[split.labeled_ids].astype(params.dtype))
 
     log: list[dict] = []
     for round_index in range(config.rounds):
-        feedback = collect_feedback_round(
-            graph, split, params, config, spec, template, cache,
-            client=client, round_index=round_index,
-        )
+        table = encode_rows(propagated, params, enc)
+        feedback = rank_round(graph, split, table, config, spec, template, cache, client, round_index)
         batch = round_batch(graph, split, feedback, inputs)
         for epoch in range(config.epochs):
             try:
@@ -309,5 +314,4 @@ def train(
                 }
             )
 
-    final = encode_all(graph, params, enc)
-    return TrainedModel(params=params, embeddings=final, log=log)
+    return TrainedModel(params=params, embeddings=encode_rows(propagated, params, enc), log=log)

@@ -3,15 +3,20 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from stubserver import StubScorerServer, answer_first_label
 
+import gicl
 from gicl import training
 from gicl.cli import CONFIG_KEYS, SCORER_KEYS, UNRECORDED, build_parser, main, resolve_inputs
 from gicl.encoder import EmbeddingTable
@@ -537,6 +542,50 @@ def test_every_readme_command_parses():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: gicl {shlex.join(argv)}")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports gicl from this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=600)
+
+
+class TestWithoutScipy:
+    def test_importing_the_cli_loads_no_scipy(self, tmp_path):
+        done = run_python("import sys, gicl.cli; print('scipy' in sys.modules)", tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
+    def test_synth_train_infer_runs_with_scipy_blocked(self, tmp_path):
+        commands = [
+            ["synth", "--n", "150", "--classes", "3", "--pin", "0.2", "--pout", "0.01",
+             "--dim", "8", "--noise", "0.3", "--seed", "5", "--out", "bundle"],
+            ["train", "--bundle", "bundle", "--out", "model", *TRAIN_FLAGS],
+            ["infer", "--bundle", "bundle", "--model", "model", "--out", "reports",
+             "--scorer-kind", "oracle", "--single-thread"],
+        ]
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None  # an import of scipy now raises ImportError\n"
+                "from gicl.cli import main\n"
+                f"sys.exit(max(main(argv) for argv in {commands!r}))\n")
+        done = run_python(code, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert len(list((tmp_path / "reports").glob("report-askgnn-*.csv"))) == 1
+
+
+def test_the_package_version_is_single_sourced():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^dynamic = \["version"\]$', text, re.M)
+    assert re.search(r'^version = \{attr = "gicl.__version__"\}$', text, re.M)
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools calls [tool.setuptools] beta
+        project = pyprojecttoml.read_configuration(ROOT / "pyproject.toml", expand=True)["project"]
+    assert project["version"] == gicl.__version__
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import finite_difference_grads, gradcheck_errors
@@ -209,6 +211,29 @@ class TestPropagate:
         assert np.array_equal(encode_on_tape(Tape(), rows, params, cfg).data,
                               encode_all(noisy_sbm, params, cfg).vectors)
 
+
+    # SHA-256 of propagate's float64 bytes, as the earlier scipy CSR-product
+    # implementation computed them: each row sums its (1/size) * x[j] terms in
+    # group order from zero, so any other summation order changes a digest
+    @pytest.mark.parametrize("hops, digest", [
+        (0, "08e8e9eef92e8fb3f5146b061ac7b49c55f11d8709fcf3532ee01fcece739435"),
+        (1, "90e1c2448c1269bad73a803ddf72e4fd5206850cb8566e285a766e2e6195a4b9"),
+        (3, "113339b204cfb86e2239c24ddcf5fb25d12764b848243cff6f214c6b880b609b"),
+    ])
+    def test_path_graph_digest_is_pinned(self, path_graph, hops, digest):
+        assert hashlib.sha256(propagate(path_graph, hops).tobytes()).hexdigest() == digest
+
+    def test_directed_bundle_digest_is_pinned(self, tmp_path):
+        write_bundle(synth_sbm(n_nodes=40, n_classes=3, p_in=0.2, p_out=0.02, d=5, noise=0.3,
+                               seed=7), tmp_path / "b")
+        rows = propagate(load_bundle(tmp_path / "b", symmetrize=False), 3)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+            "df5f1fd7e13389b8ed77ec7e5d292ac6b8c25e01c6ef39e3f40204bee9d6c8f2")
+
+    def test_c5_graph_digest_is_pinned(self):
+        graph = synth_sbm(n_nodes=1000, n_classes=5, p_in=0.05, p_out=0.005, d=16, noise=0.6, seed=1)
+        assert hashlib.sha256(propagate(graph, 3).tobytes()).hexdigest() == (
+            "ddbb2666db2ef36047cb8d84c2973bfe343b2b6b5443c585704ec6a4db15b47c")
 
     @pytest.mark.parametrize("hops", [-1, -3])
     def test_negative_hops_are_refused(self, path_graph, hops):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import finite_difference_grads, gradcheck_errors
 from gicl import nncore
@@ -75,6 +76,32 @@ class TestMeanRows:
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError, match="expects 2 rows"):
             nncore.mean_rows(Tape(), leaf(np.ones((3, 2))), RowAggregator(np.array([0, 1]), [0], 2))
+
+    @pytest.mark.parametrize("offsets, targets, problem", [
+        (np.array([[0, 1]]), [0], "must be 1-D"),
+        (np.array([], dtype=np.int64), [], "are empty"),
+        (np.array([1, 1]), [], "must start at 0"),
+        (np.array([0, 2, 1, 2]), [0, 0], "must not decrease"),
+        (np.array([0, 1]), [0, 0], "must end at the 2 targets"),
+    ], ids=["not-1d", "empty", "first-not-0", "decreasing", "last-not-n-targets"])
+    def test_malformed_offsets_are_refused(self, offsets, targets, problem):
+        with pytest.raises(ValueError, match=f"offsets {problem}"):
+            RowAggregator(offsets, targets, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_apply_is_a_sequential_float64_loop_bit_for_bit(self, data):
+        n_in = data.draw(st.integers(1, 6))
+        sizes = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=8))  # 0: an empty group
+        targets = data.draw(st.lists(st.integers(0, n_in - 1), min_size=sum(sizes), max_size=sum(sizes)))
+        x = data.draw(arrays(np.float64, (n_in, data.draw(st.integers(0, 3))),
+                             elements=st.floats(-1e6, 1e6, allow_nan=False)))
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        expected = np.zeros((len(sizes), x.shape[1]))
+        for g, size in enumerate(sizes):
+            for j in targets[offsets[g]:offsets[g + 1]]:  # in group order, repeats included
+                expected[g] = expected[g] + (1.0 / size) * x[j]
+        assert RowAggregator(offsets, targets, n_in).apply(x).tobytes() == expected.tobytes()
 
 
 class TestElementwise:

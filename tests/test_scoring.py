@@ -25,6 +25,16 @@ from gicl.scoring import (
 from gicl.retrieval import _normalize_rows
 
 
+def put(cache, sid, th, graph_hash, q, e, ppl_by_class):
+    """Cache one pair's perplexities by class, under their content keys."""
+    cache.put(sid, th, q, e, [(cache_key(sid, th, graph_hash, q, e, c), c, value)
+                              for c, value in ppl_by_class.items()])
+
+
+def get(cache, sid, th, graph_hash, q, e, c):
+    return cache.get(cache_key(sid, th, graph_hash, q, e, c))
+
+
 class TestPpl:
     def test_single_zero_logprob_is_one(self):
         assert ppl([0.0]) == 1.0
@@ -148,9 +158,9 @@ class TestSyntheticOracle:
 class TestFeedbackCache:
     def test_put_get_roundtrip(self):
         cache = FeedbackCache()
-        cache.put("sid", "th", "g", 1, 2, {3: 4.5})
-        assert cache.get("sid", "th", "g", 1, 2, 3) == 4.5
-        assert cache.get("sid", "th", "g", 1, 2, 4) is None
+        put(cache, "sid", "th", "g", 1, 2, {3: 4.5})
+        assert get(cache, "sid", "th", "g", 1, 2, 3) == 4.5
+        assert get(cache, "sid", "th", "g", 1, 2, 4) is None
 
     def test_keys_are_content_addressed(self):
         assert cache_key("s", "t", "g", 1, 2, 3) == cache_key("s", "t", "g", 1, 2, 3)
@@ -162,32 +172,32 @@ class TestFeedbackCache:
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
         value = math.exp(0.1 + 2.0 * (1 - 0.12345678901234))
-        cache.put("sid", "th", "g", 7, 8, {0: value})
+        put(cache, "sid", "th", "g", 7, 8, {0: value})
         reloaded = FeedbackCache(path)
-        assert reloaded.get("sid", "th", "g", 7, 8, 0) == value
+        assert get(reloaded, "sid", "th", "g", 7, 8, 0) == value
 
     def test_appends_not_rewrites(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
-        cache.put("s", "t", "g", 0, 0, {0: 1.0})
+        put(cache, "s", "t", "g", 0, 0, {0: 1.0})
         first = path.read_text()
-        cache.put("s", "t", "g", 0, 0, {1: 2.0})
+        put(cache, "s", "t", "g", 0, 0, {1: 2.0})
         assert path.read_text().startswith(first)
         assert len(path.read_text().splitlines()) == 2
 
     def test_duplicate_put_ignored(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
-        cache.put("s", "t", "g", 0, 0, {0: 1.0})
-        cache.put("s", "t", "g", 0, 0, {0: 99.0})
-        assert cache.get("s", "t", "g", 0, 0, 0) == 1.0
+        put(cache, "s", "t", "g", 0, 0, {0: 1.0})
+        put(cache, "s", "t", "g", 0, 0, {0: 99.0})
+        assert get(cache, "s", "t", "g", 0, 0, 0) == 1.0
         assert len(path.read_text().splitlines()) == 1
 
     def test_record_schema(self, tmp_path):
         import json
 
         path = tmp_path / "cache.jsonl"
-        FeedbackCache(path).put("sid", "th", "g", 3, 9, {1: 2.5})
+        put(FeedbackCache(path), "sid", "th", "g", 3, 9, {1: 2.5})
         record = json.loads(path.read_text())
         assert set(record) == {"k", "q", "e", "c", "ppl", "sid", "th"}
         assert record["q"] == 3 and record["e"] == 9 and record["c"] == 1
@@ -195,17 +205,17 @@ class TestFeedbackCache:
 
     def test_torn_last_line_is_skipped_and_next_put_starts_a_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        FeedbackCache(path).put("s", "t", "g", 0, 0, {0: 1.0})
+        put(FeedbackCache(path), "s", "t", "g", 0, 0, {0: 1.0})
         whole = path.read_text()
         path.write_text(whole + whole[:len(whole) // 2])  # a writer died mid-append
         cache = FeedbackCache(path)
         assert len(cache) == 1
-        cache.put("s", "t", "g", 0, 0, {1: 2.0})
+        put(cache, "s", "t", "g", 0, 0, {1: 2.0})
         assert path.read_text().startswith(whole)
         assert len(path.read_text().splitlines()) == 2
         reloaded = FeedbackCache(path)
-        assert reloaded.get("s", "t", "g", 0, 0, 0) == 1.0
-        assert reloaded.get("s", "t", "g", 0, 0, 1) == 2.0
+        assert get(reloaded, "s", "t", "g", 0, 0, 0) == 1.0
+        assert get(reloaded, "s", "t", "g", 0, 0, 1) == 2.0
 
     def test_one_handle_serves_every_append_until_close(self, tmp_path, monkeypatch):
         import gicl.scoring as scoring_mod
@@ -220,11 +230,11 @@ class TestFeedbackCache:
         cache = FeedbackCache(path)
         monkeypatch.setattr(scoring_mod, "open", counting_open, raising=False)
         for c in range(5):
-            cache.put("s", "t", "g", 0, 0, {c: 1.0 + c})
+            put(cache, "s", "t", "g", 0, 0, {c: 1.0 + c})
             assert len(path.read_text().splitlines()) == c + 1  # flushed before put returns
         assert len(opened) == 1
         cache.close()
-        cache.put("s", "t", "g", 0, 1, {0: 9.0})
+        put(cache, "s", "t", "g", 0, 1, {0: 9.0})
         cache.close()
         assert len(opened) == 2
         assert len(FeedbackCache(path)) == 6
@@ -234,13 +244,13 @@ class TestFeedbackCache:
     def test_lines_are_json_dumps_of_their_records(self, tmp_path, value):
         path = tmp_path / "cache.jsonl"
         sid, th = 'http|m\u00e9|"quoted"', "t\\h"
-        FeedbackCache(path).put(sid, th, "g", 3, 9, {0: value, 2: 1.0})
+        put(FeedbackCache(path), sid, th, "g", 3, 9, {0: value, 2: 1.0})
         expected = "".join(
             json.dumps({"k": cache_key(sid, th, "g", 3, 9, c), "q": 3, "e": 9, "c": c, "ppl": v,
                         "sid": sid, "th": th}) + "\n"
             for c, v in ((0, value), (2, 1.0)))
         assert path.read_bytes() == expected.encode("utf-8")
-        assert FeedbackCache(path).get(sid, th, "g", 3, 9, 0) == value
+        assert get(FeedbackCache(path), sid, th, "g", 3, 9, 0) == value
 
     def test_a_pair_is_appended_in_one_write(self, tmp_path, monkeypatch):
         import gicl.scoring as scoring_mod
@@ -262,22 +272,22 @@ class TestFeedbackCache:
                             lambda *a, **kw: CountingFile(open(*a, **kw)), raising=False)
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
-        cache.put("s", "t", "g", 0, 0, {0: 1.0, 1: 2.0, 2: 3.0})
-        cache.put("s", "t", "g", 0, 0, {1: 9.0, 3: 4.0})  # class 1 is already cached
-        cache.put("s", "t", "g", 0, 0, {2: 9.0})  # nothing new: no write
+        put(cache, "s", "t", "g", 0, 0, {0: 1.0, 1: 2.0, 2: 3.0})
+        put(cache, "s", "t", "g", 0, 0, {1: 9.0, 3: 4.0})  # class 1 is already cached
+        put(cache, "s", "t", "g", 0, 0, {2: 9.0})  # nothing new: no write
         cache.close()
         monkeypatch.undo()
         assert len(writes) == 2
         assert [json.loads(line)["c"] for line in path.read_text().splitlines()] == [0, 1, 2, 3]
-        assert FeedbackCache(path).get("s", "t", "g", 0, 0, 1) == 2.0
+        assert get(FeedbackCache(path), "s", "t", "g", 0, 0, 1) == 2.0
 
     def test_a_file_of_many_blocks_loads_as_a_per_line_parse(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
         values = [math.inf, 1.0, 2.5, math.exp(0.1 + 2.0 * 0.87654321098766)]
         for q in range(800):  # about 600 KB: several read blocks
-            cache.put("sid", "th", "g", q, q + 1, {c: values[(q + c) % 4] for c in range(5)})
-            cache.put("sid", "th", "g", q, q + 1, {0: 9.0})  # a duplicate: no line
+            put(cache, "sid", "th", "g", q, q + 1, {c: values[(q + c) % 4] for c in range(5)})
+            put(cache, "sid", "th", "g", q, q + 1, {0: 9.0})  # a duplicate: no line
         cache.close()
         lines = path.read_text().split("\n")[:-1]
         lines[100:100] = ["", "   "]
@@ -293,10 +303,10 @@ class TestFeedbackCache:
         assert len(loaded) == len(expected) == 4000
         for q in range(800):
             for c in range(5):
-                got = loaded.get("sid", "th", "g", q, q + 1, c)
+                got = get(loaded, "sid", "th", "g", q, q + 1, c)
                 assert got == expected[cache_key("sid", "th", "g", q, q + 1, c)]
                 assert got == values[(q + c) % 4]
-        loaded.put("sid", "th", "g", 0, 0, {0: 1.0})  # cuts the torn line off
+        put(loaded, "sid", "th", "g", 0, 0, {0: 1.0})  # cuts the torn line off
         loaded.close()
         assert path.read_text().startswith(text)
         assert len(FeedbackCache(path)) == 4001
@@ -307,7 +317,7 @@ class TestFeedbackCache:
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
         for q in range(500):
-            cache.put("s", "t", "g", q, 0, {c: 1.0 + c for c in range(5)})
+            put(cache, "s", "t", "g", q, 0, {c: 1.0 + c for c in range(5)})
         cache.close()
         lines = path.read_text().split("\n")
         lines[1200:1200] = [bad]
@@ -317,7 +327,7 @@ class TestFeedbackCache:
 
     def test_malformed_line_before_the_last_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        FeedbackCache(path).put("s", "t", "g", 0, 0, {0: 1.0})
+        put(FeedbackCache(path), "s", "t", "g", 0, 0, {0: 1.0})
         path.write_text("{not json\n" + path.read_text())
         with pytest.raises(json.JSONDecodeError):
             FeedbackCache(path)
@@ -418,6 +428,18 @@ class TestRankCandidates:
         assert by_query[0].example_ids == (1,)
         assert n_unscored == 0
 
+    def test_a_cold_round_hashes_each_key_once(self, noisy_sbm, tmp_path, monkeypatch):
+        import gicl.scoring as scoring_mod
+
+        calls = []
+        monkeypatch.setattr(scoring_mod, "cache_key", lambda *a: calls.append(a) or cache_key(*a))
+        candidates = {0: [1, 2, 3], 5: [2, 7]}
+        cache = FeedbackCache(tmp_path / "cache.jsonl")
+        rank_candidates(noisy_sbm, candidates, ScorerSpec(kind="oracle"), DEFAULT_TEMPLATE, cache)
+        cache.close()
+        assert len(calls) == 5 * noisy_sbm.n_classes  # one per (pair, class), none again in put
+        assert len(FeedbackCache(tmp_path / "cache.jsonl")) == len(calls)
+
     def test_same_label_candidates_outrank_different(self, clean_sbm):
         # zero noise: same-label examples strictly lower the gold-class ppl,
         # so every same-label candidate must come first
@@ -466,7 +488,7 @@ class TestRankCandidates:
         scope = (spec.scorer_id, DEFAULT_TEMPLATE.template_hash, noisy_sbm.content_hash)
         for q, ids in candidates.items():
             gold = int(noisy_sbm.labels[q])
-            pairs = sorted((-utility([cache.get(*scope, q, e, c)
+            pairs = sorted((-utility([cache.get(cache_key(*scope, q, e, c))
                                       for c in range(noisy_sbm.n_classes)], gold), e) for e in ids)
             assert by_query[q].example_ids == tuple(e for _, e in pairs)
             assert by_query[q].utilities == tuple(-u for u, _ in pairs)

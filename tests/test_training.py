@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 
@@ -8,7 +9,7 @@ from conftest import finite_difference_grads, gradcheck_errors
 
 from gicl import nncore
 from gicl import scoring as scoring_mod
-from gicl.encoder import encode_on_tape, init_params, propagate
+from gicl.encoder import encode_all, encode_on_tape, init_params, propagate
 from gicl.graphstore import SplitSpec, TagGraph, _build_csr, sample_label_fraction, synth_sbm
 from gicl.nncore import Tape, Tensor2, adam_step, backward
 from gicl.prompts import DEFAULT_TEMPLATE, render
@@ -18,6 +19,7 @@ from gicl.scoring import (
     RankedSet,
     ScorerError,
     ScorerSpec,
+    cache_key,
     make_client,
 )
 from gicl.training import (
@@ -297,7 +299,7 @@ class TestOnePassRound:
         scope = (ORACLE.scorer_id, DEFAULT_TEMPLATE.template_hash, clean_sbm.content_hash)
         for line in path.read_text().splitlines():
             record = json.loads(line)
-            assert full.get(*scope, record["q"], record["e"], record["c"]) == record["ppl"]
+            assert full.get(cache_key(*scope, record["q"], record["e"], record["c"])) == record["ppl"]
 
 
 class TestTapeGradients:
@@ -474,19 +476,36 @@ class TestTrain:
         seen_vectors = []
         import gicl.training as training_mod
 
-        original = training_mod.encode_all
+        original = training_mod.encode_rows
 
-        def spy(graph, params, config):
-            table = original(graph, params, config)
+        def spy(rows, params, config):
+            table = original(rows, params, config)
             seen_vectors.append(table.vectors.copy())
             return table
 
-        monkeypatch.setattr(training_mod, "encode_all", spy)
+        monkeypatch.setattr(training_mod, "encode_rows", spy)
         cfg = self.small_cfg(rounds=2, epochs=6)
         train(clean_sbm, clean_split, ORACLE, DEFAULT_TEMPLATE, cfg)
         # rounds collect on round-start embeddings: round 2's differ from round 1's
         assert len(seen_vectors) >= 2
         assert not np.array_equal(seen_vectors[0], seen_vectors[1])
+
+    def test_three_rounds_propagate_once(self, noisy_sbm, monkeypatch):
+        import gicl.training as training_mod
+
+        calls = []
+        monkeypatch.setattr(training_mod, "propagate",
+                            lambda graph, hops: calls.append(hops) or propagate(graph, hops))
+        split = sample_label_fraction(noisy_sbm, 0.5, seed=2)
+        cfg = TrainConfig(rounds=3, epochs=5, hidden_dim=16, k_feedback=5, seed=3)
+        model = train(noisy_sbm, split, ORACLE, DEFAULT_TEMPLATE, cfg)
+        assert calls == [cfg.n_layers]
+        vectors = model.embeddings.vectors
+        enc = cfg.encoder_config(noisy_sbm)
+        assert np.array_equal(vectors, encode_all(noisy_sbm, model.params, enc).vectors)
+        # as trained when each round and the final table propagated again
+        assert hashlib.sha256(vectors.tobytes()).hexdigest() == (
+            "393cdcf6fd4cc1171577d9f7c541261b82fc8ddd2ff644316af684fe9ae1bf4a")
 
     def test_deterministic_given_seed(self, clean_sbm, clean_split):
         cfg = self.small_cfg()
