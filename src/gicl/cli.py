@@ -275,7 +275,7 @@ def _add_common(p: argparse.ArgumentParser, with_model: bool = False) -> None:
     p.add_argument("--endpoint", default=None, help="http scorer base URL")
     p.add_argument("--model-name", dest="model_name", default=None, help="scoring model name")
     p.add_argument("--single-thread", dest="single_thread", action="store_true",
-                   help="force fully serial execution for byte-reproducibility")
+                   help="send scorer requests one at a time (max_parallel 1); results are the same")
     if with_model:
         p.add_argument("--model", required=True, help="trained model directory")
 

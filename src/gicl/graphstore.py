@@ -325,10 +325,12 @@ def write_bundle(graph: TagGraph, path: str | Path) -> None:
     """Write a graph back out as a bundle directory.
 
     For undirected graphs each edge is stored once (low id first), so
-    load_bundle(write_bundle(g)) reproduces g exactly.
+    load_bundle(write_bundle(g)) reproduces g exactly. An existing
+    splits.json is removed first: its ids named the old graph's nodes.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
+    (root / "splits.json").unlink(missing_ok=True)
     with atomic_write(root / "nodes.jsonl", "w", encoding="utf-8") as fh:
         for i in range(graph.n_nodes):
             label = None if graph.labels[i] == UNLABELED else graph.label_vocab[graph.labels[i]]

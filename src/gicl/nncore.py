@@ -285,15 +285,9 @@ def gather_rows(tape: Tape, x: Tensor2, ids: Sequence[int]) -> Tensor2:
     if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
         raise IndexError("gather_rows: row index out of range")
 
-    # strictly increasing ids, as every caller in the package passes, repeat no row
-    increasing = bool(np.all(idx[1:] > idx[:-1]))
-
     def back(g: Array) -> None:
         grad = np.zeros((x.rows, g.shape[1]), dtype=g.dtype)
-        if increasing:  # each row takes one output row's gradient
-            grad[idx] = g
-        else:  # repeated rows sum their gradients in order of occurrence
-            np.add.at(grad, idx, g)
+        np.add.at(grad, idx, g)  # repeated rows sum their gradients in order of occurrence
         _accum(x, grad)
 
     return tape.record(Tensor2(x.data[idx]), (x,), back)
@@ -505,21 +499,11 @@ def adam_step(params: ParamSet, grads: dict[str, Array], lr: float = 0.01) -> No
         g = grads[name]
         if g.shape != p.data.shape:
             raise ValueError(f"adam_step: gradient shape {g.shape} != param shape {p.data.shape} for {name!r}")
-        m = params.m[name]
-        v = params.v[name]
-        # the textbook expression's operations in its order, on three arrays
-        # per parameter instead of a new one per operation
-        tmp = np.multiply(g, 1 - BETA1)
+        m, v = params.m[name], params.v[name]
         m *= BETA1
-        m += tmp
-        np.multiply(g, 1 - BETA2, out=tmp)
-        tmp *= g
+        m += (1 - BETA1) * g
         v *= BETA2
-        v += tmp
-        step = np.divide(m, 1 - BETA1**t)  # mhat, in the parameters' dtype
-        step *= lr
-        den = np.divide(v, 1 - BETA2**t)  # vhat
-        np.sqrt(den, out=den)
-        den += EPS
-        step /= den
-        p.data -= step
+        v += (1 - BETA2) * g * g
+        mhat = m / (1 - BETA1**t)
+        vhat = v / (1 - BETA2**t)
+        p.data -= lr * mhat / (np.sqrt(vhat) + EPS)

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -118,9 +118,10 @@ class TrainedModel:
 
 @dataclass(frozen=True)
 class FeedbackLists:
-    """A round's non-empty candidate lists, flat and in query order: pair j
-    is (``queries[j]``, ``candidates[j]``) with positive weight
-    ``weights[j]``, and ``sizes`` are the lengths of consecutive lists."""
+    """A round's non-empty candidate lists, flat and in query order, on the
+    rows of the sorted labeled set: pair j is (``queries[j]``,
+    ``candidates[j]``) with positive weight ``weights[j]``, and ``sizes``
+    are the lengths of consecutive lists."""
 
     queries: np.ndarray
     candidates: np.ndarray
@@ -128,18 +129,21 @@ class FeedbackLists:
     weights: np.ndarray
 
 
-def feedback_lists(feedback: FeedbackSet) -> FeedbackLists:
-    """Flatten each query's ranked candidates; each list's first (best-scored) is its positive."""
+def feedback_lists(feedback: FeedbackSet, labeled_ids: np.ndarray) -> FeedbackLists:
+    """Flatten each query's ranked candidates onto their rows in the sorted
+    ``labeled_ids``; each list's first (best-scored) is its positive."""
     lists = [(q, r) for q, r in sorted(feedback.by_query.items()) if len(r) > 0]
     sizes = np.array([len(r) for _, r in lists], dtype=np.int64)
     weights = np.zeros(int(sizes.sum()))
     weights[np.cumsum(sizes) - sizes] = 1.0
-    return FeedbackLists(
-        queries=np.repeat(np.array([q for q, _ in lists], dtype=np.int64), sizes),
-        candidates=np.array([e for _, r in lists for e in r.example_ids], dtype=np.int64),
-        sizes=sizes,
-        weights=weights,
-    )
+    queries = np.repeat(np.array([q for q, _ in lists], dtype=np.int64), sizes)
+    candidates = np.array([e for _, r in lists for e in r.example_ids], dtype=np.int64)
+    outside = np.setdiff1d(np.concatenate([queries, candidates]), labeled_ids)
+    if outside.size:
+        raise ValueError(f"feedback names node {outside[0]}, which is not labeled")
+    return FeedbackLists(queries=np.searchsorted(labeled_ids, queries),
+                         candidates=np.searchsorted(labeled_ids, candidates),
+                         sizes=sizes, weights=weights)
 
 
 def feedback_loss(tape: Tape, embeddings: Tensor2, lists: FeedbackLists, tau: float) -> Tensor2:
@@ -155,67 +159,34 @@ def feedback_loss(tape: Tape, embeddings: Tensor2, lists: FeedbackLists, tau: fl
     return nncore.listwise_xent(tape, sims, lists.sizes, lists.weights)
 
 
-def clf_loss(
-    tape: Tape,
-    embeddings: Tensor2,
-    params: ParamSet,
-    labels: np.ndarray,
-    labeled_ids: Sequence[int],
-) -> Tensor2:
-    """Mean softmax cross-entropy of the head over the supervised nodes."""
-    ids = np.asarray(labeled_ids, dtype=np.int64)
-    if ids.size == 0:
+def clf_loss(tape: Tape, embeddings: Tensor2, params: ParamSet, labels: np.ndarray) -> Tensor2:
+    """Mean softmax cross-entropy of the head over every row, row i labeled ``labels[i]``."""
+    if len(labels) == 0:
         raise ValueError("clf_loss needs a non-empty labeled set")
-    rows = nncore.gather_rows(tape, embeddings, ids)
-    logits = logits_on_tape(tape, rows, params)
-    return nncore.softmax_xent(tape, logits, labels[ids])
+    return nncore.softmax_xent(tape, logits_on_tape(tape, embeddings, params), labels)
 
 
 def combined_loss(tape: Tape, lf: Tensor2, lc: Tensor2, beta: float) -> Tensor2:
     return nncore.combine_scalars(tape, lf, lc, beta, 1.0 - beta)
 
 
-@dataclass(frozen=True)
-class RoundBatch:
-    """One round's fixed training inputs, one row per labeled node in id
-    order: their propagated feature rows and labels, and the feedback lists
-    with each node id replaced by its row."""
-
-    inputs: Tensor2
-    feedback: FeedbackLists
-    labels: np.ndarray
-
-
-def round_batch(graph: TagGraph, split: SplitSpec, feedback: FeedbackSet, inputs: Tensor2) -> RoundBatch:
-    """Map the feedback lists onto ``inputs``, the labeled nodes' propagated rows."""
-    ids = split.labeled_ids
-    if inputs.rows != ids.size:
-        raise ValueError(f"{inputs.rows} input rows for {ids.size} labeled nodes")
-    lists = feedback_lists(feedback)
-    outside = np.setdiff1d(np.concatenate([lists.queries, lists.candidates]), ids)
-    if outside.size:
-        raise ValueError(f"feedback names node {outside[0]}, which is not labeled")
-    return RoundBatch(
-        inputs=inputs,
-        feedback=replace(lists, queries=np.searchsorted(ids, lists.queries),
-                         candidates=np.searchsorted(ids, lists.candidates)),
-        labels=graph.labels[ids],
-    )
-
-
 def epoch_loss(
     tape: Tape,
-    batch: RoundBatch,
+    inputs: Tensor2,
+    labels: np.ndarray,
+    lists: FeedbackLists,
     params: ParamSet,
     enc: EncoderConfig,
     config: TrainConfig,
     training: bool = True,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor2, Tensor2, Tensor2]:
-    """(combined, feedback, classification) losses of one forward pass."""
-    emb = encode_on_tape(tape, batch.inputs, params, enc, training=training, rng=rng)
-    lf = feedback_loss(tape, emb, batch.feedback, config.tau)
-    lc = clf_loss(tape, emb, params, batch.labels, np.arange(batch.labels.size))
+    """(combined, feedback, classification) losses of one forward pass over
+    the labeled nodes' propagated rows ``inputs``, their ``labels`` and the
+    round's ``lists`` on those rows."""
+    emb = encode_on_tape(tape, inputs, params, enc, training=training, rng=rng)
+    lf = feedback_loss(tape, emb, lists, config.tau)
+    lc = clf_loss(tape, emb, params, labels)
     return combined_loss(tape, lf, lc, config.beta), lf, lc
 
 
@@ -235,11 +206,10 @@ def collect_feedback_round(
     template: PromptTemplate,
     cache: FeedbackCache,
     client=None,
-    round_index: int = 0,
 ) -> FeedbackSet:
     """``rank_round`` on the embeddings of the frozen encoder ``params``."""
     table = encode_all(graph, params, config.encoder_config(graph))
-    return rank_round(graph, split, table, config, spec, template, cache, client, round_index)
+    return rank_round(graph, split, table, config, spec, template, cache, client)
 
 
 def rank_round(graph: TagGraph, split: SplitSpec, table: EmbeddingTable, config: TrainConfig,
@@ -287,16 +257,18 @@ def train(
     # propagated once: every round's retrieval, the losses' labeled rows and the final table read it
     propagated = propagate(graph, config.n_layers)
     inputs = Tensor2(propagated[split.labeled_ids].astype(params.dtype))
+    labels = graph.labels[split.labeled_ids]
 
     log: list[dict] = []
     for round_index in range(config.rounds):
         table = encode_rows(propagated, params, enc)
         feedback = rank_round(graph, split, table, config, spec, template, cache, client, round_index)
-        batch = round_batch(graph, split, feedback, inputs)
+        lists = feedback_lists(feedback, split.labeled_ids)
         for epoch in range(config.epochs):
             try:
                 tape = Tape()
-                loss, lf, lc = epoch_loss(tape, batch, params, enc, config, rng=dropout_rng)
+                loss, lf, lc = epoch_loss(tape, inputs, labels, lists, params, enc, config,
+                                          rng=dropout_rng)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"non-finite loss at round {round_index} epoch {epoch}: {exc}"

@@ -43,7 +43,6 @@ from gicl.training import (
     epoch_loss,
     feedback_lists,
     feedback_loss,
-    round_batch,
     train,
 )
 
@@ -81,10 +80,11 @@ def test_c1_gradient_correctness_of_combined_loss():
     )
     # the loss train() builds each epoch, from the labeled nodes' propagated rows, in eval mode
     inputs = Tensor2(propagate(graph, config.n_layers)[split.labeled_ids])
-    batch = round_batch(graph, split, feedback, inputs)
+    labels = graph.labels[split.labeled_ids]
+    lists = feedback_lists(feedback, split.labeled_ids)
 
     def build_loss(tape: Tape):
-        return epoch_loss(tape, batch, params, enc, config, training=False)[0]
+        return epoch_loss(tape, inputs, labels, lists, params, enc, config, training=False)[0]
 
     tape = Tape()
     analytic = backward(tape, build_loss(tape), params)
@@ -127,7 +127,7 @@ def test_c2_closed_form_unit_values():
         n_scored=1, n_unscored=0,
     )
     cfg = TrainConfig(k_feedback=3, epochs=1, hidden_dim=4, n_layers=1)
-    got = feedback_loss(Tape(), emb, feedback_lists(singleton), cfg.tau).item()
+    got = feedback_loss(Tape(), emb, feedback_lists(singleton, np.arange(2)), cfg.tau).item()
     if got != 0.0:
         failures.append(f"singleton feedback loss {got!r} != 0")
 

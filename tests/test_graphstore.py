@@ -289,6 +289,15 @@ class TestRoundTrip:
         assert got.dtype == np.int64 and got.tolist() == [2, 3]
         assert load_split_file(tmp_path) is None
 
+    def test_rewrite_drops_the_old_graphs_split_file(self, tmp_path):
+        bundle = tmp_path / "b"
+        write_bundle(synth_sbm(60, 3, 0.1, 0.01, 4, 0.5, 1), bundle)
+        (bundle / "splits.json").write_text(json.dumps({"test": [0, 1, 2]}))
+        assert load_split_file(bundle).tolist() == [0, 1, 2]
+        write_bundle(synth_sbm(40, 3, 0.1, 0.01, 4, 0.5, 2), bundle)
+        assert load_split_file(bundle) is None
+        assert load_bundle(bundle).n_nodes == 40
+
     def test_split_file_without_test_ids_is_refused(self, tmp_path):
         nodes = [{"id": i, "text": "t", "label": "a"} for i in range(4)]
         write_raw_bundle(tmp_path / "b", nodes, [], np.zeros((4, 2)), ["a"], splits={"test": []})

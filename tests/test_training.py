@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import finite_difference_grads, gradcheck_errors
 
 from gicl import nncore
@@ -32,7 +33,6 @@ from gicl.training import (
     epoch_loss,
     feedback_lists,
     feedback_loss,
-    round_batch,
     train,
 )
 
@@ -50,8 +50,22 @@ def fb(query_to_ranked):
 
 
 def lists(feedback, config):
-    """feedback_loss's last two arguments for ``feedback`` under ``config``."""
-    return feedback_lists(feedback), config.tau
+    """feedback_loss's last two arguments for ``feedback`` under ``config``,
+    with every node id its own embedding row."""
+    return feedback_lists(feedback, np.arange(100)), config.tau
+
+
+@st.composite
+def ranked_rounds(draw):
+    """Sorted labeled ids and a round of ranked lists on them (some empty)."""
+    labeled = np.array(sorted(draw(st.sets(st.integers(0, 200), min_size=2, max_size=12))))
+    by_query = {}
+    for q in draw(st.lists(st.sampled_from(labeled.tolist()), unique=True, max_size=8)):
+        others = [int(e) for e in labeled if e != q]
+        examples = draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others)))
+        by_query[int(q)] = RankedSet(query_id=int(q), example_ids=tuple(examples),
+                                     utilities=tuple(1.0 / (i + 1) for i in range(len(examples))))
+    return labeled, by_query
 
 
 class TestFeedbackLists:
@@ -62,12 +76,33 @@ class TestFeedbackLists:
             4: RankedSet(query_id=4, example_ids=(), utilities=()),
             9: RankedSet(query_id=9, example_ids=(1, 0), utilities=(0.8, 0.2)),
         }
-        got = feedback_lists(fb(ranked))
-        assert got.queries.tolist() == [2, 7, 7, 7, 9, 9]
-        assert got.candidates.tolist() == [3, 5, 6, 8, 1, 0]
+        # node 4's list is empty, so it needs no row; the rest map to their rows
+        got = feedback_lists(fb(ranked), np.array([0, 1, 2, 3, 5, 6, 7, 8, 9]))
+        assert got.queries.tolist() == [2, 6, 6, 6, 8, 8]
+        assert got.candidates.tolist() == [3, 4, 5, 7, 1, 0]
         assert got.sizes.tolist() == [1, 3, 2]
         assert got.weights.dtype == np.float64
         assert got.weights.tolist() == [1.0, 1.0, 0.0, 0.0, 1.0, 0.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(round_=ranked_rounds(), stray=st.integers(201, 400), in_query=st.booleans())
+    def test_rows_map_back_to_the_ranked_node_ids(self, round_, stray, in_query):
+        labeled, by_query = round_
+        got = feedback_lists(fb(by_query), labeled)
+        ranked = [(q, r) for q, r in sorted(by_query.items()) if len(r) > 0]
+        assert labeled[got.queries].tolist() == [q for q, r in ranked for _ in r.example_ids]
+        assert labeled[got.candidates].tolist() == [e for _, r in ranked for e in r.example_ids]
+        assert got.sizes.tolist() == [len(r) for _, r in ranked]
+        assert int(got.sizes.sum()) == got.queries.size == got.weights.size
+        firsts = set((np.cumsum(got.sizes) - got.sizes).tolist())
+        assert got.weights.tolist() == [float(j in firsts) for j in range(got.weights.size)]
+
+        # a node outside the labeled set, as a query or as a candidate, is refused by name
+        q = int(labeled[0])
+        stray_list = (RankedSet(query_id=stray, example_ids=(q,), utilities=(1.0,)) if in_query
+                      else RankedSet(query_id=q, example_ids=(stray,), utilities=(1.0,)))
+        with pytest.raises(ValueError, match=f"node {stray}, which is not labeled"):
+            feedback_lists(fb({**by_query, stray_list.query_id: stray_list}), labeled)
 
 
 class TestFeedbackLoss:
@@ -135,7 +170,7 @@ class TestClfLoss:
         params["head.b"].data[:] = 0
         tape = Tape()
         emb = Tensor2(np.random.default_rng(0).standard_normal((30, 6)).astype(np.float32))
-        loss = clf_loss(tape, emb, params, clean_sbm.labels, np.arange(30))
+        loss = clf_loss(tape, emb, params, clean_sbm.labels)
         assert math.isclose(loss.item(), math.log(3), rel_tol=1e-6)
 
     def test_perfect_logits_vanish(self, clean_sbm):
@@ -144,7 +179,7 @@ class TestClfLoss:
         params["head.w"].data[:] = np.eye(3) * 20
         params["head.b"].data[:] = 0
         emb = np.eye(3, dtype=np.float64)[clean_sbm.labels]
-        loss = clf_loss(Tape(), Tensor2(emb), params, clean_sbm.labels, np.arange(30))
+        loss = clf_loss(Tape(), Tensor2(emb), params, clean_sbm.labels)
         assert loss.item() < 1e-8
 
     def test_equals_softmax_xent_on_labeled_rows(self, clean_sbm):
@@ -153,7 +188,7 @@ class TestClfLoss:
         rng = np.random.default_rng(1)
         emb_values = rng.standard_normal((30, 5))
         labeled = np.array([0, 3, 7, 20])
-        loss = clf_loss(Tape(), Tensor2(emb_values), params, clean_sbm.labels, labeled)
+        loss = clf_loss(Tape(), Tensor2(emb_values[labeled]), params, clean_sbm.labels[labeled])
         tape = Tape()
         logits = nncore.linear(
             tape, Tensor2(emb_values[labeled]), params["head.w"], params["head.b"]
@@ -165,7 +200,7 @@ class TestClfLoss:
         cfg = TrainConfig(hidden_dim=5, n_layers=1, epochs=1, k_feedback=2)
         params = init_params(cfg.encoder_config(clean_sbm), seed=0)
         with pytest.raises(ValueError):
-            clf_loss(Tape(), Tensor2(np.eye(5, dtype=np.float32)), params, clean_sbm.labels, [])
+            clf_loss(Tape(), Tensor2(np.eye(5, dtype=np.float32)), params, np.array([], dtype=np.int64))
 
 
 class TestCombinedLoss:
@@ -308,9 +343,10 @@ class TestTapeGradients:
     def epoch_loss(self, tape, graph, split, params, features, feedback):
         enc = self.CFG.encoder_config(graph)
         # the labeled nodes' propagated rows gathered on this tape, so a gradient could reach them
-        batch = round_batch(graph, split, feedback,
-                            nncore.gather_rows(tape, features, split.labeled_ids))
-        loss, _, _ = epoch_loss(tape, batch, params, enc, self.CFG, rng=np.random.default_rng(0))
+        ids = split.labeled_ids
+        loss, _, _ = epoch_loss(tape, nncore.gather_rows(tape, features, ids), graph.labels[ids],
+                                feedback_lists(feedback, ids), params, enc, self.CFG,
+                                rng=np.random.default_rng(0))
         return loss
 
     def propagated(self, graph, dtype, requires_grad=False):
@@ -359,8 +395,8 @@ class TestTapeGradients:
     RING_CFG = TrainConfig(beta=0.5, hidden_dim=6, n_layers=3, epochs=1, k_feedback=3, seed=1)
 
     def ring_round(self):
-        """Float64 parameters and one round's batch on a 40-node ring whose six
-        labeled nodes sit side by side."""
+        """Float64 parameters and one round's inputs, labels and lists on a
+        40-node ring whose six labeled nodes sit side by side."""
         n = 40
         offsets, targets = _build_csr(n, np.array([(i, (i + 1) % n) for i in range(n)]),
                                       symmetrize=True)
@@ -379,17 +415,18 @@ class TestTapeGradients:
         feedback = collect_feedback_round(graph, split, params, self.RING_CFG, ORACLE,
                                           DEFAULT_TEMPLATE, FeedbackCache())
         inputs = Tensor2(propagate(graph, self.RING_CFG.n_layers)[split.labeled_ids])
-        return graph, params, round_batch(graph, split, feedback, inputs)
+        labels = graph.labels[split.labeled_ids]
+        return graph, params, inputs, labels, feedback_lists(feedback, split.labeled_ids)
 
     def test_training_epoch_matches_finite_differences(self):
-        graph, params, batch = self.ring_round()
-        assert batch.inputs.shape == (6, 5)
+        graph, params, inputs, labels, round_lists = self.ring_round()
+        assert inputs.shape == (6, 5)
         enc = self.RING_CFG.encoder_config(graph)
 
         def build_loss(tape, training=True):
             # the same dropout masks at every evaluation
-            return epoch_loss(tape, batch, params, enc, self.RING_CFG, training=training,
-                              rng=np.random.default_rng(7))[0]
+            return epoch_loss(tape, inputs, labels, round_lists, params, enc, self.RING_CFG,
+                              training=training, rng=np.random.default_rng(7))[0]
 
         assert build_loss(Tape()).item() != build_loss(Tape(), training=False).item()
         tape = Tape()
@@ -397,14 +434,14 @@ class TestTapeGradients:
         numeric = finite_difference_grads(lambda: build_loss(Tape()).item(), params, step=1e-4)
         assert gradcheck_errors(analytic, numeric) <= 1e-4
 
-    def test_feedback_outside_the_labeled_rows_is_refused(self):
-        graph, params, batch = self.ring_round()
-        split = SplitSpec(labeled_ids=np.arange(6), test_ids=np.arange(20, 26))
-        stray = fb({0: RankedSet(query_id=0, example_ids=(1, 30), utilities=(0.9, 0.1))})
-        with pytest.raises(ValueError, match="node 30, which is not labeled"):
-            round_batch(graph, split, stray, batch.inputs)
-        with pytest.raises(ValueError, match="5 input rows for 6 labeled nodes"):
-            round_batch(graph, split, stray, Tensor2(batch.inputs.data[:5]))
+    def test_inputs_that_miss_a_labeled_row_are_refused(self):
+        graph, params, inputs, labels, _ = self.ring_round()
+        enc = self.RING_CFG.encoder_config(graph)
+        first_rows = feedback_lists(fb({0: RankedSet(query_id=0, example_ids=(1, 2),
+                                                     utilities=(0.9, 0.1))}), np.arange(6))
+        with pytest.raises(ValueError, match="expected 5 targets"):
+            epoch_loss(Tape(), Tensor2(inputs.data[:5]), labels, first_rows, params, enc,
+                       self.RING_CFG, training=False)
 
     @pytest.mark.parametrize("n", [300, 3000])
     def test_epoch_rows_and_dropout_draws_do_not_depend_on_graph_size(self, n, monkeypatch):
@@ -458,7 +495,7 @@ class TestTrain:
         for _ in range(cfg.epochs):
             tape = Tape()
             emb = encode_on_tape(tape, inputs, params, enc, training=True, rng=rng)
-            loss = clf_loss(tape, emb, params, clean_sbm.labels[ids], np.arange(ids.size))
+            loss = clf_loss(tape, emb, params, clean_sbm.labels[ids])
             grads = backward(tape, loss, params)
             adam_step(params, grads, lr=cfg.lr)
         for name in params.names():
