@@ -1,7 +1,7 @@
 """Minimal dense 2-D tensor math with reverse-mode gradients.
 
 The operator set the encoder's MLP and its losses need: affine maps,
-ReLU, inverted dropout, row normalization, row gather, Gram-block pair
+ReLU, inverted dropout, row normalization, row gather, Gram-matrix pair
 dots, softmax cross-entropy and a segmented listwise softmax loss.
 ``RowAggregator`` is the group-mean operator that feature propagation
 runs on, in plain numpy: gicl imports no scipy. Every op appends its
@@ -13,11 +13,9 @@ gradient checking). Matmuls, group means and elementwise work run in that
 dtype; row norms, row-wise dots, bias sums and both losses accumulate in
 float64. Any op producing a non-finite value raises immediately.
 
-An op output requires a gradient only when an input does, so constants
-(the node features and what is computed from them alone) get no gradient
-and cost no backward work. Backward rules never refer to their own output
-node, so a tape holds no reference cycle and reference counting frees it
-as soon as the caller drops it.
+Backward rules never refer to their own output node, so a tape holds no
+reference cycle and reference counting frees it as soon as the caller
+drops it.
 """
 
 from __future__ import annotations
@@ -35,14 +33,13 @@ Array = np.ndarray
 class Tensor2:
     """A 2-D value node. Leaf tensors hold parameters or constants."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "_parents", "_backward", "name")
 
-    def __init__(self, data: Array, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data: Array, name: str = ""):
         if data.ndim != 2:
             raise ValueError(f"Tensor2 requires 2-D data, got shape {data.shape}")
         self.data = data
         self.grad: Array | None = None
-        self.requires_grad = requires_grad
         self._parents: tuple[Tensor2, ...] = ()
         self._backward: Callable[[Array], None] | None = None
         self.name = name
@@ -83,10 +80,8 @@ class Tape:
         # overflow of finite entries) is the entry-wise test needed
         if not np.isfinite(np.dot(flat, flat)) and not np.all(np.isfinite(flat)):
             raise FloatingPointError("op produced a non-finite value")
-        out.requires_grad = any(p.requires_grad for p in parents)
-        if out.requires_grad:
-            out._parents = parents
-            out._backward = backward
+        out._parents = parents
+        out._backward = backward
         self.nodes.append(out)
         return out
 
@@ -96,9 +91,8 @@ def backward(tape: Tape, loss: Tensor2, params: "ParamSet | None" = None) -> dic
 
     Clears stale gradients on every tensor the tape can reach, then applies
     the backward rule of each node that received a gradient, in reverse
-    creation order. Constants keep grad None. When a ParamSet is given,
-    returns {name: gradient} for every entry (zeros for parameters the loss
-    never touched).
+    creation order. When a ParamSet is given, returns {name: gradient} for
+    every entry (zeros for parameters the loss never touched).
     """
     if loss.data.size != 1:
         raise ValueError("loss must be a scalar (1x1) tensor")
@@ -129,8 +123,7 @@ def backward(tape: Tape, loss: Tensor2, params: "ParamSet | None" = None) -> dic
 
 
 # ---------------------------------------------------------------------------
-# primitives (a backward rule runs only when its output requires a gradient,
-# so only ops with several inputs check which of them do)
+# primitives
 
 
 def _accum(t: Tensor2, g: Array) -> None:
@@ -154,11 +147,9 @@ def linear(tape: Tape, x: Tensor2, w: Tensor2, b: Tensor2 | None = None) -> Tens
         y += b.data
 
     def back(g: Array) -> None:
-        if x.requires_grad:
-            _accum(x, g @ w.data.T)
-        if w.requires_grad:
-            _accum(w, x.data.T @ g)
-        if b is not None and b.requires_grad:
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
+        if b is not None:
             _accum(b, g.sum(axis=0, dtype=np.float64).reshape(1, -1))
 
     parents = (x, w) if b is None else (x, w, b)
@@ -170,10 +161,8 @@ def add(tape: Tape, a: Tensor2, b: Tensor2) -> Tensor2:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
 
     def back(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, g.copy())
-        if b.requires_grad:
-            _accum(b, g)
+        _accum(a, g.copy())
+        _accum(b, g)
 
     return tape.record(Tensor2(a.data + b.data), (a, b), back)
 
@@ -300,10 +289,8 @@ def rowwise_dot(tape: Tape, a: Tensor2, b: Tensor2) -> Tensor2:
     d = np.sum(a.data.astype(np.float64) * b.data.astype(np.float64), axis=1, keepdims=True)
 
     def back(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, g * b.data)
-        if b.requires_grad:
-            _accum(b, g * a.data)
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
     return tape.record(Tensor2(d.astype(a.data.dtype)), (a, b), back)
 
@@ -312,9 +299,10 @@ def gram_pairs(tape: Tape, x: Tensor2, left: Sequence[int], right: Sequence[int]
     """alpha * <x[left[j]], x[right[j]]> for every pair j, as a column vector.
 
     Equal to gather_rows on both sides, rowwise_dot and scale, without
-    materializing a row per pair: one Gram block between the distinct left
-    rows and the distinct right rows is computed and then indexed at the
-    pairs. Its backward pass is two matmuls into those rows.
+    materializing a row per pair: the Gram matrix of all of x's rows is
+    computed and indexed at the pairs, and its backward pass is two matmuls.
+    That costs rows² · cols whatever the pairs, so it suits an x whose rows
+    the pairs mostly cover (training passes the labeled rows only).
     """
     li = np.asarray(left, dtype=np.int64)
     ri = np.asarray(right, dtype=np.int64)
@@ -324,19 +312,13 @@ def gram_pairs(tape: Tape, x: Tensor2, left: Sequence[int], right: Sequence[int]
         if idx.size and (idx.min() < 0 or idx.max() >= x.rows):
             raise IndexError("gram_pairs: row index out of range")
     dt = x.data.dtype
-    l_rows, l_pos = np.unique(li, return_inverse=True)
-    r_rows, r_pos = np.unique(ri, return_inverse=True)
-    xl, xr = x.data[l_rows], x.data[r_rows]
-    gram = (xl @ xr.T) * dt.type(alpha)
-    flat = l_pos * r_rows.size + r_pos
+    gram = (x.data @ x.data.T) * dt.type(alpha)
+    flat = li * x.rows + ri
 
     def back(g: Array) -> None:
         dgram = np.bincount(flat, weights=g.reshape(-1), minlength=gram.size)
         dgram = (dgram * alpha).astype(dt).reshape(gram.shape)
-        grad = np.zeros_like(x.data)
-        grad[l_rows] = dgram @ xr
-        grad[r_rows] += dgram.T @ xl
-        _accum(x, grad)
+        _accum(x, dgram @ x.data + dgram.T @ x.data)
 
     return tape.record(Tensor2(gram.reshape(-1)[flat].reshape(-1, 1)), (x,), back)
 
@@ -419,10 +401,8 @@ def combine_scalars(tape: Tape, a: Tensor2, b: Tensor2, wa: float, wb: float) ->
     dt = a.data.dtype
 
     def back(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, g * dt.type(wa))
-        if b.requires_grad:
-            _accum(b, g * dt.type(wb))
+        _accum(a, g * dt.type(wa))
+        _accum(b, g * dt.type(wb))
 
     return tape.record(Tensor2(dt.type(wa) * a.data + dt.type(wb) * b.data), (a, b), back)
 
@@ -444,7 +424,7 @@ class ParamSet:
     def add(self, name: str, values: Array) -> Tensor2:
         if name in self.tensors:
             raise ValueError(f"parameter {name!r} already exists")
-        t = Tensor2(np.array(values, dtype=self.dtype), requires_grad=True, name=name)
+        t = Tensor2(np.array(values, dtype=self.dtype), name=name)
         self.tensors[name] = t
         self.m[name] = np.zeros_like(t.data)
         self.v[name] = np.zeros_like(t.data)

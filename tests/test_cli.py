@@ -292,6 +292,27 @@ class TestInferAndBaselines:
         payload = json.loads(out.read_text())
         assert set(payload) == {"coverage", "queries"} and payload["queries"]
 
+    def test_feedback_without_model_scores_a_fresh_encoder_once(self, bundle, tmp_path, capsys):
+        cache, out = tmp_path / "cache.jsonl", tmp_path / "feedback.json"
+        argv = ["feedback", "--bundle", str(bundle), "--cache", str(cache), "--out", str(out),
+                "--scorer-kind", "oracle", "--fraction", "0.3", "--seed", "2",
+                "--k-feedback", "4", "--single-thread"]
+        summary = run(argv, capsys)
+        split = sample_label_fraction(load_bundle(bundle), 0.3, 2)
+        assert summary["coverage"] == 1.0
+        assert summary["queries"] == len(split.labeled_ids)
+        payload = out.read_text()
+        queries = json.loads(payload)["queries"]
+        assert sorted(map(int, queries)) == split.labeled_ids.tolist()
+        pairs = sum(len(q["examples"]) for q in queries.values())
+        assert pairs == 4 * len(split.labeled_ids)
+        lines = cache.read_bytes()
+        assert lines.count(b"\n") == pairs * 3  # one perplexity per pair and class
+        out.unlink()
+        assert run(argv, capsys) == summary
+        assert cache.read_bytes() == lines
+        assert out.read_text() == payload
+
     def test_feedback_with_model_collects_over_the_models_split(self, bundle, model_dir,
                                                                 capsys):
         summary = run(["feedback", "--bundle", str(bundle), "--model", str(model_dir),

@@ -12,6 +12,7 @@ from gicl import graphstore
 from gicl.graphstore import (
     UNLABELED,
     BundleError,
+    SplitSpec,
     TagGraph,
     bundle_hash,
     load_bundle,
@@ -547,6 +548,39 @@ class TestSynthSbm:
         assert np.all(clean_sbm.labels != UNLABELED)
         for i in range(clean_sbm.n_nodes):
             assert clean_sbm.label_vocab[clean_sbm.labels[i]] in clean_sbm.texts[i]
+
+
+def graph_fields(**changes) -> dict:
+    """A valid 3-node path graph's TagGraph fields, with ``changes`` applied."""
+    fields = dict(n_nodes=3, csr_offsets=[0, 1, 3, 4], csr_targets=[1, 0, 2, 1],
+                  features=np.zeros((3, 2)), texts=("a", "b", "c"), labels=[0, 1, UNLABELED],
+                  label_vocab=("x", "y"))
+    fields.update(changes)
+    return fields
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"csr_offsets": [0, 1, 3]}, "csr_offsets must have length n_nodes+1"),
+    ({"csr_offsets": [1, 1, 3, 4]}, "nondecreasing and start at 0"),
+    ({"csr_offsets": [0, 2, 1, 4]}, "nondecreasing and start at 0"),
+    ({"csr_offsets": [0, 1, 3, 3]}, "last csr offset must equal number of stored edges"),
+    ({"csr_targets": [1, 0, 3, 1]}, "edge target index out of range"),
+    ({"csr_targets": [1, -1, 2, 1]}, "edge target index out of range"),
+    ({"features": np.zeros((2, 2))}, "features has 2 rows for 3 nodes"),
+    ({"features": np.array([[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0]])}, "non-finite"),
+    ({"texts": ("a", "b")}, "expected 3 texts, got 2"),
+    ({"labels": [0, 1]}, "labels must have one entry per node"),
+    ({"labels": [0, 2, UNLABELED]}, "label index exceeds label vocabulary size"),
+])
+def test_inconsistent_graph_is_refused(changes, message):
+    TagGraph(**graph_fields())  # the unchanged fields are a valid graph
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TagGraph(**graph_fields(**changes))
+
+
+def test_split_with_a_node_in_both_sets_is_refused():
+    with pytest.raises(ValueError, match="labeled_ids and test_ids must be disjoint"):
+        SplitSpec(labeled_ids=np.array([0, 1, 2]), test_ids=np.array([5, 2]))
 
 
 def test_graph_arrays_are_read_only(clean_sbm):

@@ -129,10 +129,15 @@ def echoed(body: dict) -> bytes:
     return json.dumps(echo_response(body)).encode("utf-8")
 
 
+def replying(obj) -> bytes:
+    """A well-formed HTTP/1.1 keep-alive reply whose JSON body is ``obj``."""
+    payload = json.dumps(obj).encode("utf-8")
+    return answer(f"HTTP/1.1 200 OK\nContent-Length: {len(payload)}", payload)
+
+
 def sized(body: dict) -> bytes:
     """A well-formed HTTP/1.1 keep-alive reply echoing ``body``."""
-    payload = echoed(body)
-    return answer(f"HTTP/1.1 200 OK\nContent-Length: {len(payload)}", payload)
+    return replying(echo_response(body))
 
 
 def spec_for(server, **overrides) -> ScorerSpec:
@@ -177,6 +182,15 @@ class TestTokenLogprobs:
             token_logprobs(spec_for(server), "p:", " c")
             assert server.requests[0]["_auth"] == "Bearer sekrit"
 
+    def test_api_key_with_a_line_break_is_refused_before_any_attempt(self, monkeypatch):
+        monkeypatch.setenv("GICL_API_KEY", "sekrit\r\nX-Injected: 1")
+        with RawServer(lambda i, body: sized(body)) as server:
+            client = HttpClient(spec_for(server))
+            with pytest.raises(ValueError, match="line break"):
+                client.token_logprobs("p:", " c")
+            assert server.connections == 0 and server.requests == []
+        assert client.attempts == 0
+
     def test_misaligned_boundary_is_reported_not_guessed(self):
         # continuation glued to the prompt's last word tokenizes across
         # the boundary; the client must refuse rather than approximate
@@ -191,6 +205,17 @@ class TestTokenLogprobs:
         with StubScorerServer(respond=no_logprobs) as server:
             with pytest.raises(ScorerError, match="log-prob"):
                 token_logprobs(spec_for(server), "p:", " c")
+
+    def test_null_continuation_logprob_fails_without_a_retry(self):
+        # an echo's first token has no log-probability; a continuation token must have one
+        reply = replying({"choices": [{"text": "p: c", "logprobs": {
+            "tokens": ["p:", " c"], "token_logprobs": [None, None], "text_offset": [0, 2]}}]})
+        with RawServer(lambda i, body: reply) as server:
+            client = HttpClient(spec_for(server, retries=2))
+            with pytest.raises(ScorerError, match="continuation token without a log-probability"):
+                client.token_logprobs("p:", " c")
+            assert len(server.requests) == 1
+        assert client.attempts == 1
 
     def test_empty_continuation_rejected_before_transport(self):
         client = HttpClient(ScorerSpec(kind="http", endpoint="http://127.0.0.1:1", retries=0))
@@ -459,6 +484,23 @@ class TestReplyReader:
             assert server.connections == 2
         assert client.attempts == client.calls == 2
 
+    def test_interim_reply_is_skipped(self):
+        interim = b"HTTP/1.1 103 Early Hints\r\nLink: </style.css>; rel=preload\r\n\r\n"
+        with RawServer(lambda i, body: interim + sized(body)) as server:
+            client = HttpClient(spec_for(server, retries=2))
+            assert client.token_logprobs("p:", " c") == self.EXPECTED
+            assert len(server.requests) == 1
+        assert client.attempts == client.calls == 1
+
+    def test_no_content_reply_has_an_empty_body_and_is_not_retried(self):
+        # the server keeps the connection open: reading to its close would time out
+        with RawServer(lambda i, body: answer("HTTP/1.1 204 No Content")) as server:
+            client = HttpClient(spec_for(server, retries=2))
+            with pytest.raises(ScorerError, match=r"^HTTP 204: $"):
+                client.token_logprobs("p:", " c")
+            assert len(server.requests) == 1
+        assert client.attempts == 1
+
     @pytest.mark.parametrize("reply", [
         b"HTTP/1.1 OK\r\n\r\n",
         b"ICY 200 OK\r\n\r\n",
@@ -508,6 +550,23 @@ class TestReplyReader:
             assert server.connections == 2
         assert client.attempts == 2 and client.calls == 1
 
+    def test_server_closing_inside_a_line_is_retried_then_raises(self):
+        with RawServer(lambda i, body: b"HTTP/1.1 200 OK\r\nContent-Len", close_after=True) as server:
+            client = HttpClient(spec_for(server, retries=2))
+            with pytest.raises(ScorerError, match="after 3 attempts: connection closed before"):
+                client.token_logprobs("p:", " c")
+            assert server.connections == len(server.requests) == 3
+        assert client.attempts == 3
+
+    def test_chunk_without_a_line_break_after_it_is_retried_then_raises(self):
+        reply = answer("HTTP/1.1 200 OK\nTransfer-Encoding: chunked", b"2\r\n{}X\r\n0\r\n\r\n")
+        with RawServer(lambda i, body: reply) as server:
+            client = HttpClient(spec_for(server, retries=2))
+            with pytest.raises(ScorerError, match="after 3 attempts: chunk not followed by a line"):
+                client.token_logprobs("p:", " c")
+            assert len(server.requests) == 3
+        assert client.attempts == 3
+
     def test_host_of_an_ipv6_endpoint_is_bracketed(self):
         if not socket.has_ipv6:
             pytest.skip("no IPv6 support")
@@ -546,6 +605,14 @@ class TestCompletion:
             body = server.requests[0]
             assert body["max_tokens"] == 16
             assert body["temperature"] == 0
+
+    def test_completion_without_text_fails_without_a_retry(self):
+        with RawServer(lambda i, body: replying({"choices": [{"index": 0}]})) as server:
+            client = HttpClient(spec_for(server, retries=2))
+            with pytest.raises(ScorerError, match="lacks completion text"):
+                client.complete("p:")
+            assert len(server.requests) == 1
+        assert client.attempts == 1
 
 
 class TestCollectionWithFaults:

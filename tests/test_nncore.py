@@ -11,7 +11,7 @@ from gicl.nncore import ParamSet, RowAggregator, Tape, Tensor2, adam_step, backw
 
 
 def leaf(values, dtype=np.float64):
-    return Tensor2(np.array(values, dtype=dtype), requires_grad=True)
+    return Tensor2(np.array(values, dtype=dtype))
 
 
 class TestLinear:

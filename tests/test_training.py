@@ -349,9 +349,8 @@ class TestTapeGradients:
                                 rng=np.random.default_rng(0))
         return loss
 
-    def propagated(self, graph, dtype, requires_grad=False):
-        rows = propagate(graph, self.CFG.n_layers).astype(dtype)
-        return Tensor2(rows, requires_grad=requires_grad)
+    def propagated(self, graph, dtype):
+        return Tensor2(propagate(graph, self.CFG.n_layers).astype(dtype))
 
     def params_and_feedback(self, graph, split, dtype=np.float32):
         params = init_params(self.CFG.encoder_config(graph), self.CFG.seed, dtype=dtype)
@@ -378,19 +377,6 @@ class TestTapeGradients:
             gc.garbage.clear()
             gc.enable()
         assert stranded == []
-
-    def test_constant_features_get_no_gradient(self, clean_sbm, clean_split):
-        params, feedback = self.params_and_feedback(clean_sbm, clean_split, dtype=np.float64)
-        grads = {}
-        for requires_grad in (False, True):
-            features = self.propagated(clean_sbm, np.float64, requires_grad)
-            tape = Tape()
-            loss = self.epoch_loss(tape, clean_sbm, clean_split, params, features, feedback)
-            grads[requires_grad] = {k: g.copy() for k, g in backward(tape, loss, params).items()}
-            assert (features.grad is not None) == requires_grad
-        for name in params.names():
-            np.testing.assert_allclose(grads[False][name], grads[True][name], rtol=0, atol=1e-10)
-
 
     RING_CFG = TrainConfig(beta=0.5, hidden_dim=6, n_layers=3, epochs=1, k_feedback=3, seed=1)
 
@@ -500,6 +486,12 @@ class TestTrain:
             adam_step(params, grads, lr=cfg.lr)
         for name in params.names():
             assert np.array_equal(model.params[name].data, params[name].data), name
+
+    def test_non_finite_loss_is_refused_with_its_round_and_epoch(self, clean_sbm, clean_split):
+        # the first step throws the weights past float32's range; the next forward pass overflows
+        with np.errstate(over="ignore"), pytest.raises(
+                FloatingPointError, match="non-finite loss at round 0 epoch 1: op produced"):
+            train(clean_sbm, clean_split, ORACLE, DEFAULT_TEMPLATE, self.small_cfg(lr=1e38, epochs=5))
 
     def test_training_log_schema_and_loss_decreases(self, clean_sbm, clean_split):
         cfg = self.small_cfg(epochs=40)
