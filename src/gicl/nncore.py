@@ -412,22 +412,27 @@ def combine_scalars(tape: Tape, a: Tensor2, b: Tensor2, wa: float, wb: float) ->
 
 
 class ParamSet:
-    """Named trainable tensors with per-parameter Adam state."""
+    """Named trainable tensors in one flat buffer, with Adam's moments as one
+    array each: every tensor's data is a view of ``flat``."""
 
     def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
         self.tensors: dict[str, Tensor2] = {}
-        self.m: dict[str, Array] = {}
-        self.v: dict[str, Array] = {}
+        self.flat = self.m = self.v = np.zeros(0, self.dtype)  # add gives each its own array
         self.step = 0
 
     def add(self, name: str, values: Array) -> Tensor2:
+        """Append a tensor; the buffer is reallocated and every view rebound."""
         if name in self.tensors:
             raise ValueError(f"parameter {name!r} already exists")
         t = Tensor2(np.array(values, dtype=self.dtype), name=name)
+        self.flat = np.concatenate([self.flat, t.data.reshape(-1)])
+        self.m, self.v = (np.concatenate([a, np.zeros(t.data.size, self.dtype)]) for a in (self.m, self.v))
         self.tensors[name] = t
-        self.m[name] = np.zeros_like(t.data)
-        self.v[name] = np.zeros_like(t.data)
+        start = 0
+        for p in self.tensors.values():
+            p.data = self.flat[start:start + p.data.size].reshape(p.data.shape)
+            start += p.data.size
         return t
 
     def __getitem__(self, name: str) -> Tensor2:
@@ -450,8 +455,7 @@ class ParamSet:
         }
         with atomic_write(path, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for n in names:
-                fh.write(self.tensors[n].data.astype("<f4").tobytes())
+            fh.write(self.flat.astype("<f4").tobytes())  # the tensors in name order
 
     @classmethod
     def load(cls, path) -> "ParamSet":
@@ -472,18 +476,22 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator flo
 
 
 def adam_step(params: ParamSet, grads: dict[str, Array], lr: float = 0.01) -> None:
-    """One in-place Adam update with bias correction."""
-    params.step += 1
-    t = params.step
+    """One in-place Adam update with bias correction, over the whole buffer.
+
+    Every gradient is checked before any state moves, so a refused step
+    leaves the parameters, the moments and ``step`` as they were.
+    """
     for name, p in params.tensors.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ValueError(f"adam_step: gradient shape {g.shape} != param shape {p.data.shape} for {name!r}")
-        m, v = params.m[name], params.v[name]
-        m *= BETA1
-        m += (1 - BETA1) * g
-        v *= BETA2
-        v += (1 - BETA2) * g * g
-        mhat = m / (1 - BETA1**t)
-        vhat = v / (1 - BETA2**t)
-        p.data -= lr * mhat / (np.sqrt(vhat) + EPS)
+        shape = grads[name].shape if name in grads else "missing"
+        if shape != p.data.shape:
+            raise ValueError(f"adam_step: gradient shape {shape} != param shape {p.data.shape} for {name!r}")
+    g = np.concatenate([grads[name].reshape(-1) for name in params.tensors] or [params.flat])
+    params.step += 1
+    m, v = params.m, params.v
+    m *= BETA1
+    m += (1 - BETA1) * g
+    v *= BETA2
+    v += (1 - BETA2) * g * g
+    mhat = m / (1 - BETA1**params.step)
+    vhat = v / (1 - BETA2**params.step)
+    params.flat -= lr * mhat / (np.sqrt(vhat) + EPS)

@@ -189,10 +189,21 @@ def oracle_nll(help_: float, is_true_class: bool) -> float:
 # response cache
 
 
+def key_prefix(scorer_id: str, template_hash: str, graph_hash: str):
+    """A SHA-256 state fed the scope part of every key: "scorer_id|template_hash|graph_hash|"."""
+    return hashlib.sha256(f"{scorer_id}|{template_hash}|{graph_hash}|".encode("utf-8"))
+
+
+def prefixed_key(prefix, query_id: int, example_id: int, class_index: int) -> str:
+    """The key of one request under a ``key_prefix``, which is left unchanged."""
+    digest = prefix.copy()
+    digest.update(f"{query_id}|{example_id}|{class_index}".encode("utf-8"))
+    return digest.hexdigest()[:24]
+
+
 def cache_key(scorer_id: str, template_hash: str, graph_hash: str, query_id: int, example_id: int,
               class_index: int) -> str:
-    payload = f"{scorer_id}|{template_hash}|{graph_hash}|{query_id}|{example_id}|{class_index}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+    return prefixed_key(key_prefix(scorer_id, template_hash, graph_hash), query_id, example_id, class_index)
 
 
 def _json_float(x: float) -> str:
@@ -289,30 +300,35 @@ class OracleClient:
         self.calls = 0
         self._unit = _normalize_rows(graph.features)
 
-    def _gold_and_help(self, meta: dict) -> tuple[int, float]:
-        """The query's true class and the best help among its examples."""
+    def _helps(self, meta: dict):
+        """The query's true class and, lazily, each of its examples' help."""
         q = meta["query_id"]
         gold = int(self.graph.labels[q])
-        h = max((oracle_help(self._unit[q], gold, self._unit[e], int(self.graph.labels[e]))
-                 for e in meta.get("example_ids", ())), default=0.0)
-        return gold, h
+        return gold, (oracle_help(self._unit[q], gold, self._unit[e], int(self.graph.labels[e]))
+                      for e in meta.get("example_ids", ()))
 
     def token_logprobs(self, prompt: str, continuation: str, meta: dict | None = None) -> list[float]:
+        """The class's closed-form NLL; a wrong class's does not read the help, so it is not computed."""
         if not continuation:
             raise ScorerError("continuation must be non-empty")
         if not meta or "query_id" not in meta or "class_index" not in meta:
             raise ScorerError("oracle scorer needs query_id/example_ids/class_index metadata")
         self.calls += 1
-        gold, h = self._gold_and_help(meta)
-        return [-oracle_nll(h, meta["class_index"] == gold)]
+        gold, helps = self._helps(meta)
+        if meta["class_index"] != gold:
+            return [-oracle_nll(0.0, False)]
+        return [-oracle_nll(max(helps, default=0.0), True)]
 
     def complete(self, prompt: str, meta: dict | None = None) -> str:
+        """The least-NLL class: gold once an example lowers its NLL, else the first (all tie)."""
         if not meta or "query_id" not in meta:
             raise ScorerError("oracle scorer needs query_id/example_ids metadata")
         self.calls += 1
-        gold, h = self._gold_and_help(meta)
-        nlls = [oracle_nll(h, c == gold) for c in range(self.graph.n_classes)]
-        return self.graph.label_vocab[int(np.argmin(nlls))]
+        gold, helps = self._helps(meta)
+        unhelped = oracle_nll(0.0, True)
+        if gold != UNLABELED and any(oracle_nll(h, True) < unhelped for h in helps):
+            return self.graph.label_vocab[gold]
+        return self.graph.label_vocab[0]
 
 
 # caps on a reply's head: bytes per status or header line, and header lines
@@ -665,9 +681,10 @@ def rank_candidates(
     if client is None:
         client = make_client(spec, graph)
 
-    scope = (spec.scorer_id, template.template_hash, graph.content_hash)
+    scorer_id, template_hash = spec.scorer_id, template.template_hash
+    prefix = key_prefix(scorer_id, template_hash, graph.content_hash)
     classes = range(graph.n_classes)
-    keys = {(q, e): [cache_key(*scope, q, e, c) for c in classes] for q, ids in lists.items() for e in ids}
+    keys = {(q, e): [prefixed_key(prefix, q, e, c) for c in classes] for q, ids in lists.items() for e in ids}
     ppls = {pair: [cache.get(key) for key in pair_keys] for pair, pair_keys in keys.items()}
     todo = [pair for pair, vector in ppls.items() if None in vector]
 
@@ -690,7 +707,7 @@ def rank_candidates(
                 vector[c] = scored[c] = ppl(lps)
         finally:  # what was paid for is kept even if a request raises
             if scored:
-                cache.put(spec.scorer_id, template.template_hash, q, e,
+                cache.put(scorer_id, template_hash, q, e,
                           [(keys[pair][c], c, value) for c, value in scored.items()])
 
     fan_out(spec, score_pair, todo)

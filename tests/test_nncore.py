@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -402,6 +403,47 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros((1, 2))})
 
+    @pytest.mark.parametrize("grads", [
+        {"a": np.ones((1, 2)), "b": np.ones((1, 2))},  # b's shape is wrong
+        {"a": np.ones((1, 2))},  # b has no gradient
+    ])
+    def test_a_refused_step_moves_no_state(self, grads):
+        params = ParamSet()
+        params.add("a", np.ones((1, 2)))
+        params.add("b", np.ones((2, 1)))
+        adam_step(params, {"a": np.full((1, 2), 0.5), "b": np.full((2, 1), -0.5)})
+        before = (params.step, params.flat.tobytes(), params.m.tobytes(), params.v.tobytes())
+        with pytest.raises(ValueError, match="'b'"):
+            adam_step(params, grads)
+        assert (params.step, params.flat.tobytes(), params.m.tobytes(), params.v.tobytes()) == before
+        assert params["a"].data.tobytes() + params["b"].data.tobytes() == before[1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fifty_steps_are_the_per_tensor_textbook_update_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(3)
+        shapes = {"w1": (4, 3), "b1": (1, 3), "still": (2, 2), "head": (3, 1)}
+        params = ParamSet(dtype=dtype)
+        ref = {}
+        for name, shape in shapes.items():
+            params.add(name, rng.standard_normal(shape))
+            ref[name] = [params[name].data.copy(), np.zeros(shape, dtype), np.zeros(shape, dtype)]
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        for t in range(1, 51):
+            grads = {name: (rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 2)).astype(dtype)
+                     for name, shape in shapes.items()}
+            grads["still"][:] = 0  # a parameter the loss never touches
+            adam_step(params, grads, lr=lr)
+            for name, (p, m, v) in ref.items():
+                g = grads[name]
+                m[:] = m * b1 + (1 - b1) * g
+                v[:] = v * b2 + (1 - b2) * g * g
+                p -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+        for name, (p, _, _) in ref.items():
+            assert params[name].data.dtype == dtype
+            assert params[name].data.tobytes() == p.tobytes(), name
+        assert params["still"].data.tobytes() == ref["still"][0].tobytes()
+        assert params.step == 50
+
 
 class TestTapeAndParamSet:
     def test_replay_is_bit_identical(self):
@@ -437,6 +479,30 @@ class TestTapeAndParamSet:
         assert back.step == 17
         for name in params.names():
             assert np.array_equal(back[name].data, params[name].data)
+
+    def test_every_tensor_is_a_view_of_the_buffer(self, tmp_path):
+        params = ParamSet()
+        for i, shape in enumerate(((3, 2), (1, 2), (2, 4))):
+            params.add(f"p{i}", np.full(shape, float(i)))
+            for name in params.names():  # adding rebinds the tensors added before
+                assert np.shares_memory(params[name].data, params.flat), name
+        assert params.flat.tolist() == [0.0] * 6 + [1.0] * 2 + [2.0] * 8
+        assert params.m.shape == params.v.shape == params.flat.shape
+        params.save(tmp_path / "p.bin")
+        back = ParamSet.load(tmp_path / "p.bin")
+        for name in back.names():
+            assert np.shares_memory(back[name].data, back.flat), name
+        assert back.flat.tobytes() == params.flat.tobytes()
+
+    def test_save_writes_the_bytes_of_existing_files(self, tmp_path):
+        params = ParamSet()
+        params.add("mlp.w1", np.arange(6, dtype=np.float64).reshape(2, 3) / 7)
+        params.add("mlp.b1", np.array([[-1.5, 0.25, 3.0]]))
+        params.add("head.w", np.full((3, 1), 1e-3))
+        params.step = 42
+        params.save(tmp_path / "p.bin")
+        digest = hashlib.sha256((tmp_path / "p.bin").read_bytes()).hexdigest()
+        assert digest == "b32b99969a396f601474db7affeb7df55f22aaeb74582a16501477336254a5fd"
 
     def test_duplicate_param_name_rejected(self):
         params = ParamSet()

@@ -1,13 +1,14 @@
 import dataclasses
+import hashlib
 import json
 import math
 from contextlib import closing
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gicl.graphstore import UNLABELED, synth_sbm
+from gicl.graphstore import UNLABELED, TagGraph, synth_sbm
 from gicl.prompts import DEFAULT_TEMPLATE
 from gicl.scoring import (
     FeedbackCache,
@@ -15,8 +16,11 @@ from gicl.scoring import (
     ScorerError,
     ScorerSpec,
     cache_key,
+    key_prefix,
     make_client,
+    oracle_help,
     ppl,
+    prefixed_key,
     rank_candidates,
     synthetic_oracle_ppl,
     token_logprobs,
@@ -167,6 +171,20 @@ class TestFeedbackCache:
         assert cache_key("s", "t", "g", 1, 2, 3) != cache_key("s2", "t", "g", 1, 2, 3)
         assert cache_key("s", "t", "g", 1, 2, 3) != cache_key("s", "t2", "g", 1, 2, 3)
         assert cache_key("s", "t", "g", 1, 2, 3) != cache_key("s", "t", "g2", 1, 2, 3)
+
+    @given(st.text(max_size=20), st.text(max_size=20), st.text(max_size=20),
+           st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 999))
+    def test_a_prefixed_key_is_the_digest_of_the_whole_key(self, s, t, g, q, e, c):
+        whole = hashlib.sha256(f"{s}|{t}|{g}|{q}|{e}|{c}".encode("utf-8")).hexdigest()[:24]
+        prefix = key_prefix(s, t, g)
+        assert prefixed_key(prefix, q, e, c) == whole
+        assert prefixed_key(prefix, q, e, c) == whole  # hashing a key leaves the prefix as it was
+        assert cache_key(s, t, g, q, e, c) == whole
+
+    def test_keys_of_existing_caches_are_unchanged(self):
+        key = cache_key("b64369079ceb46c0", DEFAULT_TEMPLATE.template_hash, "0123456789abcdef",
+                        12, 345, 4)
+        assert key == "a9ca7deefb3d04bb356fb755"
 
     def test_persists_floats_exactly(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -378,6 +396,53 @@ class TestOracleClient:
                 assert answer == g.label_vocab[int(np.argmin(reference))]
         assert kinds == {"wrong label", "negative cosine", "helps"}
 
+    # six nodes with features in {-1, 0, 1}^2: zero rows give zero cosines and
+    # opposite rows negative ones; -1 is UNLABELED
+    @settings(max_examples=300, deadline=None)
+    @given(labels=st.lists(st.integers(-1, 2), min_size=6, max_size=6),
+           features=st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=6, max_size=6),
+           q=st.integers(0, 5), examples=st.lists(st.integers(0, 5), max_size=6))
+    @example(labels=[0, 0, 1, 1, 2, 2], features=[(1, 0)] * 6, q=0, examples=[])  # empty list
+    @example(labels=[0, 0, 1, 1, 2, 2], features=[(1, 0)] * 6, q=0, examples=[2, 1])  # gold class 0
+    @example(labels=[1, 0, 0, 2, 2, 0], features=[(1, 1)] * 6, q=0, examples=[1, 3, 1])  # wrong labels
+    @example(labels=[2, 2, 2, 0, 0, 0], features=[(1, 0), (0, 0), (0, 1), (-1, 0), (1, 0), (1, 0)],
+             q=0, examples=[1, 2])  # zero cosines
+    @example(labels=[2, 2, 2, 0, 0, 0], features=[(1, 0), (-1, 0), (-1, 1), (1, 0), (1, 0), (1, 0)],
+             q=0, examples=[1, 2, 2])  # negative cosines, a repeated id
+    @example(labels=[1, 1, 1, 0, 0, 0], features=[(1, 0), (1, 1), (1, 0), (1, 0), (1, 0), (1, 0)],
+             q=0, examples=[3, 1, 1, 2])  # repeated ids that help
+    def test_every_answer_and_perplexity_is_the_closed_forms(self, labels, features, q, examples):
+        n = len(labels)
+        g = TagGraph(n, np.zeros(n + 1, np.int64), np.zeros(0, np.int64),
+                     np.array(features, np.float32), tuple(f"node {i}" for i in range(n)),
+                     np.array(labels), ("a", "b", "c"))
+        unit = _normalize_rows(g.features)
+        client = OracleClient(g)
+        ppls = []
+        for c in range(g.n_classes):
+            got = ppl(client.token_logprobs("p", " c", meta={"query_id": q, "example_ids": examples,
+                                                              "class_index": c}))
+            reference = min((synthetic_oracle_ppl(unit[q], labels[q], unit[e], labels[e], c)
+                             for e in examples),
+                            default=math.exp(ScorerSpec.oracle_base + ScorerSpec.oracle_alpha))
+            assert got == reference
+            ppls.append(got)
+        answer = client.complete("p", meta={"query_id": q, "example_ids": examples})
+        assert answer == g.label_vocab[int(np.argmin(ppls))]
+        assert client.calls == g.n_classes + 1
+
+    def test_a_cold_round_computes_each_pairs_help_once(self, noisy_sbm, monkeypatch):
+        import gicl.scoring as scoring_mod
+
+        helps = []
+        monkeypatch.setattr(scoring_mod, "oracle_help", lambda *a: helps.append(a) or oracle_help(*a))
+        spec = ScorerSpec(kind="oracle")
+        client = make_client(spec, noisy_sbm)
+        rank_candidates(noisy_sbm, {0: [1, 2, 3], 5: [2, 7]}, spec, DEFAULT_TEMPLATE, FeedbackCache(),
+                        client=client)
+        assert client.calls == 5 * noisy_sbm.n_classes  # every class is still requested
+        assert len(helps) == 5  # only the gold class reads the help
+
     def test_requires_metadata(self, clean_sbm):
         client = make_client(ScorerSpec(kind="oracle"), clean_sbm)
         with pytest.raises(ScorerError, match="metadata"):
@@ -432,7 +497,8 @@ class TestRankCandidates:
         import gicl.scoring as scoring_mod
 
         calls = []
-        monkeypatch.setattr(scoring_mod, "cache_key", lambda *a: calls.append(a) or cache_key(*a))
+        monkeypatch.setattr(scoring_mod, "prefixed_key",
+                            lambda *a: calls.append(a) or prefixed_key(*a))
         candidates = {0: [1, 2, 3], 5: [2, 7]}
         cache = FeedbackCache(tmp_path / "cache.jsonl")
         rank_candidates(noisy_sbm, candidates, ScorerSpec(kind="oracle"), DEFAULT_TEMPLATE, cache)
