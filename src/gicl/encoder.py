@@ -70,9 +70,12 @@ def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> ParamSet:
 def propagate(graph: TagGraph, hops: int) -> np.ndarray:
     """(D^-1 (A + I))^hops X in float64: each hop replaces every row by the
     mean of its own and its stored neighbours' rows, so an isolated node
-    keeps its own row."""
+    keeps its own row. Computed once per graph and hop count: later calls
+    return the same read-only array, kept in ``graph.propagated``."""
     if hops < 0:
         raise ValueError(f"hops must be >= 0, got {hops}")
+    if hops in graph.propagated:
+        return graph.propagated[hops]
     n = graph.n_nodes
     # each node's group is its neighbours followed by itself
     targets = np.insert(graph.csr_targets, graph.csr_offsets[1:], np.arange(n))
@@ -80,6 +83,8 @@ def propagate(graph: TagGraph, hops: int) -> np.ndarray:
     x = graph.features.astype(np.float64)
     for _ in range(hops):
         x = mean.apply(x)
+    x.setflags(write=False)
+    graph.propagated[hops] = x
     return x
 
 
@@ -112,12 +117,7 @@ def encode_on_tape(
 
 def encode_all(graph: TagGraph, params: ParamSet, config: EncoderConfig) -> EmbeddingTable:
     """Encode every node in eval mode (no dropout); bitwise repeatable."""
-    return encode_rows(propagate(graph, config.n_layers), params, config)
-
-
-def encode_rows(rows: np.ndarray, params: ParamSet, config: EncoderConfig) -> EmbeddingTable:
-    """Eval-mode embeddings of already propagated feature rows, one per row."""
-    inputs = Tensor2(rows.astype(params.dtype))
+    inputs = Tensor2(propagate(graph, config.n_layers).astype(params.dtype))
     return EmbeddingTable(vectors=encode_on_tape(Tape(), inputs, params, config).data)
 
 

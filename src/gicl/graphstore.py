@@ -118,6 +118,12 @@ class TagGraph:
         digest.update(self.features.tobytes())
         return digest.hexdigest()[:16]
 
+    @cached_property
+    def propagated(self) -> dict[int, np.ndarray]:
+        """``encoder.propagate``'s read-only arrays by hop count; only the
+        calling thread encodes (fan-out workers never do), so no lock."""
+        return {}
+
 
 @dataclass(frozen=True)
 class SplitSpec:

@@ -200,7 +200,8 @@ def _llm_row(
     """Render, complete, parse; transport failures become Unparsed rows."""
     gold = int(graph.labels[query_id])
     prompt = render(template, examples, graph.texts[query_id])
-    meta = {"query_id": query_id, "example_ids": list(example_ids)}
+    meta = {"query_id": query_id, "example_ids": list(example_ids),
+            "example_labels": [graph.label_vocab.index(label) for _, label in examples]}
     try:
         completion = client.complete(prompt, meta=meta)
     except ScorerError as exc:

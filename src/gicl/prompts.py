@@ -97,16 +97,20 @@ def render(
     """Fill the template: examples in given (rank) order, then the answer cue.
 
     Each document is truncated to ``MAX_CHARS_PER_DOC`` at a whitespace
-    boundary.
+    boundary. Each template is split at one placeholder before any value goes
+    in, so no inserted text is scanned for a placeholder: a document's
+    ``{query}`` or ``{label}`` stays literal text.
     """
-    blocks = [
-        template.example.replace(
-            "{text}", truncate_at_whitespace(str(text), MAX_CHARS_PER_DOC)
-        ).replace("{label}", str(label))
-        for text, label in examples
-    ]
+    text_parts = template.example.split("{text}")
+    label_parts = {}  # text_parts with {label} filled, once per distinct label
+    blocks = []
+    for text, label in examples:
+        if label not in label_parts:
+            label_parts[label] = [part.replace("{label}", str(label)) for part in text_parts]
+        blocks.append(truncate_at_whitespace(str(text), MAX_CHARS_PER_DOC).join(label_parts[label]))
     query = truncate_at_whitespace(query_text, MAX_CHARS_PER_DOC)
-    body = template.main.replace("{examples}", "".join(blocks)).replace("{query}", query)
+    main_parts = template.main.split("{examples}")
+    body = "".join(blocks).join([part.replace("{query}", query) for part in main_parts])
     return body + template.answer_cue
 
 

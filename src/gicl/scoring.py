@@ -120,10 +120,13 @@ class RankedSet:
 
 
 def ppl(logprobs: Sequence[float]) -> float:
-    """exp(-mean(logprobs)) over continuation tokens."""
+    """exp(-mean(logprobs)) over continuation tokens; ``inf`` past float range."""
     if len(logprobs) == 0:
         raise ValueError("ppl needs at least one token log-probability")
-    return math.exp(-sum(logprobs) / len(logprobs))
+    try:
+        return math.exp(-sum(logprobs) / len(logprobs))
+    except OverflowError:
+        return math.inf
 
 
 def utility(ppl_by_class: Sequence[float] | np.ndarray, gold_class: int) -> float | np.ndarray:
@@ -291,8 +294,11 @@ class FeedbackCache:
 class OracleClient:
     """Deterministic LLM stand-in driven by graph features and labels.
 
-    Needs call metadata (query id, example ids, class index) because its
-    closed form is a function of node identity, not prompt text.
+    Needs call metadata (query id, example ids, the class index each example
+    is shown with, and the class asked about) because its closed form is a
+    function of node identity, not prompt text. An example helps through the
+    label its prompt shows, which for a pseudo-labeled neighbour need not be
+    its true one.
     """
 
     def __init__(self, graph: TagGraph):
@@ -301,19 +307,24 @@ class OracleClient:
         self._unit = _normalize_rows(graph.features)
 
     def _helps(self, meta: dict):
-        """The query's true class and, lazily, each of its examples' help."""
-        q = meta["query_id"]
+        """Count the call; the query's true class and, lazily, each example's help."""
+        try:
+            q, ids, shown = meta["query_id"], meta["example_ids"], meta["example_labels"]
+        except (KeyError, TypeError):
+            raise ScorerError("oracle scorer needs query_id/example_ids/example_labels "
+                              "metadata") from None
+        if len(ids) != len(shown):
+            raise ScorerError(f"oracle metadata has {len(ids)} example ids but {len(shown)} labels")
+        self.calls += 1
         gold = int(self.graph.labels[q])
-        return gold, (oracle_help(self._unit[q], gold, self._unit[e], int(self.graph.labels[e]))
-                      for e in meta.get("example_ids", ()))
+        return gold, (oracle_help(self._unit[q], gold, self._unit[e], c) for e, c in zip(ids, shown))
 
     def token_logprobs(self, prompt: str, continuation: str, meta: dict | None = None) -> list[float]:
         """The class's closed-form NLL; a wrong class's does not read the help, so it is not computed."""
         if not continuation:
             raise ScorerError("continuation must be non-empty")
-        if not meta or "query_id" not in meta or "class_index" not in meta:
-            raise ScorerError("oracle scorer needs query_id/example_ids/class_index metadata")
-        self.calls += 1
+        if not meta or "class_index" not in meta:
+            raise ScorerError("oracle scorer needs class_index metadata")
         gold, helps = self._helps(meta)
         if meta["class_index"] != gold:
             return [-oracle_nll(0.0, False)]
@@ -321,9 +332,6 @@ class OracleClient:
 
     def complete(self, prompt: str, meta: dict | None = None) -> str:
         """The least-NLL class: gold once an example lowers its NLL, else the first (all tie)."""
-        if not meta or "query_id" not in meta:
-            raise ScorerError("oracle scorer needs query_id/example_ids metadata")
-        self.calls += 1
         gold, helps = self._helps(meta)
         unhelped = oracle_nll(0.0, True)
         if gold != UNLABELED and any(oracle_nll(h, True) < unhelped for h in helps):
@@ -582,9 +590,10 @@ class HttpClient:
         except (KeyError, IndexError, TypeError) as exc:
             raise ScorerError("server response lacks echoed token log-probabilities") from exc
         boundary = len(prompt)
-        picked = [
-            (off, logp) for off, logp in zip(offsets, token_logprobs) if off >= boundary
-        ]
+        try:
+            picked = [(off, logp) for off, logp in zip(offsets, token_logprobs) if off >= boundary]
+        except TypeError as exc:  # a null list, or an offset that is no number
+            raise ScorerError("echoed log-probabilities and offsets are not lists of numbers") from exc
         if not picked:
             raise ScorerError("no echoed tokens at or beyond the continuation boundary")
         if picked[0][0] != boundary:
@@ -592,8 +601,10 @@ class HttpClient:
                 f"tokenizer boundary cannot be aligned: continuation starts at char "
                 f"{boundary} but nearest token starts at {picked[0][0]}"
             )
-        if any(logp is None for _, logp in picked):
-            raise ScorerError("continuation token without a log-probability")
+        for _, logp in picked:
+            # a number that is no bool, NaN or +inf; -inf is a token of probability 0
+            if type(logp) not in (int, float) or logp != logp or logp == math.inf:
+                raise ScorerError(f"continuation token without a log-probability: {logp!r}")
         return [float(logp) for _, logp in picked]
 
     def complete(self, prompt: str, meta: dict | None = None) -> str:
@@ -666,9 +677,10 @@ def rank_candidates(
     scored in its own single-example prompt, rendered once; the pairs the
     cache does not fully cover share one ``fan_out``, and each pair's new
     perplexities are cached together as soon as the pair is scored. A
-    candidate with any unscorable class is left out of its query's ranking
-    and counted in the returned number of unscored pairs; a query left with
-    no scored candidate is left out.
+    candidate with any unscorable class, or whose perplexities give no utility
+    (all infinite, or a NaN from an older cache), is left out of its query's
+    ranking and counted in the returned number of unscored pairs; a query
+    left with no scored candidate is left out.
     """
     lists = {int(q): [int(e) for e in ids] for q, ids in candidates.items()}
     for q, ids in lists.items():
@@ -678,6 +690,7 @@ def rank_candidates(
             raise ValueError(f"query node {q} has no gold label")
     distinct = sorted({e for ids in lists.values() for e in ids})
     examples = dict(zip(distinct, examples_from_ids(graph, distinct)))
+    shown = {e: [int(graph.labels[e])] for e in distinct}  # each example shows its true label
     if client is None:
         client = make_client(spec, graph)
 
@@ -698,7 +711,7 @@ def rank_candidates(
             for c in classes:
                 if vector[c] is not None:
                     continue
-                meta = {"query_id": q, "example_ids": [e], "class_index": c}
+                meta = {"query_id": q, "example_ids": [e], "example_labels": shown[e], "class_index": c}
                 try:
                     lps = client.token_logprobs(prompt, class_verbalization(graph.label_vocab[c]),
                                                 meta=meta)
@@ -715,10 +728,13 @@ def rank_candidates(
     by_query: dict[int, RankedSet] = {}
     n_unscored = 0
     for q, ids in lists.items():
-        kept = [e for e in ids if None not in ppls[(q, e)]]
+        matrix = np.array([ppls[(q, e)] for e in ids], dtype=np.float64)  # an unscored class is NaN
+        # a pair gives a utility when every perplexity is positive (so none NaN) and one is finite
+        rankable = (matrix > 0).all(axis=1) & (matrix < np.inf).any(axis=1)
+        kept = [e for e, ok in zip(ids, rankable.tolist()) if ok]
         n_unscored += len(ids) - len(kept)
         if kept:
-            u = utility([ppls[(q, e)] for e in kept], int(graph.labels[q]))
+            u = utility(matrix[rankable], int(graph.labels[q]))
             scored = sorted(zip((-u).tolist(), kept))  # (-utility, id): best first, ties by id
             by_query[q] = RankedSet(q, tuple(e for _, e in scored), tuple(-u for u, _ in scored))
     return by_query, n_unscored

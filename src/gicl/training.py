@@ -30,7 +30,6 @@ from .encoder import (
     EncoderConfig,
     encode_all,
     encode_on_tape,
-    encode_rows,
     init_params,
     logits_on_tape,
     propagate,
@@ -207,17 +206,10 @@ def collect_feedback_round(
     cache: FeedbackCache,
     client=None,
 ) -> FeedbackSet:
-    """``rank_round`` on the embeddings of the frozen encoder ``params``."""
+    """Rank each query's top-K candidates under the frozen encoder ``params``
+    by scored utility, in one ``rank_candidates`` pass. Aborts when scored
+    coverage falls below ``COVERAGE_FLOOR`` (partial results stay cached)."""
     table = encode_all(graph, params, config.encoder_config(graph))
-    return rank_round(graph, split, table, config, spec, template, cache, client)
-
-
-def rank_round(graph: TagGraph, split: SplitSpec, table: EmbeddingTable, config: TrainConfig,
-               spec: ScorerSpec, template: PromptTemplate, cache: FeedbackCache, client=None,
-               round_index: int = 0) -> FeedbackSet:
-    """Rank each query's top-K candidates in ``table`` by scored utility, in one
-    ``rank_candidates`` pass. Aborts when scored coverage falls below
-    ``COVERAGE_FLOOR`` (partial results stay cached)."""
     index = build_index(table.vectors, split.labeled_ids)
     candidates: dict[int, list[int]] = {}
     for q in split.query_train_ids.tolist():
@@ -229,10 +221,8 @@ def rank_round(graph: TagGraph, split: SplitSpec, table: EmbeddingTable, config:
 
     feedback = FeedbackSet(by_query=by_query, n_scored=n_scored, n_unscored=n_unscored)
     if feedback.coverage < COVERAGE_FLOOR:
-        raise ScorerCoverageError(
-            f"round {round_index}: only {n_scored}/{n_scored + n_unscored} candidate pairs "
-            f"scored, below the {COVERAGE_FLOOR:.0%} floor"
-        )
+        raise ScorerCoverageError(f"only {n_scored}/{n_scored + n_unscored} candidate pairs scored, "
+                                  f"below the {COVERAGE_FLOOR:.0%} floor")
     return feedback
 
 
@@ -254,15 +244,15 @@ def train(
     enc = config.encoder_config(graph)
     params = init_params(enc, config.seed)
     dropout_rng = np.random.default_rng([config.seed & 0x7FFFFFFF, 0xD0])
-    # propagated once: every round's retrieval, the losses' labeled rows and the final table read it
-    propagated = propagate(graph, config.n_layers)
-    inputs = Tensor2(propagated[split.labeled_ids].astype(params.dtype))
+    inputs = Tensor2(propagate(graph, config.n_layers)[split.labeled_ids].astype(params.dtype))
     labels = graph.labels[split.labeled_ids]
 
     log: list[dict] = []
     for round_index in range(config.rounds):
-        table = encode_rows(propagated, params, enc)
-        feedback = rank_round(graph, split, table, config, spec, template, cache, client, round_index)
+        try:
+            feedback = collect_feedback_round(graph, split, params, config, spec, template, cache, client)
+        except ScorerCoverageError as exc:
+            raise ScorerCoverageError(f"round {round_index}: {exc}") from exc
         lists = feedback_lists(feedback, split.labeled_ids)
         for epoch in range(config.epochs):
             try:
@@ -286,4 +276,4 @@ def train(
                 }
             )
 
-    return TrainedModel(params=params, embeddings=encode_rows(propagated, params, enc), log=log)
+    return TrainedModel(params=params, embeddings=encode_all(graph, params, enc), log=log)

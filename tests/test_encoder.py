@@ -239,6 +239,19 @@ class TestPropagate:
     def test_negative_hops_are_refused(self, path_graph, hops):
         with pytest.raises(ValueError, match=f"hops must be >= 0, got {hops}"):
             propagate(path_graph, hops)
+        assert path_graph.propagated == {}
+
+    def test_each_hop_count_is_computed_once_and_read_only(self, noisy_sbm):
+        first = propagate(noisy_sbm, 2)
+        assert propagate(noisy_sbm, 2) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+        assert not np.shares_memory(propagate(noisy_sbm, 1), first)
+        # an equal graph is another graph: it computes and keeps its own array
+        twin = synth_sbm(n_nodes=90, n_classes=3, p_in=0.3, p_out=0.03, d=8, noise=0.4, seed=4)
+        other = propagate(twin, 2)
+        assert np.array_equal(other, first) and not np.shares_memory(other, first)
 
 
 class TestEncodeOnTape:

@@ -1,6 +1,7 @@
 """HTTP scorer conformance against a local stub completions server."""
 
 import json
+import math
 import random
 import re
 import shutil
@@ -216,6 +217,39 @@ class TestTokenLogprobs:
                 client.token_logprobs("p:", " c")
             assert len(server.requests) == 1
         assert client.attempts == 1
+
+    @staticmethod
+    def echo_of_p_c(logprobs, offsets) -> bytes:
+        """A reply echoing "p: c" with these log-probability and offset lists."""
+        return replying({"choices": [{"text": "p: c", "logprobs": {
+            "tokens": ["p:", " c"], "token_logprobs": logprobs, "text_offset": offsets}}]})
+
+    @pytest.mark.parametrize("logprobs, offsets", [
+        ([None, math.nan], [0, 2]),
+        ([None, math.inf], [0, 2]),
+        ([None, "abc"], [0, 2]),
+        ([None, True], [0, 2]),
+        ([None, [-1.0]], [0, 2]),
+        ([None, -1.5], [0, "2"]),
+        (None, [0, 2]),
+        ([None, -1.5], None),
+    ], ids=["nan", "plus-inf", "string", "bool", "list", "string-offset", "null-logprobs",
+            "null-offsets"])
+    def test_an_unusable_echo_fails_without_a_retry(self, logprobs, offsets):
+        reply = self.echo_of_p_c(logprobs, offsets)
+        with RawServer(lambda i, body: reply) as server:
+            client = HttpClient(spec_for(server, retries=2))
+            with pytest.raises(ScorerError, match="log-prob"):
+                client.token_logprobs("p:", " c")
+            assert len(server.requests) == 1
+        assert client.attempts == 1
+
+    @pytest.mark.parametrize("logprob", [-math.inf, -3, -0.25, 0])
+    def test_minus_infinity_and_integers_are_log_probabilities(self, logprob):
+        reply = self.echo_of_p_c([None, logprob], [0, 2])
+        with RawServer(lambda i, body: reply) as server:
+            got = HttpClient(spec_for(server)).token_logprobs("p:", " c")
+        assert got == [float(logprob)] and type(got[0]) is float
 
     def test_empty_continuation_rejected_before_transport(self):
         client = HttpClient(ScorerSpec(kind="http", endpoint="http://127.0.0.1:1", retries=0))

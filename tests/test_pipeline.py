@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,33 @@ class TestStrategies:
             assert f"Category: {g.label_vocab[0]}" in example_block
             for other in g.label_vocab[1:]:
                 assert f"Category: {other}" not in example_block
+
+    def test_npl_under_the_oracle_answers_the_first_class(self, trained_clean):
+        # the oracle's zero-shot answers are all class 0, so every neighbour is shown as
+        # class 0 and helps only a query of class 0: every answer is class 0
+        g, split, cfg, model = trained_clean
+        rows = run_strategy("npl", g, split, ORACLE, DEFAULT_TEMPLATE, seed=cfg.seed,
+                            single_thread=True)
+        assert {r.predicted for r in rows} == {0}
+        assert {r.gold for r in rows} == {0, 1, 2}
+
+    @pytest.mark.parametrize("strategy", ["askgnn", "few_knn", "npg", "npl"])
+    def test_answer_requests_name_the_labels_their_prompts_show(self, trained_clean, strategy):
+        g, split, cfg, model = trained_clean
+        requests = []
+
+        class Recording(OracleClient):
+            def complete(self, prompt, meta=None):
+                requests.append((prompt, meta))
+                return super().complete(prompt, meta=meta)
+
+        run_strategy(strategy, g, split, ORACLE, DEFAULT_TEMPLATE, model=model, k_icl=cfg.k_icl,
+                     seed=cfg.seed, client=Recording(g), single_thread=True)
+        assert any(meta["example_ids"] for _, meta in requests)
+        for prompt, meta in requests:  # npl's zero-shot requests show no example
+            shown = re.findall(r"^Category: (.*)$", prompt.split("help you:")[1], re.MULTILINE)
+            assert [g.label_vocab[c] for c in meta["example_labels"]] == shown
+            assert len(shown) == len(meta["example_ids"])
 
     def test_npl_memoizes_neighbor_predictions(self, trained_clean):
         g, split, cfg, model = trained_clean

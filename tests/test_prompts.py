@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from gicl.prompts import (
     DEFAULT_TEMPLATE,
+    MAX_CHARS_PER_DOC,
     IclExample,
     PromptTemplate,
     load_template,
@@ -130,6 +131,33 @@ class TestRender:
     def test_braces_in_documents_survive(self):
         out = render(DEFAULT_TEMPLATE, [("JSON {x} doc", "A")], "query {y}")
         assert "JSON {x} doc" in out and "query {y}" in out
+
+    @pytest.mark.parametrize("name", ["default", "arxiv", "products"])
+    def test_placeholders_in_documents_render_literally(self, name):
+        template = load_template(name)
+        texts = ["cites {query} and {label}", "a {text} of {examples}"]
+        query = "asks {examples} of {text}, {label} and {query}"
+        out = render(template, [(texts[0], "topic-a"), (texts[1], "topic-b")], query)
+        # the same prompt with brace-free stand-ins, which then give way to the documents
+        expected = render(template, [("@DOC0@", "topic-a"), ("@DOC1@", "topic-b")], "@QUERY@")
+        for marker, text in (("@DOC0@", texts[0]), ("@DOC1@", texts[1]), ("@QUERY@", query)):
+            expected = expected.replace(marker, text)
+        assert out == expected
+        assert out.count(query) == 1 and out.count("topic-a") == 1
+
+    @given(texts=st.lists(st.text(st.characters(blacklist_characters="{}"), max_size=1300), max_size=4),
+           labels=st.lists(st.text(st.characters(blacklist_characters="{}"), max_size=8), min_size=4,
+                           max_size=4),
+           query=st.text(st.characters(blacklist_characters="{}"), max_size=1300),
+           name=st.sampled_from(["default", "arxiv", "products"]))
+    def test_brace_free_prompts_match_chained_replacement(self, texts, labels, query, name):
+        # the chained str.replace calls that filled templates before the one-pass fill
+        template = load_template(name)
+        blocks = [template.example.replace("{text}", truncate_at_whitespace(t, MAX_CHARS_PER_DOC))
+                  .replace("{label}", label) for t, label in zip(texts, labels)]
+        chained = template.main.replace("{examples}", "".join(blocks)).replace(
+            "{query}", truncate_at_whitespace(query, MAX_CHARS_PER_DOC)) + template.answer_cue
+        assert render(template, list(zip(texts, labels)), query) == chained
 
 
 class TestTruncate:

@@ -54,6 +54,10 @@ class TestPpl:
         with pytest.raises(ValueError):
             ppl([])
 
+    def test_past_float_range_is_infinite(self):
+        assert ppl([-709.0]) == math.exp(709.0)
+        assert ppl([-710.0]) == ppl([-1e6, -2e6]) == ppl([-math.inf, -1.0]) == math.inf
+
 
 class TestUtility:
     def test_equal_ppls_give_one_over_c(self):
@@ -357,7 +361,8 @@ class TestOracleClient:
         client = make_client(spec, clean_sbm)
         q = 0
         e = next(i for i in range(clean_sbm.n_nodes) if i != q and clean_sbm.labels[i] == clean_sbm.labels[q])
-        meta = {"query_id": q, "example_ids": [e], "class_index": int(clean_sbm.labels[q])}
+        meta = {"query_id": q, "example_ids": [e], "example_labels": [int(clean_sbm.labels[e])],
+                "class_index": int(clean_sbm.labels[q])}
         lps = client.token_logprobs("prompt", " label", meta=meta)
         assert len(lps) == 1
         # zero noise: features are unit centroids, same-class cosine is 1
@@ -389,10 +394,12 @@ class TestOracleClient:
                         default=math.exp(ScorerSpec.oracle_base + ScorerSpec.oracle_alpha))
                     for c in range(g.n_classes)
                 ]
+                shown = {"query_id": q, "example_ids": examples,
+                         "example_labels": [int(g.labels[e]) for e in examples]}
                 for c in range(g.n_classes):
-                    meta = {"query_id": q, "example_ids": examples, "class_index": c}
-                    assert ppl(client.token_logprobs("p", " c", meta=meta)) == reference[c]
-                answer = client.complete("p", meta={"query_id": q, "example_ids": examples})
+                    assert ppl(client.token_logprobs("p", " c", meta={**shown, "class_index": c})) \
+                        == reference[c]
+                answer = client.complete("p", meta=shown)
                 assert answer == g.label_vocab[int(np.argmin(reference))]
         assert kinds == {"wrong label", "negative cosine", "helps"}
 
@@ -419,15 +426,15 @@ class TestOracleClient:
         unit = _normalize_rows(g.features)
         client = OracleClient(g)
         ppls = []
+        shown = {"query_id": q, "example_ids": examples, "example_labels": [labels[e] for e in examples]}
         for c in range(g.n_classes):
-            got = ppl(client.token_logprobs("p", " c", meta={"query_id": q, "example_ids": examples,
-                                                              "class_index": c}))
+            got = ppl(client.token_logprobs("p", " c", meta={**shown, "class_index": c}))
             reference = min((synthetic_oracle_ppl(unit[q], labels[q], unit[e], labels[e], c)
                              for e in examples),
                             default=math.exp(ScorerSpec.oracle_base + ScorerSpec.oracle_alpha))
             assert got == reference
             ppls.append(got)
-        answer = client.complete("p", meta={"query_id": q, "example_ids": examples})
+        answer = client.complete("p", meta=shown)
         assert answer == g.label_vocab[int(np.argmin(ppls))]
         assert client.calls == g.n_classes + 1
 
@@ -443,6 +450,42 @@ class TestOracleClient:
         assert client.calls == 5 * noisy_sbm.n_classes  # every class is still requested
         assert len(helps) == 5  # only the gold class reads the help
 
+    def test_an_example_helps_through_the_label_its_prompt_shows(self, clean_sbm):
+        client = make_client(ScorerSpec(kind="oracle"), clean_sbm)
+        labels = clean_sbm.labels
+        q = next(i for i in range(clean_sbm.n_nodes) if labels[i] != 0)
+        gold, wrong = int(labels[q]), 0
+        same = next(i for i in range(clean_sbm.n_nodes) if i != q and labels[i] == gold)
+        other = next(i for i in range(clean_sbm.n_nodes) if labels[i] != gold)
+        unit = _normalize_rows(clean_sbm.features)
+
+        def gold_ppl(e, shown):
+            meta = {"query_id": q, "example_ids": [e], "example_labels": [shown], "class_index": gold}
+            return ppl(client.token_logprobs("p", " c", meta=meta))
+
+        def answer(e, shown):
+            return client.complete("p", meta={"query_id": q, "example_ids": [e],
+                                              "example_labels": [shown]})
+
+        # a same-class example shown under another label helps no more than no example
+        assert gold_ppl(same, wrong) == math.exp(ScorerSpec.oracle_base + ScorerSpec.oracle_alpha)
+        assert answer(same, wrong) == clean_sbm.label_vocab[0]
+        assert gold_ppl(same, gold) == math.exp(ScorerSpec.oracle_base)  # zero noise: cosine 1
+        assert answer(same, gold) == clean_sbm.label_vocab[gold]
+        # an example of another class shown under the gold label helps by its cosine
+        assert gold_ppl(other, gold) == synthetic_oracle_ppl(unit[q], gold, unit[other], gold, gold)
+
+    @pytest.mark.parametrize("meta", [{"query_id": 0, "example_ids": [1]},
+                                      {"query_id": 0, "example_ids": [1, 2], "example_labels": [0]},
+                                      {"query_id": 0, "example_labels": []}])
+    def test_needs_one_shown_label_per_example(self, clean_sbm, meta):
+        client = make_client(ScorerSpec(kind="oracle"), clean_sbm)
+        with pytest.raises(ScorerError, match="metadata"):
+            client.complete("p", meta=meta)
+        with pytest.raises(ScorerError, match="metadata"):
+            client.token_logprobs("p", " c", meta={**meta, "class_index": 0})
+        assert client.calls == 0
+
     def test_requires_metadata(self, clean_sbm):
         client = make_client(ScorerSpec(kind="oracle"), clean_sbm)
         with pytest.raises(ScorerError, match="metadata"):
@@ -452,12 +495,13 @@ class TestOracleClient:
         client = make_client(ScorerSpec(kind="oracle"), clean_sbm)
         q = 4
         e = next(i for i in range(clean_sbm.n_nodes) if i != q and clean_sbm.labels[i] == clean_sbm.labels[q])
-        answer = client.complete("p", meta={"query_id": q, "example_ids": [e]})
+        answer = client.complete("p", meta={"query_id": q, "example_ids": [e],
+                                            "example_labels": [int(clean_sbm.labels[e])]})
         assert answer == clean_sbm.label_vocab[clean_sbm.labels[q]]
 
     def test_complete_without_help_ties_to_first_class(self, clean_sbm):
         client = make_client(ScorerSpec(kind="oracle"), clean_sbm)
-        answer = client.complete("p", meta={"query_id": 4, "example_ids": []})
+        answer = client.complete("p", meta={"query_id": 4, "example_ids": [], "example_labels": []})
         assert answer == clean_sbm.label_vocab[0]
 
     def test_scorer_id_depends_on_identity_fields(self):
@@ -479,7 +523,7 @@ class TestOracleClient:
 
     def test_free_function_builds_client(self, clean_sbm):
         spec = ScorerSpec(kind="oracle")
-        meta = {"query_id": 0, "example_ids": [], "class_index": 0}
+        meta = {"query_id": 0, "example_ids": [], "example_labels": [], "class_index": 0}
         lps = token_logprobs(spec, "p", " c", meta=meta, graph=clean_sbm)
         assert len(lps) == 1
 
@@ -614,6 +658,34 @@ class TestRankCandidates:
                                                FeedbackCache(), client=client)
         assert n_unscored == 1  # candidate 3
         assert set(by_query[0].example_ids) == {1, 2}
+
+    def test_pairs_without_a_utility_are_unscored_cold_and_warm(self, clean_sbm, tmp_path):
+        # example 3's log-probs are past float range in every class, so each perplexity is
+        # infinite; example 2 holds a NaN in a cache file an older version wrote
+        spec = ScorerSpec(kind="oracle")
+
+        class Overflows(OracleClient):
+            def token_logprobs(self, prompt, continuation, meta=None):
+                lps = super().token_logprobs(prompt, continuation, meta=meta)
+                return [-1000.0] if meta["example_ids"] == [3] else lps
+
+        path = tmp_path / "cache.jsonl"
+        cache = FeedbackCache(path)
+        put(cache, spec.scorer_id, DEFAULT_TEMPLATE.template_hash, clean_sbm.content_hash, 0, 2,
+            {c: math.nan if c == 0 else 2.0 for c in range(clean_sbm.n_classes)})
+        cold = rank_candidates(clean_sbm, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE, cache,
+                               client=Overflows(clean_sbm))
+        cache.close()
+        assert cold[1] == 2 and cold[0][0].example_ids == (1,)
+        assert [get(FeedbackCache(path), spec.scorer_id, DEFAULT_TEMPLATE.template_hash,
+                    clean_sbm.content_hash, 0, 3, c) for c in range(clean_sbm.n_classes)] == (
+            [math.inf] * clean_sbm.n_classes)
+        # a warm round reads the same values and leaves the same pairs out, with no request
+        warm_client = Overflows(clean_sbm)
+        with closing(FeedbackCache(path)) as warm_cache:
+            assert rank_candidates(clean_sbm, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE, warm_cache,
+                                   client=warm_client) == cold
+        assert warm_client.calls == 0
 
     def test_a_failed_class_leaves_its_pairs_scored_classes_cached(self, clean_sbm, tmp_path):
         spec = ScorerSpec(kind="oracle")

@@ -505,14 +505,14 @@ class TestTrain:
         seen_vectors = []
         import gicl.training as training_mod
 
-        original = training_mod.encode_rows
+        original = training_mod.encode_all
 
-        def spy(rows, params, config):
-            table = original(rows, params, config)
+        def spy(graph, params, config):
+            table = original(graph, params, config)
             seen_vectors.append(table.vectors.copy())
             return table
 
-        monkeypatch.setattr(training_mod, "encode_rows", spy)
+        monkeypatch.setattr(training_mod, "encode_all", spy)
         cfg = self.small_cfg(rounds=2, epochs=6)
         train(clean_sbm, clean_split, ORACLE, DEFAULT_TEMPLATE, cfg)
         # rounds collect on round-start embeddings: round 2's differ from round 1's
@@ -535,6 +535,38 @@ class TestTrain:
         # as trained when each round and the final table propagated again
         assert hashlib.sha256(vectors.tobytes()).hexdigest() == (
             "393cdcf6fd4cc1171577d9f7c541261b82fc8ddd2ff644316af684fe9ae1bf4a")
+
+    def test_one_aggregator_per_graph_and_hop_count(self, noisy_sbm, monkeypatch):
+        import gicl.encoder as encoder_mod
+
+        builds = []
+        real = encoder_mod.RowAggregator
+        monkeypatch.setattr(encoder_mod, "RowAggregator", lambda *a: builds.append(a) or real(*a))
+        split = sample_label_fraction(noisy_sbm, 0.5, seed=2)
+        cfg = TrainConfig(rounds=3, epochs=2, hidden_dim=16, k_feedback=5, seed=3)
+        model = train(noisy_sbm, split, ORACLE, DEFAULT_TEMPLATE, cfg)
+        collect_feedback_round(noisy_sbm, split, model.params, cfg, ORACLE, DEFAULT_TEMPLATE,
+                               FeedbackCache())
+        encode_all(noisy_sbm, model.params, cfg.encoder_config(noisy_sbm))
+        assert len(builds) == 1
+        propagate(noisy_sbm, cfg.n_layers + 1)
+        assert len(builds) == 2
+
+    def test_a_coverage_abort_names_its_round(self, clean_sbm, clean_split, monkeypatch):
+        import gicl.training as training_mod
+
+        rounds = []
+
+        def second_round_unscored(graph, candidates, *args, **kwargs):
+            rounds.append(candidates)
+            if len(rounds) == 1:
+                return scoring_mod.rank_candidates(graph, candidates, *args, **kwargs)
+            return {}, sum(len(ids) for ids in candidates.values())
+
+        monkeypatch.setattr(training_mod, "rank_candidates", second_round_unscored)
+        with pytest.raises(ScorerCoverageError, match=r"^round 1: only 0/\d+ candidate pairs scored"):
+            train(clean_sbm, clean_split, ORACLE, DEFAULT_TEMPLATE, self.small_cfg(rounds=2, epochs=2))
+        assert len(rounds) == 2
 
     def test_deterministic_given_seed(self, clean_sbm, clean_split):
         cfg = self.small_cfg()
