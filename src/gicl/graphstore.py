@@ -271,6 +271,9 @@ def load_bundle(path: str | Path, symmetrize: bool = True) -> TagGraph:
     if not isinstance(vocab, list) or not all(isinstance(v, str) for v in vocab):
         raise BundleError(f"{root / 'labels.json'}: expected a JSON array of class strings")
     class_index = {name: i for i, name in enumerate(vocab)}
+    if len(class_index) != len(vocab):
+        twice = next(name for i, name in enumerate(vocab) if class_index[name] != i)
+        raise BundleError(f"{root / 'labels.json'}: class {twice!r} is listed twice")
 
     decode = json.JSONDecoder().raw_decode
     texts: list[str] = []

@@ -23,14 +23,13 @@ from . import __version__
 from .encoder import classify_logits
 from .graphstore import SplitSpec, TagGraph, atomic_write, neighbors
 from .prompts import (
-    IclExample,
     PromptTemplate,
     examples_from_ids,
+    icl_request,
     majority_vote,
     parse_answer,
     purify_llm_select,
     purify_minority,
-    render,
 )
 from .retrieval import build_index, random_examples, retrieve_topk
 from .scoring import FeedbackCache, ScorerError, ScorerSpec, fan_out, make_client
@@ -193,15 +192,12 @@ def _llm_row(
     template: PromptTemplate,
     client,
     query_id: int,
-    example_ids: Sequence[int],
-    examples: Sequence[IclExample],
+    examples: Sequence[tuple[int, int]],
     strategy: str,
 ) -> EvalRow:
     """Render, complete, parse; transport failures become Unparsed rows."""
     gold = int(graph.labels[query_id])
-    prompt = render(template, examples, graph.texts[query_id])
-    meta = {"query_id": query_id, "example_ids": list(example_ids),
-            "example_labels": [graph.label_vocab.index(label) for _, label in examples]}
+    prompt, meta = icl_request(template, graph, query_id, examples)
     try:
         completion = client.complete(prompt, meta=meta)
     except ScorerError as exc:
@@ -212,34 +208,34 @@ def _llm_row(
     )
 
 
-def _mv_row(graph: TagGraph, query_id: int, examples: Sequence[IclExample], strategy: str) -> EvalRow:
+def _mv_row(graph: TagGraph, query_id: int, examples: Sequence[tuple[int, int]], strategy: str) -> EvalRow:
     gold = int(graph.labels[query_id])
     if not examples:
         return EvalRow(query_id, gold, None, strategy, 0, False, note="no examples to vote on")
-    label = majority_vote(examples)
-    return EvalRow(query_id, gold, graph.label_vocab.index(label), strategy, len(examples), True)
+    return EvalRow(query_id, gold, majority_vote(examples), strategy, len(examples), True)
 
 
 def _apply_purify(
-    ids: list[int],
-    examples: list[IclExample],
+    graph: TagGraph,
+    examples: list[tuple[int, int]],
     purify: str | None,
     budget: int | None,
     client,
-) -> tuple[list[int], list[IclExample], str]:
-    """Keep the (id, example) pairs at the positions the purification mode picks."""
+) -> tuple[list[tuple[int, int]], str]:
+    """Keep the (node id, class shown) pairs at the positions the purification mode picks."""
     if purify is None or not examples:
-        return ids, examples, ""
+        return examples, ""
     note = ""
     if purify == "minority":
         keep = purify_minority(examples)
     else:
         chosen = budget if budget is not None else max(1, (2 * len(examples)) // 3)
+        shown = [(graph.texts[e], graph.label_vocab[c]) for e, c in examples]
         keep, fell_back = purify_llm_select(
-            examples, lambda p: client.complete(p, meta=None), min(chosen, len(examples))
+            shown, lambda p: client.complete(p, meta=None), min(chosen, len(examples))
         )
         note = "purify fallback" if fell_back else ""
-    return [ids[i] for i in keep], [examples[i] for i in keep], note
+    return [examples[i] for i in keep], note
 
 
 def run_strategy(
@@ -280,39 +276,35 @@ def run_strategy(
         # no retrieved examples: an LLM strategy is zero-shot, a vote has nothing to vote on
         source = NO_EXAMPLES
 
-    def llm_row(q: int, ids: Sequence[int], examples: Sequence[IclExample]) -> EvalRow:
-        return _llm_row(graph, template, client, q, ids, examples, strategy)
-
     if source in (RAW_KNN, TRAINED_KNN):
         vectors = model.embeddings.vectors if source == TRAINED_KNN else graph.features
         index = build_index(vectors, split.labeled_ids)
     elif source == HEAD_NEIGHBORS:
-        pseudo = np.argmax(classify_logits(model.embeddings, model.params), axis=1)
+        pseudo = np.argmax(classify_logits(model.embeddings, model.params), axis=1).tolist()
     elif source == LLM_NEIGHBORS:
         # each distinct neighbour is labeled once, by a zero-shot answer;
         # neighbours the LLM gives no label are left out of the prompt
         nodes = sorted({int(v) for q in queries for v in neighbors(graph, q)})
-        labels = fan_out(spec, lambda v: llm_row(v, [], []).predicted, nodes)
+        labels = fan_out(spec, lambda v: _llm_row(graph, template, client, v, [], strategy).predicted, nodes)
         pseudo = dict(zip(nodes, labels))
 
-    def examples_for(q: int) -> tuple[list[int], list[IclExample]]:
+    def examples_for(q: int) -> list[tuple[int, int]]:
         if source == NO_EXAMPLES:
-            return [], []
+            return []
         if source in (HEAD_NEIGHBORS, LLM_NEIGHBORS):
-            ids = [int(v) for v in neighbors(graph, q) if pseudo[int(v)] is not None]
-            return ids, [IclExample(graph.texts[v], graph.label_vocab[int(pseudo[v])]) for v in ids]
+            return [(v, pseudo[v]) for v in map(int, neighbors(graph, q)) if pseudo[v] is not None]
         if source == RANDOM:
             ids = random_examples(split.labeled_ids, k_icl, seed, query_id=q)
         else:
             ids = retrieve_topk(index, vectors[q], k_icl, query_id=q)
-        return ids, examples_from_ids(graph, ids)
+        return examples_from_ids(graph, ids)
 
     def one(q: int) -> EvalRow:
-        ids, examples = examples_for(q)
+        examples = examples_for(q)
         if plan.vote:
             return _mv_row(graph, q, examples, strategy)
-        ids, examples, note = _apply_purify(ids, examples, purify, purify_budget, client)
-        row = llm_row(q, ids, examples)
+        examples, note = _apply_purify(graph, examples, purify, purify_budget, client)
+        row = _llm_row(graph, template, client, q, examples, strategy)
         return replace(row, note=note) if note else row
 
     return fan_out(spec, one, queries)

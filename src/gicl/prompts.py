@@ -16,22 +16,18 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Hashable, Sequence
 
 from .graphstore import UNLABELED, TagGraph
 
 
-class IclExample(NamedTuple):
-    text: str
-    label: str
-
-
-def examples_from_ids(graph: TagGraph, ids: Sequence[int]) -> list[IclExample]:
-    """The labeled nodes ``ids`` as ICL examples, in order; an unlabeled one is refused."""
+def examples_from_ids(graph: TagGraph, ids: Sequence[int]) -> list[tuple[int, int]]:
+    """The labeled nodes ``ids`` as ICL examples, (node id, class shown) pairs in order,
+    each shown with its true class; an unlabeled one is refused."""
     labels = graph.labels[list(ids)].tolist()
     if UNLABELED in labels:
         raise ValueError(f"node {ids[labels.index(UNLABELED)]} has no label to use as an ICL example")
-    return [IclExample(graph.texts[i], graph.label_vocab[c]) for i, c in zip(ids, labels)]
+    return list(zip(ids, labels))
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,7 @@ def truncate_at_whitespace(text: str, limit: int) -> str:
 
 def render(
     template: PromptTemplate,
-    examples: Sequence[IclExample | tuple[str, str]],
+    examples: Sequence[tuple[str, str]],
     query_text: str,
 ) -> str:
     """Fill the template: examples in given (rank) order, then the answer cue.
@@ -114,6 +110,15 @@ def render(
     return body + template.answer_cue
 
 
+def icl_request(template: PromptTemplate, graph: TagGraph, query_id: int,
+                examples: Sequence[tuple[int, int]]) -> tuple[str, dict]:
+    """The prompt for ``query_id`` showing ``examples``, (node id, class shown) pairs in rank
+    order, each node's text under its class's label; and the oracle's metadata, naming both."""
+    shown = [(graph.texts[e], graph.label_vocab[c]) for e, c in examples]
+    prompt = render(template, shown, graph.texts[query_id])
+    return prompt, {"query_id": query_id, "examples": examples}
+
+
 def parse_answer(completion_text: str, label_vocab: Sequence[str]) -> int | None:
     """Earliest case-insensitive vocabulary match; longest label wins ties.
 
@@ -131,24 +136,24 @@ def parse_answer(completion_text: str, label_vocab: Sequence[str]) -> int | None
     return best[2] if best is not None else None
 
 
-def majority_vote(examples: Sequence[IclExample | tuple[str, str]]) -> str:
-    """Most frequent label; ties go to the highest-ranked tied example."""
+def majority_vote(examples: Sequence[tuple[object, Hashable]]) -> Hashable:
+    """Most frequent label (each item's second element); ties go to the highest-ranked tied example."""
     if not examples:
         raise ValueError("majority_vote needs at least one example")
-    counts: dict[str, int] = {}
-    first_rank: dict[str, int] = {}
+    counts: dict[Hashable, int] = {}
+    first_rank: dict[Hashable, int] = {}
     for rank, (_, label) in enumerate(examples):
         counts[label] = counts.get(label, 0) + 1
         first_rank.setdefault(label, rank)
     return max(counts, key=lambda lab: (counts[lab], -first_rank[lab]))
 
 
-def purify_minority(examples: Sequence[IclExample | tuple[str, str]]) -> list[int]:
+def purify_minority(examples: Sequence[tuple[object, Hashable]]) -> list[int]:
     """Positions of the examples whose label appears at least twice.
 
     If that would remove everything, every position is kept.
     """
-    counts: dict[str, int] = {}
+    counts: dict[Hashable, int] = {}
     for _, label in examples:
         counts[label] = counts.get(label, 0) + 1
     kept = [i for i, (_, label) in enumerate(examples) if counts[label] >= 2]
@@ -165,7 +170,7 @@ SELECTION_PROMPT = (
 
 
 def purify_llm_select(
-    examples: Sequence[IclExample | tuple[str, str]],
+    examples: Sequence[tuple[str, str]],
     complete_fn,
     budget: int,
 ) -> tuple[list[int], bool]:

@@ -46,7 +46,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .graphstore import UNLABELED, TagGraph, check_field_types
-from .prompts import PromptTemplate, examples_from_ids, render
+from .prompts import PromptTemplate, examples_from_ids, icl_request
 from .retrieval import _normalize_rows
 
 
@@ -204,11 +204,6 @@ def prefixed_key(prefix, query_id: int, example_id: int, class_index: int) -> st
     return digest.hexdigest()[:24]
 
 
-def cache_key(scorer_id: str, template_hash: str, graph_hash: str, query_id: int, example_id: int,
-              class_index: int) -> str:
-    return prefixed_key(key_prefix(scorer_id, template_hash, graph_hash), query_id, example_id, class_index)
-
-
 def _json_float(x: float) -> str:
     """``json.dumps(x)`` for a float, without the encoder."""
     if math.isfinite(x):
@@ -254,7 +249,7 @@ class FeedbackCache:
 
     def put(self, scorer_id: str, template_hash: str, q: int, e: int,
             records: Sequence[tuple[str, int, float]]) -> None:
-        """Cache one (query, example) pair's (``cache_key``, class, perplexity) records.
+        """Cache one (query, example) pair's (``prefixed_key``, class, perplexity) records.
 
         A key already cached keeps its value. The new records go to the
         file in one write, flushed before ``put`` returns; each line is
@@ -294,11 +289,11 @@ class FeedbackCache:
 class OracleClient:
     """Deterministic LLM stand-in driven by graph features and labels.
 
-    Needs call metadata (query id, example ids, the class index each example
-    is shown with, and the class asked about) because its closed form is a
-    function of node identity, not prompt text. An example helps through the
-    label its prompt shows, which for a pseudo-labeled neighbour need not be
-    its true one.
+    Needs call metadata (query id, the examples as (node id, class shown)
+    pairs, and the class asked about) because its closed form is a function
+    of node identity, not prompt text. An example helps through the label its
+    prompt shows, which for a pseudo-labeled neighbour need not be its true
+    one.
     """
 
     def __init__(self, graph: TagGraph):
@@ -309,15 +304,12 @@ class OracleClient:
     def _helps(self, meta: dict):
         """Count the call; the query's true class and, lazily, each example's help."""
         try:
-            q, ids, shown = meta["query_id"], meta["example_ids"], meta["example_labels"]
+            q, examples = meta["query_id"], meta["examples"]
         except (KeyError, TypeError):
-            raise ScorerError("oracle scorer needs query_id/example_ids/example_labels "
-                              "metadata") from None
-        if len(ids) != len(shown):
-            raise ScorerError(f"oracle metadata has {len(ids)} example ids but {len(shown)} labels")
+            raise ScorerError("oracle scorer needs query_id/examples metadata") from None
         self.calls += 1
         gold = int(self.graph.labels[q])
-        return gold, (oracle_help(self._unit[q], gold, self._unit[e], c) for e, c in zip(ids, shown))
+        return gold, (oracle_help(self._unit[q], gold, self._unit[e], c) for e, c in examples)
 
     def token_logprobs(self, prompt: str, continuation: str, meta: dict | None = None) -> list[float]:
         """The class's closed-form NLL; a wrong class's does not read the help, so it is not computed."""
@@ -602,9 +594,10 @@ class HttpClient:
                 f"{boundary} but nearest token starts at {picked[0][0]}"
             )
         for _, logp in picked:
-            # a number that is no bool, NaN or +inf; -inf is a token of probability 0
-            if type(logp) not in (int, float) or logp != logp or logp == math.inf:
-                raise ScorerError(f"continuation token without a log-probability: {logp!r}")
+            # a number that is no bool and at most 0 (so not NaN); -inf is a token of probability 0
+            if type(logp) not in (int, float) or not logp <= 0:
+                raise ScorerError("continuation token without a log-probability "
+                                  f"(a number <= 0): {logp!r}")
         return [float(logp) for _, logp in picked]
 
     def complete(self, prompt: str, meta: dict | None = None) -> str:
@@ -689,8 +682,7 @@ def rank_candidates(
         if int(graph.labels[q]) == UNLABELED:
             raise ValueError(f"query node {q} has no gold label")
     distinct = sorted({e for ids in lists.values() for e in ids})
-    examples = dict(zip(distinct, examples_from_ids(graph, distinct)))
-    shown = {e: [int(graph.labels[e])] for e in distinct}  # each example shows its true label
+    examples = dict(zip(distinct, examples_from_ids(graph, distinct)))  # each shows its true label
     if client is None:
         client = make_client(spec, graph)
 
@@ -705,16 +697,15 @@ def rank_candidates(
         """Request each class the cache lacks; a failed class leaves a None."""
         q, e = pair
         vector = ppls[pair]
-        prompt = render(template, [examples[e]], graph.texts[q])
+        prompt, meta = icl_request(template, graph, q, [examples[e]])
         scored = {}
         try:
             for c in classes:
                 if vector[c] is not None:
                     continue
-                meta = {"query_id": q, "example_ids": [e], "example_labels": shown[e], "class_index": c}
                 try:
                     lps = client.token_logprobs(prompt, class_verbalization(graph.label_vocab[c]),
-                                                meta=meta)
+                                                meta={**meta, "class_index": c})
                 except ScorerError:
                     continue
                 vector[c] = scored[c] = ppl(lps)

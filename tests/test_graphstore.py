@@ -100,6 +100,14 @@ class TestLoadBundle:
         with pytest.raises(BundleError, match="line 2.*zzz"):
             load_bundle(tmp_path / "b")
 
+    def test_class_listed_twice_is_refused_by_name(self, tmp_path):
+        # loaded, the second "topic-0" would take every topic-0 node and leave class 0 empty
+        vocab = ["topic-0", "topic-1", "topic-2", "topic-0"]
+        nodes = [{"id": i, "text": "t", "label": vocab[i % 3]} for i in range(6)]
+        write_raw_bundle(tmp_path / "b", nodes, [], np.zeros((6, 2)), vocab)
+        with pytest.raises(BundleError, match=r"labels\.json: class 'topic-0' is listed twice"):
+            load_bundle(tmp_path / "b")
+
     def test_missing_file(self, tmp_path):
         (tmp_path / "b").mkdir()
         with pytest.raises(BundleError, match="missing"):

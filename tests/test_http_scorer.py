@@ -233,8 +233,10 @@ class TestTokenLogprobs:
         ([None, -1.5], [0, "2"]),
         (None, [0, 2]),
         ([None, -1.5], None),
+        ([None, 0.5], [0, 2]),  # a probability above 1
+        ([None, 800.0], [0, 2]),  # its perplexity would underflow to 0.0
     ], ids=["nan", "plus-inf", "string", "bool", "list", "string-offset", "null-logprobs",
-            "null-offsets"])
+            "null-offsets", "positive", "positive-past-float-range"])
     def test_an_unusable_echo_fails_without_a_retry(self, logprobs, offsets):
         reply = self.echo_of_p_c(logprobs, offsets)
         with RawServer(lambda i, body: reply) as server:
@@ -243,6 +245,25 @@ class TestTokenLogprobs:
                 client.token_logprobs("p:", " c")
             assert len(server.requests) == 1
         assert client.attempts == 1
+
+    @pytest.mark.parametrize("logprob", [0.5, 800.0])
+    def test_a_positive_log_probability_leaves_no_cache_entry(self, clean_sbm, logprob):
+        def positive(body):
+            reply = echo_response(body)
+            if body.get("max_tokens", 0) == 0:
+                lps = reply["choices"][0]["logprobs"]["token_logprobs"]
+                lps[-1] = logprob
+            return reply
+
+        cache = FeedbackCache()
+        with StubScorerServer(respond=positive) as server:
+            spec = spec_for(server, retries=2)
+            client = HttpClient(spec)
+            by_query, n_unscored = rank_candidates(clean_sbm, {0: [1, 2]}, spec, DEFAULT_TEMPLATE,
+                                                   cache, client=client)
+            assert len(server.requests) == client.attempts == 2 * clean_sbm.n_classes
+        assert by_query == {} and n_unscored == 2
+        assert len(cache) == 0
 
     @pytest.mark.parametrize("logprob", [-math.inf, -3, -0.25, 0])
     def test_minus_infinity_and_integers_are_log_probabilities(self, logprob):

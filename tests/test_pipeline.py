@@ -153,6 +153,25 @@ class TestStrategies:
         assert client.calls == 0
         assert len(rows_knn) == len(split.test_ids)
 
+    @pytest.mark.parametrize("strategy", ["mv_knn", "mv_askgnn"])
+    def test_a_vote_predicts_the_majority_class_index(self, trained_clean, strategy):
+        g, split, cfg, model = trained_clean
+        from gicl.retrieval import build_index, retrieve_topk
+
+        k = 2 * cfg.k_icl
+        rows = run_strategy(strategy, g, split, ORACLE, DEFAULT_TEMPLATE, model=model, k_icl=k,
+                            seed=cfg.seed, single_thread=True)
+        vectors = model.embeddings.vectors if strategy == "mv_askgnn" else g.features
+        index = build_index(vectors, split.labeled_ids)
+        split_votes = 0
+        for row in rows:
+            classes = g.labels[retrieve_topk(index, vectors[row.query_id], k, query_id=row.query_id)]
+            counts = np.bincount(classes)
+            expected = next(int(c) for c in classes if counts[c] == counts.max())  # ties: best rank
+            assert type(row.predicted) is int and row.predicted == expected
+            split_votes += int(np.count_nonzero(counts) > 1)
+        assert split_votes > 0
+
     def test_mv_bounded_by_any_same_label_oracle(self, trained_clean):
         # an oracle that answers correctly whenever any retrieved example
         # shares the gold label upper-bounds majority voting
@@ -203,7 +222,7 @@ class TestStrategies:
         class FirstClassClient(OracleClient):
             def complete(self, prompt, meta=None):
                 self.calls += 1
-                if meta and meta.get("example_ids"):
+                if meta and meta.get("examples"):
                     answer_prompts.append(prompt)
                     return super().complete(prompt, meta=meta)
                 return g.label_vocab[0]  # zero-shot pseudo-label requests
@@ -241,11 +260,12 @@ class TestStrategies:
 
         run_strategy(strategy, g, split, ORACLE, DEFAULT_TEMPLATE, model=model, k_icl=cfg.k_icl,
                      seed=cfg.seed, client=Recording(g), single_thread=True)
-        assert any(meta["example_ids"] for _, meta in requests)
+        assert any(meta["examples"] for _, meta in requests)
         for prompt, meta in requests:  # npl's zero-shot requests show no example
-            shown = re.findall(r"^Category: (.*)$", prompt.split("help you:")[1], re.MULTILINE)
-            assert [g.label_vocab[c] for c in meta["example_labels"]] == shown
-            assert len(shown) == len(meta["example_ids"])
+            shown = re.findall(r"^Document: (.*)\nCategory: (.*)$", prompt.split("help you:")[1],
+                               re.MULTILINE)
+            assert [(g.texts[e], g.label_vocab[c]) for e, c in meta["examples"]] == shown
+            assert len({e for e, _ in meta["examples"]}) == len(shown)  # texts name their nodes
 
     def test_npl_memoizes_neighbor_predictions(self, trained_clean):
         g, split, cfg, model = trained_clean

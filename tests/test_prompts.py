@@ -3,14 +3,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gicl.graphstore import UNLABELED, TagGraph
 from gicl.prompts import (
     DEFAULT_TEMPLATE,
     MAX_CHARS_PER_DOC,
-    IclExample,
     PromptTemplate,
+    examples_from_ids,
+    icl_request,
     load_template,
     majority_vote,
     parse_answer,
@@ -160,6 +163,35 @@ class TestRender:
         assert render(template, list(zip(texts, labels)), query) == chained
 
 
+def tiny_graph(texts, labels, vocab) -> TagGraph:
+    n = len(texts)
+    return TagGraph(n, np.zeros(n + 1, np.int64), np.zeros(0, np.int64), np.eye(n, 2, dtype=np.float32),
+                    tuple(texts), np.array(labels), tuple(vocab))
+
+
+class TestIclRequest:
+    TEXTS = ["a {label} query", "cites {query}", "x " * 700, "plain", "unlabeled"]
+    GRAPH_ARGS = (TEXTS, [1, 0, 2, 0, UNLABELED], ["topic-0", "topic-1", "topic-2"])
+
+    @pytest.mark.parametrize("name", ["default", "arxiv", "products"])
+    @pytest.mark.parametrize("examples", [[], [(1, 0)], [(2, 2), (1, 0), (3, 0)], [(3, 1), (4, 2)]],
+                             ids=["none", "one", "true-classes", "pseudo-labels"])
+    def test_prompt_is_render_of_the_looked_up_pairs(self, name, examples):
+        g = tiny_graph(*self.GRAPH_ARGS)
+        template = load_template(name)
+        prompt, meta = icl_request(template, g, 0, examples)
+        shown = [(g.texts[e], g.label_vocab[c]) for e, c in examples]
+        assert prompt == render(template, shown, g.texts[0])
+        assert meta == {"query_id": 0, "examples": examples}
+
+    def test_examples_from_ids_pairs_each_node_with_its_true_class(self):
+        g = tiny_graph(*self.GRAPH_ARGS)
+        assert examples_from_ids(g, [3, 2, 1]) == [(3, 0), (2, 2), (1, 0)]
+        assert examples_from_ids(g, []) == []
+        with pytest.raises(ValueError, match="^node 4 has no label"):
+            examples_from_ids(g, [1, 4])
+
+
 class TestTruncate:
     def test_short_text_unchanged(self):
         assert truncate_at_whitespace("hello world", 50) == "hello world"
@@ -235,18 +267,18 @@ class TestPurify:
         assert purify_minority([("t", "A"), ("u", "B"), ("v", "C")]) == [0, 1, 2]
 
     def test_llm_select_full_budget_is_identity(self):
-        examples = [IclExample("a", "A"), IclExample("b", "B")]
+        examples = [("a", "A"), ("b", "B")]
         out, fallback = purify_llm_select(examples, lambda p: "never called", 2)
         assert out == [0, 1] and not fallback
 
     def test_llm_select_parses_pick_order(self):
-        examples = [IclExample("a", "A"), IclExample("b", "B"), IclExample("c", "C")]
+        examples = [("a", "A"), ("b", "B"), ("c", "C")]
         out, fallback = purify_llm_select(examples, lambda p: "2,1", 2)
         assert out == [1, 0]
         assert not fallback
 
     def test_llm_select_garbage_falls_back_to_rank(self):
-        examples = [IclExample("a", "A"), IclExample("b", "B"), IclExample("c", "C")]
+        examples = [("a", "A"), ("b", "B"), ("c", "C")]
         out, fallback = purify_llm_select(examples, lambda p: "no numbers here", 2)
         assert out == [0, 1]
         assert fallback
@@ -255,11 +287,11 @@ class TestPurify:
         def boom(prompt):
             raise RuntimeError("down")
 
-        examples = [IclExample("a", "A"), IclExample("b", "B")]
+        examples = [("a", "A"), ("b", "B")]
         out, fallback = purify_llm_select(examples, boom, 1)
         assert out == [0]
         assert fallback
 
     def test_llm_select_budget_validation(self):
         with pytest.raises(ValueError):
-            purify_llm_select([IclExample("a", "A")], lambda p: "", 2)
+            purify_llm_select([("a", "A")], lambda p: "", 2)

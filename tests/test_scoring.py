@@ -15,7 +15,6 @@ from gicl.scoring import (
     OracleClient,
     ScorerError,
     ScorerSpec,
-    cache_key,
     key_prefix,
     make_client,
     oracle_help,
@@ -29,14 +28,18 @@ from gicl.scoring import (
 from gicl.retrieval import _normalize_rows
 
 
+def key_of(sid, th, graph_hash, q, e, c):
+    return prefixed_key(key_prefix(sid, th, graph_hash), q, e, c)
+
+
 def put(cache, sid, th, graph_hash, q, e, ppl_by_class):
     """Cache one pair's perplexities by class, under their content keys."""
-    cache.put(sid, th, q, e, [(cache_key(sid, th, graph_hash, q, e, c), c, value)
+    cache.put(sid, th, q, e, [(key_of(sid, th, graph_hash, q, e, c), c, value)
                               for c, value in ppl_by_class.items()])
 
 
 def get(cache, sid, th, graph_hash, q, e, c):
-    return cache.get(cache_key(sid, th, graph_hash, q, e, c))
+    return cache.get(key_of(sid, th, graph_hash, q, e, c))
 
 
 class TestPpl:
@@ -171,10 +174,10 @@ class TestFeedbackCache:
         assert get(cache, "sid", "th", "g", 1, 2, 4) is None
 
     def test_keys_are_content_addressed(self):
-        assert cache_key("s", "t", "g", 1, 2, 3) == cache_key("s", "t", "g", 1, 2, 3)
-        assert cache_key("s", "t", "g", 1, 2, 3) != cache_key("s2", "t", "g", 1, 2, 3)
-        assert cache_key("s", "t", "g", 1, 2, 3) != cache_key("s", "t2", "g", 1, 2, 3)
-        assert cache_key("s", "t", "g", 1, 2, 3) != cache_key("s", "t", "g2", 1, 2, 3)
+        assert key_of("s", "t", "g", 1, 2, 3) == key_of("s", "t", "g", 1, 2, 3)
+        assert key_of("s", "t", "g", 1, 2, 3) != key_of("s2", "t", "g", 1, 2, 3)
+        assert key_of("s", "t", "g", 1, 2, 3) != key_of("s", "t2", "g", 1, 2, 3)
+        assert key_of("s", "t", "g", 1, 2, 3) != key_of("s", "t", "g2", 1, 2, 3)
 
     @given(st.text(max_size=20), st.text(max_size=20), st.text(max_size=20),
            st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 999))
@@ -183,11 +186,10 @@ class TestFeedbackCache:
         prefix = key_prefix(s, t, g)
         assert prefixed_key(prefix, q, e, c) == whole
         assert prefixed_key(prefix, q, e, c) == whole  # hashing a key leaves the prefix as it was
-        assert cache_key(s, t, g, q, e, c) == whole
 
     def test_keys_of_existing_caches_are_unchanged(self):
-        key = cache_key("b64369079ceb46c0", DEFAULT_TEMPLATE.template_hash, "0123456789abcdef",
-                        12, 345, 4)
+        prefix = key_prefix("b64369079ceb46c0", DEFAULT_TEMPLATE.template_hash, "0123456789abcdef")
+        key = prefixed_key(prefix, 12, 345, 4)
         assert key == "a9ca7deefb3d04bb356fb755"
 
     def test_persists_floats_exactly(self, tmp_path):
@@ -268,7 +270,7 @@ class TestFeedbackCache:
         sid, th = 'http|m\u00e9|"quoted"', "t\\h"
         put(FeedbackCache(path), sid, th, "g", 3, 9, {0: value, 2: 1.0})
         expected = "".join(
-            json.dumps({"k": cache_key(sid, th, "g", 3, 9, c), "q": 3, "e": 9, "c": c, "ppl": v,
+            json.dumps({"k": key_of(sid, th, "g", 3, 9, c), "q": 3, "e": 9, "c": c, "ppl": v,
                         "sid": sid, "th": th}) + "\n"
             for c, v in ((0, value), (2, 1.0)))
         assert path.read_bytes() == expected.encode("utf-8")
@@ -326,7 +328,7 @@ class TestFeedbackCache:
         for q in range(800):
             for c in range(5):
                 got = get(loaded, "sid", "th", "g", q, q + 1, c)
-                assert got == expected[cache_key("sid", "th", "g", q, q + 1, c)]
+                assert got == expected[key_of("sid", "th", "g", q, q + 1, c)]
                 assert got == values[(q + c) % 4]
         put(loaded, "sid", "th", "g", 0, 0, {0: 1.0})  # cuts the torn line off
         loaded.close()
@@ -361,7 +363,7 @@ class TestOracleClient:
         client = make_client(spec, clean_sbm)
         q = 0
         e = next(i for i in range(clean_sbm.n_nodes) if i != q and clean_sbm.labels[i] == clean_sbm.labels[q])
-        meta = {"query_id": q, "example_ids": [e], "example_labels": [int(clean_sbm.labels[e])],
+        meta = {"query_id": q, "examples": [(e, int(clean_sbm.labels[e]))],
                 "class_index": int(clean_sbm.labels[q])}
         lps = client.token_logprobs("prompt", " label", meta=meta)
         assert len(lps) == 1
@@ -394,8 +396,7 @@ class TestOracleClient:
                         default=math.exp(ScorerSpec.oracle_base + ScorerSpec.oracle_alpha))
                     for c in range(g.n_classes)
                 ]
-                shown = {"query_id": q, "example_ids": examples,
-                         "example_labels": [int(g.labels[e]) for e in examples]}
+                shown = {"query_id": q, "examples": [(e, int(g.labels[e])) for e in examples]}
                 for c in range(g.n_classes):
                     assert ppl(client.token_logprobs("p", " c", meta={**shown, "class_index": c})) \
                         == reference[c]
@@ -426,7 +427,7 @@ class TestOracleClient:
         unit = _normalize_rows(g.features)
         client = OracleClient(g)
         ppls = []
-        shown = {"query_id": q, "example_ids": examples, "example_labels": [labels[e] for e in examples]}
+        shown = {"query_id": q, "examples": [(e, labels[e]) for e in examples]}
         for c in range(g.n_classes):
             got = ppl(client.token_logprobs("p", " c", meta={**shown, "class_index": c}))
             reference = min((synthetic_oracle_ppl(unit[q], labels[q], unit[e], labels[e], c)
@@ -460,12 +461,11 @@ class TestOracleClient:
         unit = _normalize_rows(clean_sbm.features)
 
         def gold_ppl(e, shown):
-            meta = {"query_id": q, "example_ids": [e], "example_labels": [shown], "class_index": gold}
+            meta = {"query_id": q, "examples": [(e, shown)], "class_index": gold}
             return ppl(client.token_logprobs("p", " c", meta=meta))
 
         def answer(e, shown):
-            return client.complete("p", meta={"query_id": q, "example_ids": [e],
-                                              "example_labels": [shown]})
+            return client.complete("p", meta={"query_id": q, "examples": [(e, shown)]})
 
         # a same-class example shown under another label helps no more than no example
         assert gold_ppl(same, wrong) == math.exp(ScorerSpec.oracle_base + ScorerSpec.oracle_alpha)
@@ -475,9 +475,10 @@ class TestOracleClient:
         # an example of another class shown under the gold label helps by its cosine
         assert gold_ppl(other, gold) == synthetic_oracle_ppl(unit[q], gold, unit[other], gold, gold)
 
-    @pytest.mark.parametrize("meta", [{"query_id": 0, "example_ids": [1]},
-                                      {"query_id": 0, "example_ids": [1, 2], "example_labels": [0]},
-                                      {"query_id": 0, "example_labels": []}])
+    # no examples; the ids-and-labels shape of earlier versions; no query
+    @pytest.mark.parametrize("meta", [{"query_id": 0},
+                                      {"query_id": 0, "example_ids": [1], "example_labels": [0]},
+                                      {"examples": [(1, 0)]}])
     def test_needs_one_shown_label_per_example(self, clean_sbm, meta):
         client = make_client(ScorerSpec(kind="oracle"), clean_sbm)
         with pytest.raises(ScorerError, match="metadata"):
@@ -495,13 +496,12 @@ class TestOracleClient:
         client = make_client(ScorerSpec(kind="oracle"), clean_sbm)
         q = 4
         e = next(i for i in range(clean_sbm.n_nodes) if i != q and clean_sbm.labels[i] == clean_sbm.labels[q])
-        answer = client.complete("p", meta={"query_id": q, "example_ids": [e],
-                                            "example_labels": [int(clean_sbm.labels[e])]})
+        answer = client.complete("p", meta={"query_id": q, "examples": [(e, int(clean_sbm.labels[e]))]})
         assert answer == clean_sbm.label_vocab[clean_sbm.labels[q]]
 
     def test_complete_without_help_ties_to_first_class(self, clean_sbm):
         client = make_client(ScorerSpec(kind="oracle"), clean_sbm)
-        answer = client.complete("p", meta={"query_id": 4, "example_ids": [], "example_labels": []})
+        answer = client.complete("p", meta={"query_id": 4, "examples": []})
         assert answer == clean_sbm.label_vocab[0]
 
     def test_scorer_id_depends_on_identity_fields(self):
@@ -523,7 +523,7 @@ class TestOracleClient:
 
     def test_free_function_builds_client(self, clean_sbm):
         spec = ScorerSpec(kind="oracle")
-        meta = {"query_id": 0, "example_ids": [], "example_labels": [], "class_index": 0}
+        meta = {"query_id": 0, "examples": [], "class_index": 0}
         lps = token_logprobs(spec, "p", " c", meta=meta, graph=clean_sbm)
         assert len(lps) == 1
 
@@ -598,7 +598,7 @@ class TestRankCandidates:
         scope = (spec.scorer_id, DEFAULT_TEMPLATE.template_hash, noisy_sbm.content_hash)
         for q, ids in candidates.items():
             gold = int(noisy_sbm.labels[q])
-            pairs = sorted((-utility([cache.get(cache_key(*scope, q, e, c))
+            pairs = sorted((-utility([cache.get(key_of(*scope, q, e, c))
                                       for c in range(noisy_sbm.n_classes)], gold), e) for e in ids)
             assert by_query[q].example_ids == tuple(e for _, e in pairs)
             assert by_query[q].utilities == tuple(-u for u, _ in pairs)
@@ -649,7 +649,7 @@ class TestRankCandidates:
 
         class Flaky(OracleClient):
             def token_logprobs(self, prompt, continuation, meta=None):
-                if meta and meta["example_ids"] == [3]:
+                if meta and meta["examples"] == [(3, int(clean_sbm.labels[3]))]:
                     raise ScorerError("injected")
                 return super().token_logprobs(prompt, continuation, meta=meta)
 
@@ -667,7 +667,7 @@ class TestRankCandidates:
         class Overflows(OracleClient):
             def token_logprobs(self, prompt, continuation, meta=None):
                 lps = super().token_logprobs(prompt, continuation, meta=meta)
-                return [-1000.0] if meta["example_ids"] == [3] else lps
+                return [-1000.0] if meta["examples"][0][0] == 3 else lps
 
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
@@ -692,7 +692,7 @@ class TestRankCandidates:
 
         class FailsClassOne(OracleClient):
             def token_logprobs(self, prompt, continuation, meta=None):
-                if meta["example_ids"] == [3] and meta["class_index"] == 1:
+                if meta["examples"][0][0] == 3 and meta["class_index"] == 1:
                     raise ScorerError("injected")
                 return super().token_logprobs(prompt, continuation, meta=meta)
 
