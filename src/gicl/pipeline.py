@@ -279,6 +279,8 @@ def run_strategy(
     if source in (RAW_KNN, TRAINED_KNN):
         vectors = model.embeddings.vectors if source == TRAINED_KNN else graph.features
         index = build_index(vectors, split.labeled_ids)
+        hits = dict(zip(queries, retrieve_topk(index, vectors[split.test_ids], k_icl,
+                                               query_ids=split.test_ids)))
     elif source == HEAD_NEIGHBORS:
         pseudo = np.argmax(classify_logits(model.embeddings, model.params), axis=1).tolist()
     elif source == LLM_NEIGHBORS:
@@ -296,7 +298,7 @@ def run_strategy(
         if source == RANDOM:
             ids = random_examples(split.labeled_ids, k_icl, seed, query_id=q)
         else:
-            ids = retrieve_topk(index, vectors[q], k_icl, query_id=q)
+            ids = hits[q]
         return examples_from_ids(graph, ids)
 
     def one(q: int) -> EvalRow:

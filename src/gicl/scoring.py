@@ -129,19 +129,26 @@ def ppl(logprobs: Sequence[float]) -> float:
         return math.inf
 
 
-def utility(ppl_by_class: Sequence[float] | np.ndarray, gold_class: int) -> float | np.ndarray:
+def utility(ppl_by_class: Sequence[float] | np.ndarray,
+            gold_class: int | np.ndarray) -> float | np.ndarray:
     """Normalized inverse perplexity of the gold class (a share in (0,1)); given a
-    (candidates, classes) matrix, each row's share, bit for bit as for the row alone."""
+    (candidates, classes) matrix, each row's share, bit for bit as for the row alone.
+    ``gold_class`` is one class for every row or an array of one class per row."""
     ppls = np.asarray(ppl_by_class, dtype=np.float64)
-    if not 0 <= gold_class < ppls.shape[-1]:
-        raise ValueError(f"gold_class {gold_class} out of range for {ppls.shape[-1]} classes")
+    gold = np.asarray(gold_class)
+    if gold.ndim and gold.shape != ppls.shape[:-1]:
+        raise ValueError(f"{gold.shape[0]} gold classes for {ppls.shape[:-1]} rows")
+    out_of_range = (gold < 0) | (gold >= ppls.shape[-1])
+    if np.any(out_of_range):
+        raise ValueError(f"gold_class {gold[out_of_range][0]} out of range for {ppls.shape[-1]} classes")
     if np.any(ppls <= 0) or np.any(np.isnan(ppls)):
         raise ValueError("perplexities must be positive")
     inv = 1.0 / ppls  # an infinite perplexity gives 0
     denom = inv.sum(axis=-1)
     if np.any(denom == 0):
         raise ValueError("all perplexities are infinite")
-    share = inv[..., gold_class] / denom
+    gold_inv = inv[np.arange(gold.size), gold] if gold.ndim else inv[..., gold_class]
+    share = gold_inv / denom
     return float(share) if share.ndim == 0 else share
 
 
@@ -197,11 +204,17 @@ def key_prefix(scorer_id: str, template_hash: str, graph_hash: str):
     return hashlib.sha256(f"{scorer_id}|{template_hash}|{graph_hash}|".encode("utf-8"))
 
 
-def prefixed_key(prefix, query_id: int, example_id: int, class_index: int) -> str:
-    """The key of one request under a ``key_prefix``, which is left unchanged."""
-    digest = prefix.copy()
-    digest.update(f"{query_id}|{example_id}|{class_index}".encode("utf-8"))
-    return digest.hexdigest()[:24]
+def pair_keys(prefix, query_id: int, example_id: int, n_classes: int) -> list[str]:
+    """The keys of one pair's requests by class under a ``key_prefix``, which
+    is left unchanged: "query_id|example_id|" is hashed once, then each class."""
+    pair = prefix.copy()
+    pair.update(f"{query_id}|{example_id}|".encode("utf-8"))
+    keys = []
+    for c in range(n_classes):
+        digest = pair.copy()
+        digest.update(str(c).encode("utf-8"))
+        keys.append(digest.hexdigest()[:24])
+    return keys
 
 
 def _json_float(x: float) -> str:
@@ -249,7 +262,7 @@ class FeedbackCache:
 
     def put(self, scorer_id: str, template_hash: str, q: int, e: int,
             records: Sequence[tuple[str, int, float]]) -> None:
-        """Cache one (query, example) pair's (``prefixed_key``, class, perplexity) records.
+        """Cache one (query, example) pair's (``pair_keys`` key, class, perplexity) records.
 
         A key already cached keeps its value. The new records go to the
         file in one write, flushed before ``put`` returns; each line is
@@ -300,16 +313,20 @@ class OracleClient:
         self.graph = graph
         self.calls = 0
         self._unit = _normalize_rows(graph.features)
+        self._gold = graph.labels.tolist()
+        self._unhelped = -oracle_nll(0.0, False)
 
-    def _helps(self, meta: dict):
-        """Count the call; the query's true class and, lazily, each example's help."""
+    def _read(self, meta: dict) -> tuple[int, int, list]:
+        """Count the call; the query, its true class and its (example, class shown) pairs."""
         try:
             q, examples = meta["query_id"], meta["examples"]
         except (KeyError, TypeError):
             raise ScorerError("oracle scorer needs query_id/examples metadata") from None
         self.calls += 1
-        gold = int(self.graph.labels[q])
-        return gold, (oracle_help(self._unit[q], gold, self._unit[e], c) for e, c in examples)
+        return q, self._gold[q], examples
+
+    def _helps(self, q: int, gold: int, examples: list):
+        return (oracle_help(self._unit[q], gold, self._unit[e], c) for e, c in examples)
 
     def token_logprobs(self, prompt: str, continuation: str, meta: dict | None = None) -> list[float]:
         """The class's closed-form NLL; a wrong class's does not read the help, so it is not computed."""
@@ -317,15 +334,16 @@ class OracleClient:
             raise ScorerError("continuation must be non-empty")
         if not meta or "class_index" not in meta:
             raise ScorerError("oracle scorer needs class_index metadata")
-        gold, helps = self._helps(meta)
+        q, gold, examples = self._read(meta)
         if meta["class_index"] != gold:
-            return [-oracle_nll(0.0, False)]
-        return [-oracle_nll(max(helps, default=0.0), True)]
+            return [self._unhelped]
+        return [-oracle_nll(max(self._helps(q, gold, examples), default=0.0), True)]
 
     def complete(self, prompt: str, meta: dict | None = None) -> str:
         """The least-NLL class: gold once an example lowers its NLL, else the first (all tie)."""
-        gold, helps = self._helps(meta)
+        q, gold, examples = self._read(meta)
         unhelped = oracle_nll(0.0, True)
+        helps = self._helps(q, gold, examples)
         if gold != UNLABELED and any(oracle_nll(h, True) < unhelped for h in helps):
             return self.graph.label_vocab[gold]
         return self.graph.label_vocab[0]
@@ -673,7 +691,9 @@ def rank_candidates(
     candidate with any unscorable class, or whose perplexities give no utility
     (all infinite, or a NaN from an older cache), is left out of its query's
     ranking and counted in the returned number of unscored pairs; a query
-    left with no scored candidate is left out.
+    left with no scored candidate is left out. The round is ranked at once:
+    one (pairs, classes) perplexity matrix, one ``utility`` call and one sort
+    by (query, -utility, id).
     """
     lists = {int(q): [int(e) for e in ids] for q, ids in candidates.items()}
     for q, ids in lists.items():
@@ -686,46 +706,52 @@ def rank_candidates(
     if client is None:
         client = make_client(spec, graph)
 
+    queries = list(lists)
+    pairs = [(q, e) for q, ids in lists.items() for e in ids]
     scorer_id, template_hash = spec.scorer_id, template.template_hash
     prefix = key_prefix(scorer_id, template_hash, graph.content_hash)
-    classes = range(graph.n_classes)
-    keys = {(q, e): [prefixed_key(prefix, q, e, c) for c in classes] for q, ids in lists.items() for e in ids}
-    ppls = {pair: [cache.get(key) for key in pair_keys] for pair, pair_keys in keys.items()}
-    todo = [pair for pair, vector in ppls.items() if None in vector]
+    n_classes = graph.n_classes
+    keys = [pair_keys(prefix, q, e, n_classes) for q, e in pairs]
+    cached = [[cache.get(key) for key in pair] for pair in keys]
+    todo = [j for j, vector in enumerate(cached) if None in vector]
+    # None, a class not yet scored, becomes NaN: a pair left with one gives no utility
+    matrix = np.array(cached, dtype=np.float64).reshape(len(pairs), n_classes)
+    verbalizations = [class_verbalization(label) for label in graph.label_vocab]
 
-    def score_pair(pair: tuple[int, int]) -> None:
-        """Request each class the cache lacks; a failed class leaves a None."""
-        q, e = pair
-        vector = ppls[pair]
+    def score_pair(j: int) -> None:
+        """Request each class the cache lacks; a failed class stays NaN."""
+        q, e = pairs[j]
         prompt, meta = icl_request(template, graph, q, [examples[e]])
         scored = {}
         try:
-            for c in classes:
-                if vector[c] is not None:
+            for c, value in enumerate(cached[j]):
+                if value is not None:
                     continue
                 try:
-                    lps = client.token_logprobs(prompt, class_verbalization(graph.label_vocab[c]),
+                    lps = client.token_logprobs(prompt, verbalizations[c],
                                                 meta={**meta, "class_index": c})
                 except ScorerError:
                     continue
-                vector[c] = scored[c] = ppl(lps)
+                matrix[j, c] = scored[c] = ppl(lps)
         finally:  # what was paid for is kept even if a request raises
             if scored:
                 cache.put(scorer_id, template_hash, q, e,
-                          [(keys[pair][c], c, value) for c, value in scored.items()])
+                          [(keys[j][c], c, value) for c, value in scored.items()])
 
     fan_out(spec, score_pair, todo)
+    del keys, cached  # a pair's lists, no longer read, would raise the ranking's peak memory
 
+    # a pair gives a utility when every perplexity is positive (so none NaN) and one is finite
+    rankable = (matrix > 0).all(axis=1) & (matrix < np.inf).any(axis=1)
+    position = np.repeat(np.arange(len(queries)), [len(ids) for ids in lists.values()])[rankable]
+    ids = np.array([e for _, e in pairs], dtype=np.int64)[rankable]
+    gold = graph.labels[np.array(queries, dtype=np.int64)][position]
+    u = utility(matrix[rankable], gold)
+    order = np.lexsort((ids, -u, position))  # by query, best first, ties by id
+    ranked_ids, ranked_u = ids[order].tolist(), u[order].tolist()
+    bounds = np.cumsum(np.bincount(position, minlength=len(queries))).tolist()
     by_query: dict[int, RankedSet] = {}
-    n_unscored = 0
-    for q, ids in lists.items():
-        matrix = np.array([ppls[(q, e)] for e in ids], dtype=np.float64)  # an unscored class is NaN
-        # a pair gives a utility when every perplexity is positive (so none NaN) and one is finite
-        rankable = (matrix > 0).all(axis=1) & (matrix < np.inf).any(axis=1)
-        kept = [e for e, ok in zip(ids, rankable.tolist()) if ok]
-        n_unscored += len(ids) - len(kept)
-        if kept:
-            u = utility(matrix[rankable], int(graph.labels[q]))
-            scored = sorted(zip((-u).tolist(), kept))  # (-utility, id): best first, ties by id
-            by_query[q] = RankedSet(q, tuple(e for _, e in scored), tuple(-u for u, _ in scored))
-    return by_query, n_unscored
+    for q, lo, hi in zip(queries, [0] + bounds, bounds):
+        if hi > lo:
+            by_query[q] = RankedSet(q, tuple(ranked_ids[lo:hi]), tuple(ranked_u[lo:hi]))
+    return by_query, len(pairs) - int(rankable.sum())

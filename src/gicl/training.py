@@ -207,15 +207,14 @@ def collect_feedback_round(
     client=None,
 ) -> FeedbackSet:
     """Rank each query's top-K candidates under the frozen encoder ``params``
-    by scored utility, in one ``rank_candidates`` pass. Aborts when scored
-    coverage falls below ``COVERAGE_FLOOR`` (partial results stay cached)."""
+    by scored utility, in one ``retrieve_topk`` and one ``rank_candidates``
+    call. Aborts when scored coverage falls below ``COVERAGE_FLOOR``
+    (partial results stay cached)."""
     table = encode_all(graph, params, config.encoder_config(graph))
     index = build_index(table.vectors, split.labeled_ids)
-    candidates: dict[int, list[int]] = {}
-    for q in split.query_train_ids.tolist():
-        hits = retrieve_topk(index, table.vectors[q], config.k_feedback, query_id=q)
-        if hits:
-            candidates[q] = hits
+    queries = split.query_train_ids
+    hits = retrieve_topk(index, table.vectors[queries], config.k_feedback, query_ids=queries)
+    candidates = {q: ids for q, ids in zip(queries.tolist(), hits) if ids}
     by_query, n_unscored = rank_candidates(graph, candidates, spec, template, cache, client=client)
     n_scored = sum(len(r) for r in by_query.values())
 

@@ -153,7 +153,7 @@ def test_c3_retrieval_matches_sort_oracle():
         vecs = rng.standard_normal((50, 8))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         q = rng.standard_normal(8)
-        got = retrieve_topk(build_index(vecs, range(50)), q, 7)
+        got = retrieve_topk(build_index(vecs, range(50)), q[None, :], 7)[0]
         qu = q / np.linalg.norm(q)
         ranked = sorted(
             ((i, float(vecs[i] @ qu)) for i in range(50)), key=lambda t: (-t[1], t[0])
@@ -198,10 +198,10 @@ def oracle_utility(graph: TagGraph, unit_features: np.ndarray, q: int, e: int) -
 
 def mean_topk_utility(graph, split, vectors, k, unit_features) -> float:
     index = build_index(vectors, split.labeled_ids)
+    queries = split.query_train_ids
     values = []
-    for q in split.query_train_ids:
-        q = int(q)
-        for e in retrieve_topk(index, vectors[q], k, query_id=q):
+    for q, hits in zip(queries.tolist(), retrieve_topk(index, vectors[queries], k, query_ids=queries)):
+        for e in hits:
             values.append(oracle_utility(graph, unit_features, q, e))
     return float(np.mean(values))
 
@@ -233,7 +233,7 @@ def held_out_ratios(graph, split, retrievers, k, unit_features) -> dict[str, flo
         utilities = utility(ppls, gold)
         best.extend(np.sort(utilities)[-k:])
         for name, index in indexes.items():
-            hits = retrieve_topk(index, retrievers[name][q], k)
+            hits = retrieve_topk(index, retrievers[name][q][None, :], k)[0]
             got[name].extend(utilities[np.searchsorted(labeled, hits)])
     return {name: float(np.mean(values) / np.mean(best)) for name, values in got.items()}
 

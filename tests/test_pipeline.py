@@ -163,9 +163,10 @@ class TestStrategies:
                             seed=cfg.seed, single_thread=True)
         vectors = model.embeddings.vectors if strategy == "mv_askgnn" else g.features
         index = build_index(vectors, split.labeled_ids)
+        queries = [row.query_id for row in rows]
         split_votes = 0
-        for row in rows:
-            classes = g.labels[retrieve_topk(index, vectors[row.query_id], k, query_id=row.query_id)]
+        for row, hits in zip(rows, retrieve_topk(index, vectors[queries], k, query_ids=queries)):
+            classes = g.labels[hits]
             counts = np.bincount(classes)
             expected = next(int(c) for c in classes if counts[c] == counts.max())  # ties: best rank
             assert type(row.predicted) is int and row.predicted == expected
@@ -183,9 +184,9 @@ class TestStrategies:
                                k_icl=cfg.k_icl, seed=cfg.seed, single_thread=True)
         mv_acc = evaluate_accuracy(mv_rows)["accuracy"]
         hits = 0
-        for q in split.test_ids:
-            q = int(q)
-            ids = retrieve_topk(index, g.features[q], cfg.k_icl, query_id=q)
+        retrieved = retrieve_topk(index, g.features[split.test_ids], cfg.k_icl,
+                                  query_ids=split.test_ids)
+        for q, ids in zip(split.test_ids.tolist(), retrieved):
             if any(g.labels[e] == g.labels[q] for e in ids):
                 hits += 1
         assert mv_acc <= hits / len(split.test_ids)

@@ -13,13 +13,14 @@ from gicl.prompts import DEFAULT_TEMPLATE
 from gicl.scoring import (
     FeedbackCache,
     OracleClient,
+    RankedSet,
     ScorerError,
     ScorerSpec,
     key_prefix,
     make_client,
     oracle_help,
+    pair_keys,
     ppl,
-    prefixed_key,
     rank_candidates,
     synthetic_oracle_ppl,
     token_logprobs,
@@ -29,7 +30,7 @@ from gicl.retrieval import _normalize_rows
 
 
 def key_of(sid, th, graph_hash, q, e, c):
-    return prefixed_key(key_prefix(sid, th, graph_hash), q, e, c)
+    return pair_keys(key_prefix(sid, th, graph_hash), q, e, c + 1)[c]
 
 
 def put(cache, sid, th, graph_hash, q, e, ppl_by_class):
@@ -117,6 +118,32 @@ class TestUtility:
         with pytest.raises(ValueError, match="gold_class"):
             utility(np.ones((3, 2)), 2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 12), classes=st.integers(1, 7))
+    def test_a_gold_array_is_each_rows_scalar_call_bit_for_bit(self, data, rows, classes):
+        value = st.one_of(st.floats(1e-3, 1e6), st.just(math.inf))
+        ppls = np.array(data.draw(st.lists(st.lists(value, min_size=classes, max_size=classes),
+                                           min_size=rows, max_size=rows)), dtype=float)
+        ppls = ppls.reshape(rows, classes)
+        ppls[:, 0] = np.where(np.isinf(ppls).all(axis=1), 2.0, ppls[:, 0])  # one finite per row
+        gold = np.array(data.draw(st.lists(st.integers(0, classes - 1), min_size=rows,
+                                           max_size=rows)), dtype=np.int64)
+        got = utility(ppls, gold)
+        assert got.shape == (rows,)
+        assert got.tobytes() == np.array([utility(row, int(g)) for row, g in zip(ppls, gold)]).tobytes()
+
+    def test_a_gold_array_keeps_the_checks(self):
+        with pytest.raises(ValueError, match="gold_class 2 out of range"):
+            utility(np.ones((3, 2)), np.array([0, 2, 1]))
+        with pytest.raises(ValueError, match="gold_class -1 out of range"):
+            utility(np.ones((2, 2)), np.array([-1, 0]))
+        with pytest.raises(ValueError, match="2 gold classes"):
+            utility(np.ones((3, 2)), np.array([0, 1]))
+        with pytest.raises(ValueError, match="positive"):
+            utility(np.array([[1.0, 2.0], [1.0, 0.0]]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="infinite"):
+            utility(np.array([[1.0, 2.0], [np.inf, np.inf]]), np.array([1, 0]))
+
     def test_order_invariant_under_any_positive_scaling(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -182,15 +209,18 @@ class TestFeedbackCache:
     @given(st.text(max_size=20), st.text(max_size=20), st.text(max_size=20),
            st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 999))
     def test_a_prefixed_key_is_the_digest_of_the_whole_key(self, s, t, g, q, e, c):
-        whole = hashlib.sha256(f"{s}|{t}|{g}|{q}|{e}|{c}".encode("utf-8")).hexdigest()[:24]
+        whole = [hashlib.sha256(f"{s}|{t}|{g}|{q}|{e}|{i}".encode("utf-8")).hexdigest()[:24]
+                 for i in range(c + 1)]
         prefix = key_prefix(s, t, g)
-        assert prefixed_key(prefix, q, e, c) == whole
-        assert prefixed_key(prefix, q, e, c) == whole  # hashing a key leaves the prefix as it was
+        assert pair_keys(prefix, q, e, c + 1) == whole
+        assert pair_keys(prefix, q, e, c + 1) == whole  # hashing keys leaves the prefix as it was
 
     def test_keys_of_existing_caches_are_unchanged(self):
         prefix = key_prefix("b64369079ceb46c0", DEFAULT_TEMPLATE.template_hash, "0123456789abcdef")
-        key = prefixed_key(prefix, 12, 345, 4)
-        assert key == "a9ca7deefb3d04bb356fb755"
+        keys = pair_keys(prefix, 12, 345, 5)
+        assert keys[4] == "a9ca7deefb3d04bb356fb755"
+        whole = f"b64369079ceb46c0|{DEFAULT_TEMPLATE.template_hash}|0123456789abcdef|12|345|4"
+        assert keys[4] == hashlib.sha256(whole.encode("utf-8")).hexdigest()[:24]
 
     def test_persists_floats_exactly(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -528,7 +558,61 @@ class TestOracleClient:
         assert len(lps) == 1
 
 
+def per_query_reference(graph, candidates, ppls):
+    """Each query ranked alone from its pairs' perplexity vectors (None: not scored)."""
+    by_query, n_unscored = {}, 0
+    for q, ids in candidates.items():
+        matrix = np.array([[math.nan if v is None else v for v in ppls[(q, e)]] for e in ids])
+        rankable = (matrix > 0).all(axis=1) & (matrix < np.inf).any(axis=1)
+        kept = [e for e, ok in zip(ids, rankable.tolist()) if ok]
+        n_unscored += len(ids) - len(kept)
+        if kept:
+            u = utility(matrix[rankable], int(graph.labels[q]))
+            scored = sorted(zip((-u).tolist(), kept))
+            by_query[q] = RankedSet(q, tuple(e for _, e in scored), tuple(-u for u, _ in scored))
+    return by_query, n_unscored
+
+
+def bits(by_query):
+    return {q: (r.example_ids, tuple(float.hex(u) for u in r.utilities)) for q, r in by_query.items()}
+
+
 class TestRankCandidates:
+    GRAPH = synth_sbm(40, 4, 0.3, 0.05, 6, 0.5, seed=3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_the_whole_round_equals_each_query_ranked_alone(self, data):
+        # perplexities come from the cache, or stay unscored when the client fails;
+        # NaN, 0, inf and all-inf rows leave pairs unscored
+        g = self.GRAPH
+        spec = ScorerSpec(kind="oracle")
+        queries = data.draw(st.lists(st.integers(0, g.n_nodes - 1), min_size=1, max_size=6,
+                                     unique=True))
+        candidates = {q: data.draw(st.lists(st.integers(0, g.n_nodes - 1), min_size=1,
+                                            max_size=8, unique=True)) for q in queries}
+        value = st.one_of(st.floats(1.0, 1e6), st.sampled_from([math.nan, 0.0, math.inf, None]))
+        row = st.one_of(st.lists(value, min_size=g.n_classes, max_size=g.n_classes),
+                        st.just([math.inf] * g.n_classes), st.just([2.0] * g.n_classes))
+        ppls = {(q, e): data.draw(row) for q, ids in candidates.items() for e in ids}
+        cache = FeedbackCache()
+        for (q, e), vector in ppls.items():
+            put(cache, spec.scorer_id, DEFAULT_TEMPLATE.template_hash, g.content_hash, q, e,
+                {c: v for c, v in enumerate(vector) if v is not None})
+
+        class Fails(OracleClient):
+            def token_logprobs(self, prompt, continuation, meta=None):
+                super().token_logprobs(prompt, continuation, meta=meta)
+                raise ScorerError("injected")
+
+        client = Fails(g)
+        got = rank_candidates(g, candidates, spec, DEFAULT_TEMPLATE, cache, client=client)
+        want = per_query_reference(g, candidates, ppls)
+        assert got[1] == want[1]
+        assert list(got[0]) == list(want[0])
+        assert bits(got[0]) == bits(want[0])
+        assert client.calls == sum(v is None for vector in ppls.values() for v in vector)
+
     def test_single_candidate_ranks_alone(self, clean_sbm):
         cache = FeedbackCache()
         spec = ScorerSpec(kind="oracle")
@@ -541,14 +625,14 @@ class TestRankCandidates:
         import gicl.scoring as scoring_mod
 
         calls = []
-        monkeypatch.setattr(scoring_mod, "prefixed_key",
-                            lambda *a: calls.append(a) or prefixed_key(*a))
+        monkeypatch.setattr(scoring_mod, "pair_keys",
+                            lambda *a: calls.append(a) or pair_keys(*a))
         candidates = {0: [1, 2, 3], 5: [2, 7]}
         cache = FeedbackCache(tmp_path / "cache.jsonl")
         rank_candidates(noisy_sbm, candidates, ScorerSpec(kind="oracle"), DEFAULT_TEMPLATE, cache)
         cache.close()
-        assert len(calls) == 5 * noisy_sbm.n_classes  # one per (pair, class), none again in put
-        assert len(FeedbackCache(tmp_path / "cache.jsonl")) == len(calls)
+        assert len(calls) == 5  # one per pair, for all its classes; none again in put
+        assert len(FeedbackCache(tmp_path / "cache.jsonl")) == 5 * noisy_sbm.n_classes
 
     def test_same_label_candidates_outrank_different(self, clean_sbm):
         # zero noise: same-label examples strictly lower the gold-class ppl,

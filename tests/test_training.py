@@ -23,7 +23,7 @@ from gicl.scoring import (
     ScorerSpec,
     key_prefix,
     make_client,
-    prefixed_key,
+    pair_keys,
 )
 from gicl.training import (
     FeedbackSet,
@@ -336,7 +336,8 @@ class TestOnePassRound:
         prefix = key_prefix(ORACLE.scorer_id, DEFAULT_TEMPLATE.template_hash, clean_sbm.content_hash)
         for line in path.read_text().splitlines():
             record = json.loads(line)
-            assert full.get(prefixed_key(prefix, record["q"], record["e"], record["c"])) == record["ppl"]
+            key = pair_keys(prefix, record["q"], record["e"], clean_sbm.n_classes)[record["c"]]
+            assert full.get(key) == record["ppl"]
 
 
 class TestTapeGradients:
@@ -605,9 +606,9 @@ class TestTrain:
             cfg = self.small_cfg(epochs=50, tau=tau, beta=0.5)
             model = train(clean_sbm, clean_split, ORACLE, DEFAULT_TEMPLATE, cfg)
             index = build_index(model.embeddings.vectors, clean_split.labeled_ids)
-            for q in clean_split.query_train_ids:
-                q = int(q)
-                top = retrieve_topk(index, model.embeddings.vectors[q], 1, query_id=q)[0]
+            queries = clean_split.query_train_ids
+            tops = retrieve_topk(index, model.embeddings.vectors[queries], 1, query_ids=queries)
+            for q, (top,) in zip(queries.tolist(), tops):
                 assert clean_sbm.labels[top] == clean_sbm.labels[q], (tau, q)
 
     def test_config_validation(self):
