@@ -25,7 +25,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -230,33 +229,33 @@ def read_matrix(prefix: Path, expected_rows: int | None = None) -> np.ndarray:
     return raw.reshape(rows, cols)
 
 
+def _read_lines(path: Path) -> list[str]:
+    """The lines of a bundle text file, split only at "\\n" (not splitlines: U+2028)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read().split("\n")
+
+
 def _read_edges(path: Path, id_map: dict[int, int]) -> np.ndarray:
-    """The (src, dst) rows of edges.tsv as node indices; ``id_map`` maps the
-    nodes.jsonl ids to them. All cells are converted in one pass; a file that
-    fails is read again line by line, to name its first bad line."""
-    lines = path.read_text(encoding="utf-8").split("\n")
-    rows = list(filter(None, map(str.strip, lines)))
-    cells = "\t".join(rows).split("\t") if rows else []
-    try:
-        if len(cells) != 2 * len(rows) or not all(map(str.__contains__, rows, repeat("\t"))):
-            raise ValueError("a line is not two tab-separated cells")
-        return np.fromiter(map(id_map.__getitem__, map(int, cells)), dtype=np.int64,
-                           count=len(cells)).reshape(-1, 2)
-    except (ValueError, KeyError):
-        pass
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.strip().split("\t")
-        if parts == [""]:
+    """The (src, dst) rows of edges.tsv as node indices, in one pass over its
+    lines; ``id_map`` maps the nodes.jsonl ids to them."""
+    ends: list[int] = []
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line:
             continue
-        if len(parts) != 2:
-            raise BundleError(f"edges.tsv line {lineno}: expected two tab-separated ids")
         try:
-            unknown = [end for end in map(int, parts) if end not in id_map]
+            src, dst = line.split("\t")
+        except ValueError:
+            raise BundleError(f"edges.tsv line {lineno}: expected two tab-separated ids") from None
+        try:
+            src, dst = int(src), int(dst)
         except ValueError as exc:
             raise BundleError(f"edges.tsv line {lineno}: non-integer node id") from exc
-        if unknown:
-            raise BundleError(f"edges.tsv line {lineno}: unknown node id {unknown[0]}")
-    raise BundleError(f"{path}: no line is bad, yet the ids did not convert")
+        try:
+            ends += id_map[src], id_map[dst]
+        except KeyError as exc:
+            raise BundleError(f"edges.tsv line {lineno}: unknown node id {exc.args[0]}") from None
+    return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
 def load_bundle(path: str | Path, symmetrize: bool = True) -> TagGraph:
@@ -270,6 +269,9 @@ def load_bundle(path: str | Path, symmetrize: bool = True) -> TagGraph:
         vocab = json.load(fh)
     if not isinstance(vocab, list) or not all(isinstance(v, str) for v in vocab):
         raise BundleError(f"{root / 'labels.json'}: expected a JSON array of class strings")
+    blank = [i for i, name in enumerate(vocab) if not name.strip()]
+    if blank:  # every answer would contain a blank name, at position 0
+        raise BundleError(f"{root / 'labels.json'}: class {blank[0]} has a blank name")
     class_index = {name: i for i, name in enumerate(vocab)}
     if len(class_index) != len(vocab):
         twice = next(name for i, name in enumerate(vocab) if class_index[name] != i)
@@ -279,8 +281,7 @@ def load_bundle(path: str | Path, symmetrize: bool = True) -> TagGraph:
     texts: list[str] = []
     labels: list[int] = []
     id_map: dict[int, int] = {}
-    lines = (root / "nodes.jsonl").read_text(encoding="utf-8").split("\n")  # not splitlines: U+2028
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_lines(root / "nodes.jsonl"), start=1):
         line = line.strip()
         if not line:
             continue

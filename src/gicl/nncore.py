@@ -461,6 +461,8 @@ class ParamSet:
     def load(cls, path) -> "ParamSet":
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode("utf-8"))
+            if header.get("dtype") != "f32le":
+                raise ValueError(f"parameter file dtype {header.get('dtype')!r} is not 'f32le'")
             params = cls()
             for n in header["names"]:
                 rows, cols = header["shapes"][n]
@@ -468,6 +470,8 @@ class ParamSet:
                 if len(raw) != rows * cols * 4:
                     raise ValueError(f"parameter file truncated while reading {n!r}")
                 params.add(n, np.frombuffer(raw, dtype="<f4").reshape(rows, cols))
+            if fh.read(1):
+                raise ValueError("parameter file has bytes after its last tensor")
             params.step = int(header["step"])
         return params
 

@@ -23,7 +23,10 @@ from .graphstore import UNLABELED, TagGraph
 
 def examples_from_ids(graph: TagGraph, ids: Sequence[int]) -> list[tuple[int, int]]:
     """The labeled nodes ``ids`` as ICL examples, (node id, class shown) pairs in order,
-    each shown with its true class; an unlabeled one is refused."""
+    each shown with its true class; an unlabeled one, or an id outside the graph, is refused."""
+    outside = [i for i in ids if not 0 <= i < graph.n_nodes]
+    if outside:
+        raise ValueError(f"node {outside[0]} is out of range for {graph.n_nodes} nodes")
     labels = graph.labels[list(ids)].tolist()
     if UNLABELED in labels:
         raise ValueError(f"node {ids[labels.index(UNLABELED)]} has no label to use as an ICL example")

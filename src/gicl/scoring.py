@@ -699,6 +699,8 @@ def rank_candidates(
     for q, ids in lists.items():
         if not ids:
             raise ValueError("rank_candidates needs a non-empty candidate set")
+        if not 0 <= q < graph.n_nodes:
+            raise ValueError(f"query node {q} is out of range for {graph.n_nodes} nodes")
         if int(graph.labels[q]) == UNLABELED:
             raise ValueError(f"query node {q} has no gold label")
     distinct = sorted({e for ids in lists.values() for e in ids})

@@ -518,3 +518,21 @@ class TestTapeAndParamSet:
         (tmp_path / "short.bin").write_bytes(data[:-16])
         with pytest.raises(ValueError, match="truncated"):
             ParamSet.load(tmp_path / "short.bin")
+
+    def test_param_file_of_another_dtype_is_refused(self, tmp_path):
+        params = ParamSet()
+        params.add("w", np.ones((2, 2), np.float32))
+        params.save(tmp_path / "p.bin")
+        data = (tmp_path / "p.bin").read_bytes()
+        assert data.count(b'"dtype": "f32le"') == 1
+        (tmp_path / "f64.bin").write_bytes(data.replace(b'"f32le"', b'"f64le"'))
+        with pytest.raises(ValueError, match="dtype 'f64le' is not 'f32le'"):
+            ParamSet.load(tmp_path / "f64.bin")
+
+    def test_bytes_after_the_last_tensor_are_refused(self, tmp_path):
+        params = ParamSet()
+        params.add("w", np.ones((2, 2), np.float32))
+        params.save(tmp_path / "p.bin")
+        (tmp_path / "long.bin").write_bytes((tmp_path / "p.bin").read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="bytes after its last tensor"):
+            ParamSet.load(tmp_path / "long.bin")

@@ -191,6 +191,13 @@ class TestIclRequest:
         with pytest.raises(ValueError, match="^node 4 has no label"):
             examples_from_ids(g, [1, 4])
 
+    @pytest.mark.parametrize("outside", [-1, 5])
+    def test_examples_from_ids_refuses_an_id_outside_the_graph(self, outside):
+        # a negative id would count back from the last node, and n would be numpy's IndexError
+        g = tiny_graph(*self.GRAPH_ARGS)
+        with pytest.raises(ValueError, match=f"^node {outside} is out of range for 5 nodes"):
+            examples_from_ids(g, [1, outside])
+
 
 class TestTruncate:
     def test_short_text_unchanged(self):

@@ -724,6 +724,25 @@ class TestRankCandidates:
         assert client.calls == 0
         assert not path.exists()
 
+    @pytest.mark.parametrize("candidates, message", [
+        ({-1: [3, -2]}, "^query node -1 is out of range for 50 nodes"),
+        ({50: [3]}, "^query node 50 is out of range for 50 nodes"),
+        ({0: [3, -2]}, "^node -2 is out of range for 50 nodes"),
+        ({0: [3], 1: [50]}, "^node 50 is out of range for 50 nodes"),
+    ])
+    def test_ids_outside_the_graph_are_refused_before_any_call(self, candidates, message,
+                                                               tmp_path):
+        # a negative id would count back from the last node and be cached under its own key
+        g = synth_sbm(n_nodes=50, n_classes=2, p_in=0.2, p_out=0.02, d=4, noise=0.5, seed=3)
+        spec = ScorerSpec(kind="oracle")
+        client = make_client(spec, g)
+        path = tmp_path / "cache.jsonl"
+        with closing(FeedbackCache(path)) as cache:
+            with pytest.raises(ValueError, match=message):
+                rank_candidates(g, candidates, spec, DEFAULT_TEMPLATE, cache, client=client)
+        assert client.calls == 0
+        assert not path.exists()
+
     def test_empty_candidates_rejected(self, clean_sbm):
         with pytest.raises(ValueError, match="non-empty"):
             rank_candidates(clean_sbm, {0: []}, ScorerSpec(kind="oracle"), DEFAULT_TEMPLATE, FeedbackCache())
