@@ -55,16 +55,15 @@ class EmbeddingTable:
 def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> ParamSet:
     """Glorot-uniform weights, zero biases; deterministic for a given seed."""
     rng = np.random.default_rng(seed)
-    params = ParamSet(dtype=dtype)
-    for i, (d_in, d_out) in enumerate(((config.input_dim, config.hidden_dim),
-                                       (config.hidden_dim, config.hidden_dim)), start=1):
+
+    def glorot(d_in: int, d_out: int) -> np.ndarray:
         a = np.sqrt(6.0 / (d_in + d_out))
-        params.add(f"mlp.w{i}", rng.uniform(-a, a, size=(d_in, d_out)))
-        params.add(f"mlp.b{i}", np.zeros((1, d_out)))
-    a = np.sqrt(6.0 / (config.hidden_dim + config.n_classes))
-    params.add("head.w", rng.uniform(-a, a, size=(config.hidden_dim, config.n_classes)))
-    params.add("head.b", np.zeros((1, config.n_classes)))
-    return params
+        return rng.uniform(-a, a, size=(d_in, d_out))
+
+    h, c = config.hidden_dim, config.n_classes
+    return ParamSet({"mlp.w1": glorot(config.input_dim, h), "mlp.b1": np.zeros((1, h)),
+                     "mlp.w2": glorot(h, h), "mlp.b2": np.zeros((1, h)),
+                     "head.w": glorot(h, c), "head.b": np.zeros((1, c))}, dtype=dtype)
 
 
 def propagate(graph: TagGraph, hops: int) -> np.ndarray:

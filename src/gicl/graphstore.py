@@ -214,7 +214,10 @@ def read_matrix(prefix: Path, expected_rows: int | None = None) -> np.ndarray:
     header_path, bin_path = prefix.with_suffix(".json"), prefix.with_suffix(".bin")
     with open(header_path, encoding="utf-8") as fh:
         header = json.load(fh)
-    rows, cols = int(header["rows"]), int(header["cols"])
+    rows, cols = (header.get(key) if isinstance(header, dict) else None for key in ("rows", "cols"))
+    for key, value in (("rows", rows), ("cols", cols)):
+        if type(value) is not int or value < 0:  # type(), as a bool is an int too
+            raise BundleError(f"{header_path}: {key} must be a non-negative integer, got {value!r}")
     if header.get("dtype") != "f32le" or header.get("layout") != "row-major":
         raise BundleError(f"{header_path}: only f32le row-major features are supported")
     if expected_rows is not None and rows != expected_rows:
@@ -337,6 +340,9 @@ def write_bundle(graph: TagGraph, path: str | Path) -> None:
     For undirected graphs each edge is stored once (low id first), so
     load_bundle(write_bundle(g)) reproduces g exactly. An existing
     splits.json is removed first: its ids named the old graph's nodes.
+    features.json is removed before the first file is replaced and written
+    last, so a rewrite cut short leaves a directory that load_bundle
+    refuses as incomplete, never a mix of two graphs' files.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -345,14 +351,16 @@ def write_bundle(graph: TagGraph, path: str | Path) -> None:
         for i in range(graph.n_nodes):
             label = None if graph.labels[i] == UNLABELED else graph.label_vocab[graph.labels[i]]
             fh.write(json.dumps({"id": i, "text": graph.texts[i], "label": label}) + "\n")
+        # here, not first: a rewrite whose first write fails leaves the old bundle whole
+        (root / "features.json").unlink(missing_ok=True)
     src = np.repeat(np.arange(graph.n_nodes), np.diff(graph.csr_offsets))
     keep = slice(None) if graph.directed else src < graph.csr_targets
     with atomic_write(root / "edges.tsv", "w", encoding="utf-8") as fh:
         fh.write("".join(f"{s}\t{d}\n" for s, d in zip(src[keep].tolist(),
                                                       graph.csr_targets[keep].tolist())))
-    write_matrix(root / "features", graph.features)
     with atomic_write(root / "labels.json", "w", encoding="utf-8") as fh:
         json.dump(list(graph.label_vocab), fh)
+    write_matrix(root / "features", graph.features)  # features.bin, then features.json
 
 
 def load_split_file(path: str | Path) -> np.ndarray | None:

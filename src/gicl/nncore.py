@@ -33,16 +33,15 @@ Array = np.ndarray
 class Tensor2:
     """A 2-D value node. Leaf tensors hold parameters or constants."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data: Array, name: str = ""):
+    def __init__(self, data: Array):
         if data.ndim != 2:
             raise ValueError(f"Tensor2 requires 2-D data, got shape {data.shape}")
         self.data = data
         self.grad: Array | None = None
         self._parents: tuple[Tensor2, ...] = ()
         self._backward: Callable[[Array], None] | None = None
-        self.name = name
 
     @property
     def rows(self) -> int:
@@ -62,8 +61,7 @@ class Tensor2:
         return float(self.data[0, 0])
 
     def __repr__(self) -> str:
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor2{tag}(shape={self.shape}, dtype={self.data.dtype})"
+        return f"Tensor2(shape={self.shape}, dtype={self.data.dtype})"
 
 
 class Tape:
@@ -412,28 +410,19 @@ def combine_scalars(tape: Tape, a: Tensor2, b: Tensor2, wa: float, wb: float) ->
 
 
 class ParamSet:
-    """Named trainable tensors in one flat buffer, with Adam's moments as one
-    array each: every tensor's data is a view of ``flat``."""
+    """Named trainable tensors in one flat buffer, laid out in name order when
+    the set is built, with Adam's moments as one array each: every tensor's
+    data is a view of ``flat``."""
 
-    def __init__(self, dtype=np.float32):
+    def __init__(self, arrays: dict[str, Array], dtype=np.float32, step: int = 0):
         self.dtype = np.dtype(dtype)
-        self.tensors: dict[str, Tensor2] = {}
-        self.flat = self.m = self.v = np.zeros(0, self.dtype)  # add gives each its own array
-        self.step = 0
-
-    def add(self, name: str, values: Array) -> Tensor2:
-        """Append a tensor; the buffer is reallocated and every view rebound."""
-        if name in self.tensors:
-            raise ValueError(f"parameter {name!r} already exists")
-        t = Tensor2(np.array(values, dtype=self.dtype), name=name)
-        self.flat = np.concatenate([self.flat, t.data.reshape(-1)])
-        self.m, self.v = (np.concatenate([a, np.zeros(t.data.size, self.dtype)]) for a in (self.m, self.v))
-        self.tensors[name] = t
-        start = 0
-        for p in self.tensors.values():
-            p.data = self.flat[start:start + p.data.size].reshape(p.data.shape)
-            start += p.data.size
-        return t
+        values = [np.asarray(a, dtype=self.dtype) for a in arrays.values()]
+        self.flat = np.concatenate([np.zeros(0, self.dtype)] + [a.reshape(-1) for a in values])
+        self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+        self.step = step
+        views = np.split(self.flat, np.cumsum([a.size for a in values[:-1]], dtype=np.int64))
+        self.tensors = {name: Tensor2(view.reshape(a.shape))
+                        for name, view, a in zip(arrays, views, values)}
 
     def __getitem__(self, name: str) -> Tensor2:
         return self.tensors[name]
@@ -461,19 +450,20 @@ class ParamSet:
     def load(cls, path) -> "ParamSet":
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode("utf-8"))
-            if header.get("dtype") != "f32le":
-                raise ValueError(f"parameter file dtype {header.get('dtype')!r} is not 'f32le'")
-            params = cls()
-            for n in header["names"]:
-                rows, cols = header["shapes"][n]
-                raw = fh.read(rows * cols * 4)
-                if len(raw) != rows * cols * 4:
-                    raise ValueError(f"parameter file truncated while reading {n!r}")
-                params.add(n, np.frombuffer(raw, dtype="<f4").reshape(rows, cols))
-            if fh.read(1):
-                raise ValueError("parameter file has bytes after its last tensor")
-            params.step = int(header["step"])
-        return params
+            payload = fh.read()
+        if header.get("dtype") != "f32le":
+            raise ValueError(f"parameter file dtype {header.get('dtype')!r} is not 'f32le'")
+        names, shapes = header["names"], header["shapes"]
+        twice = [n for i, n in enumerate(names) if n in names[:i]]
+        if twice:
+            raise ValueError(f"parameter file lists {twice[0]!r} twice")
+        sizes = [rows * cols for rows, cols in (shapes[n] for n in names)]
+        if len(payload) != 4 * sum(sizes):
+            raise ValueError(f"parameter file truncated: {len(payload)} of {4 * sum(sizes)} payload bytes"
+                             if len(payload) < 4 * sum(sizes)
+                             else "parameter file has bytes after its last tensor")
+        parts = np.split(np.frombuffer(payload, dtype="<f4"), np.cumsum(sizes[:-1], dtype=np.int64))
+        return cls({n: p.reshape(shapes[n]) for n, p in zip(names, parts)}, step=int(header["step"]))
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor

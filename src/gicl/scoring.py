@@ -88,6 +88,13 @@ class ScorerSpec:
                 url.port  # urlsplit checks the port only when it is read
             except ValueError:
                 raise ValueError(f"http scorer endpoint has a bad port: {self.endpoint!r}") from None
+            # a request carries the host, port and path alone; the URL may hold a password, so
+            # the error does not echo it
+            parts = {"user name": url.username, "password": url.password, "query": url.query,
+                     "fragment": url.fragment}
+            for part, value in parts.items():
+                if value:
+                    raise ValueError(f"http scorer endpoint has a {part}, which no request would carry")
         if self.retries < 0:
             raise ValueError(f"scorer retries must be >= 0, got {self.retries}")
         if not (math.isfinite(self.backoff) and self.backoff >= 0):
@@ -105,9 +112,9 @@ class ScorerSpec:
 
 @dataclass(frozen=True)
 class RankedSet:
-    """One query's candidates ordered by descending utility (ties by id)."""
+    """One query's candidates ordered by descending utility (ties by id);
+    the query is its key in ``FeedbackSet.by_query``."""
 
-    query_id: int
     example_ids: tuple[int, ...]
     utilities: tuple[float, ...]
 
@@ -117,6 +124,24 @@ class RankedSet:
 
     def __len__(self) -> int:
         return len(self.example_ids)
+
+
+@dataclass(frozen=True)
+class FeedbackSet:
+    """One feedback round: each query's ranked candidates, and the number of
+    candidate pairs that gave no utility."""
+
+    by_query: dict[int, RankedSet]
+    n_unscored: int
+
+    @property
+    def n_scored(self) -> int:
+        return sum(map(len, self.by_query.values()))
+
+    @property
+    def coverage(self) -> float:
+        total = self.n_scored + self.n_unscored
+        return self.n_scored / total if total else 0.0
 
 
 def ppl(logprobs: Sequence[float]) -> float:
@@ -251,8 +276,12 @@ class FeedbackCache:
                     records = json.loads("[" + ",".join(lines) + "]")
                     if len(records) != len(lines):
                         raise ValueError(f"{self.path}: a line does not hold one record")
-                    self._data.update(zip(map(itemgetter("k"), records),
-                                          map(float, map(itemgetter("ppl"), records))))
+                    try:  # one check per record would cost as much as the parse
+                        self._data.update(zip(map(itemgetter("k"), records),
+                                              map(float, map(itemgetter("ppl"), records))))
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise ValueError(f'{self.path}: a line is not a record with "k" and a '
+                                         f'numeric "ppl" ({type(exc).__name__}: {exc})') from exc
 
     def __len__(self) -> int:
         return len(self._data)
@@ -680,7 +709,7 @@ def rank_candidates(
     template: PromptTemplate,
     cache: FeedbackCache,
     client=None,
-) -> tuple[dict[int, RankedSet], int]:
+) -> FeedbackSet:
     """Score every (query, candidate) pair of a round and rank each query's
     candidates by utility.
 
@@ -690,8 +719,8 @@ def rank_candidates(
     perplexities are cached together as soon as the pair is scored. A
     candidate with any unscorable class, or whose perplexities give no utility
     (all infinite, or a NaN from an older cache), is left out of its query's
-    ranking and counted in the returned number of unscored pairs; a query
-    left with no scored candidate is left out. The round is ranked at once:
+    ranking and counted in the round's ``n_unscored``; a query left with no
+    scored candidate is left out. The round is ranked at once:
     one (pairs, classes) perplexity matrix, one ``utility`` call and one sort
     by (query, -utility, id).
     """
@@ -752,8 +781,6 @@ def rank_candidates(
     order = np.lexsort((ids, -u, position))  # by query, best first, ties by id
     ranked_ids, ranked_u = ids[order].tolist(), u[order].tolist()
     bounds = np.cumsum(np.bincount(position, minlength=len(queries))).tolist()
-    by_query: dict[int, RankedSet] = {}
-    for q, lo, hi in zip(queries, [0] + bounds, bounds):
-        if hi > lo:
-            by_query[q] = RankedSet(q, tuple(ranked_ids[lo:hi]), tuple(ranked_u[lo:hi]))
-    return by_query, len(pairs) - int(rankable.sum())
+    by_query = {q: RankedSet(tuple(ranked_ids[lo:hi]), tuple(ranked_u[lo:hi]))
+                for q, lo, hi in zip(queries, [0] + bounds, bounds) if hi > lo}
+    return FeedbackSet(by_query, len(pairs) - int(rankable.sum()))

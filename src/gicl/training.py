@@ -38,7 +38,7 @@ from .graphstore import SplitSpec, TagGraph, atomic_write, check_field_types
 from .nncore import ParamSet, Tape, Tensor2
 from .prompts import PromptTemplate
 from .retrieval import build_index, retrieve_topk
-from .scoring import FeedbackCache, RankedSet, ScorerSpec, rank_candidates
+from .scoring import FeedbackCache, FeedbackSet, ScorerSpec, rank_candidates
 
 
 @dataclass(frozen=True)
@@ -82,20 +82,6 @@ class TrainConfig:
             hidden_dim=self.hidden_dim,
             dropout=self.dropout,
         )
-
-
-@dataclass
-class FeedbackSet:
-    """Per-query ranked candidates collected in one feedback round."""
-
-    by_query: dict[int, RankedSet]
-    n_scored: int
-    n_unscored: int
-
-    @property
-    def coverage(self) -> float:
-        total = self.n_scored + self.n_unscored
-        return self.n_scored / total if total else 0.0
 
 
 @dataclass
@@ -211,16 +197,14 @@ def collect_feedback_round(
     call. Aborts when scored coverage falls below ``COVERAGE_FLOOR``
     (partial results stay cached)."""
     table = encode_all(graph, params, config.encoder_config(graph))
-    index = build_index(table.vectors, split.labeled_ids)
     queries = split.query_train_ids
-    hits = retrieve_topk(index, table.vectors[queries], config.k_feedback, query_ids=queries)
-    candidates = {q: ids for q, ids in zip(queries.tolist(), hits) if ids}
-    by_query, n_unscored = rank_candidates(graph, candidates, spec, template, cache, client=client)
-    n_scored = sum(len(r) for r in by_query.values())
-
-    feedback = FeedbackSet(by_query=by_query, n_scored=n_scored, n_unscored=n_unscored)
+    hits = retrieve_topk(build_index(table.vectors, split.labeled_ids), table.vectors[queries],
+                         config.k_feedback, query_ids=queries)
+    feedback = rank_candidates(graph, {q: ids for q, ids in zip(queries.tolist(), hits) if ids},
+                               spec, template, cache, client=client)
     if feedback.coverage < COVERAGE_FLOOR:
-        raise ScorerCoverageError(f"only {n_scored}/{n_scored + n_unscored} candidate pairs scored, "
+        total = feedback.n_scored + feedback.n_unscored
+        raise ScorerCoverageError(f"only {feedback.n_scored}/{total} candidate pairs scored, "
                                   f"below the {COVERAGE_FLOOR:.0%} floor")
     return feedback
 

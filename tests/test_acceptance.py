@@ -118,13 +118,11 @@ def test_c2_closed_form_unit_values():
         if abs(got - 1.0 / c) > 1e-12:
             failures.append(f"uniform utility C={c}: {got!r}")
 
-    from gicl.scoring import RankedSet
-    from gicl.training import FeedbackSet
+    from gicl.scoring import FeedbackSet, RankedSet
 
     emb = Tensor2(np.array([[1.0, 0.0], [0.0, 1.0]]))
     singleton = FeedbackSet(
-        by_query={0: RankedSet(query_id=0, example_ids=(1,), utilities=(0.9,))},
-        n_scored=1, n_unscored=0,
+        by_query={0: RankedSet(example_ids=(1,), utilities=(0.9,))}, n_unscored=0,
     )
     cfg = TrainConfig(k_feedback=3, epochs=1, hidden_dim=4, n_layers=1)
     got = feedback_loss(Tape(), emb, feedback_lists(singleton, np.arange(2)), cfg.tau).item()
@@ -509,10 +507,10 @@ def test_c9_http_scorer_conformance(clean_sbm):
         spec = ScorerSpec(kind="http", endpoint=server.endpoint, model="m",
                           retries=2, backoff=0.0, max_parallel=1)
         client = make_client(spec)
-        by_query, n_unscored = rank_candidates(clean_sbm, {0: [1, 2, bad]}, spec, DEFAULT_TEMPLATE,
-                                               FeedbackCache(), client=client)
+        feedback = rank_candidates(clean_sbm, {0: [1, 2, bad]}, spec, DEFAULT_TEMPLATE,
+                                   FeedbackCache(), client=client)
         bad_requests = sum(1 for r in server.requests if bad_text in r["prompt"])
-    survived = n_unscored == 1 and set(by_query[0].example_ids) == {1, 2}
+    survived = feedback.n_unscored == 1 and set(feedback.by_query[0].example_ids) == {1, 2}
     retried = bad_requests == (spec.retries + 1) * clean_sbm.n_classes
     check(
         "C9 http-conformance",

@@ -347,13 +347,14 @@ def write_legacy_model_dir(bundle, out):
     a training log and a version-0.1.0 manifest. The values are seeded draws, so the
     directory does not depend on how this version trains."""
     rng = np.random.default_rng(21)
-    params = ParamSet()
+    arrays = {}
     for i, d_in in enumerate((8, 16)):
-        params.add(f"layer{i}.w_self", rng.uniform(-0.4, 0.4, (d_in, 16)))
-        params.add(f"layer{i}.w_neigh", rng.uniform(-0.4, 0.4, (d_in, 16)))
-        params.add(f"layer{i}.b", np.zeros((1, 16)))
-    params.add("head.w", rng.uniform(-0.5, 0.5, (16, 3)))
-    params.add("head.b", np.zeros((1, 3)))
+        arrays[f"layer{i}.w_self"] = rng.uniform(-0.4, 0.4, (d_in, 16))
+        arrays[f"layer{i}.w_neigh"] = rng.uniform(-0.4, 0.4, (d_in, 16))
+        arrays[f"layer{i}.b"] = np.zeros((1, 16))
+    arrays["head.w"] = rng.uniform(-0.5, 0.5, (16, 3))
+    arrays["head.b"] = np.zeros((1, 3))
+    params = ParamSet(arrays)
     vectors = rng.standard_normal((150, 16))
     out.mkdir()
     params.save(out / "params.bin")

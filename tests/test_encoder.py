@@ -165,10 +165,8 @@ class TestEncodeAll:
     def test_graphsage_parameters_are_refused_by_name(self, noisy_sbm):
         # a model directory written by gicl 0.1 holds per-layer GraphSAGE weights
         cfg = EncoderConfig(input_dim=8, n_classes=3, n_layers=2, hidden_dim=4, dropout=0.5)
-        legacy = ParamSet()
-        for name, shape in (("layer0.w_self", (8, 4)), ("layer0.b", (1, 4)), ("head.w", (4, 3)),
-                            ("head.b", (1, 3))):
-            legacy.add(name, np.ones(shape))
+        legacy = ParamSet({name: np.ones(shape) for name, shape in (
+            ("layer0.w_self", (8, 4)), ("layer0.b", (1, 4)), ("head.w", (4, 3)), ("head.b", (1, 3)))})
         with pytest.raises(ValueError, match="no mlp.w1, mlp.b1, mlp.w2, mlp.b2.*GraphSAGE"):
             encode_all(noisy_sbm, legacy, cfg)
 
@@ -407,7 +405,7 @@ class TestClassifyLogits:
         from gicl.nncore import ParamSet
 
         with pytest.raises(ValueError, match="head"):
-            classify_logits(EmbeddingTable(vectors=np.zeros((2, 2), np.float32)), ParamSet())
+            classify_logits(EmbeddingTable(vectors=np.zeros((2, 2), np.float32)), ParamSet({}))
 
 
 def test_embedding_table_export_roundtrip(tmp_path, noisy_sbm):

@@ -269,6 +269,21 @@ def small_graphs(draw):
     )
 
 
+@pytest.mark.parametrize("dims, bad", [
+    ({"rows": 2.5, "cols": 2}, "rows must be a non-negative integer, got 2.5"),
+    ({"rows": "2", "cols": 2}, "rows must be a non-negative integer, got '2'"),
+    ({"rows": True, "cols": 4}, "rows must be a non-negative integer, got True"),
+    ({"rows": -1, "cols": -16}, "rows must be a non-negative integer, got -1"),
+    ({"rows": 4, "cols": -1}, "cols must be a non-negative integer, got -1"),
+    ({"cols": 2}, "rows must be a non-negative integer, got None"),
+])
+def test_matrix_header_dims_must_be_non_negative_integers(tmp_path, dims, bad):
+    np.ones(4, "<f4").tofile(tmp_path / "m.bin")
+    (tmp_path / "m.json").write_text(json.dumps({**dims, "dtype": "f32le", "layout": "row-major"}))
+    with pytest.raises(BundleError, match=re.escape(f"{tmp_path / 'm.json'}: {bad}")):
+        graphstore.read_matrix(tmp_path / "m")
+
+
 class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(graph=small_graphs())
@@ -295,6 +310,27 @@ class TestRoundTrip:
         assert back.texts == noisy_sbm.texts
         assert np.array_equal(back.labels, noisy_sbm.labels)
         assert back.label_vocab == noisy_sbm.label_vocab
+
+    @pytest.mark.parametrize("cut_at", ["edges.tsv", "labels.json", "features.bin", "features.json"])
+    def test_a_rewrite_cut_short_is_refused_not_loaded_as_a_mix(self, cut_at, tmp_path, monkeypatch):
+        old, new = (synth_sbm(n_nodes=200, n_classes=4, p_in=0.05, p_out=0.005, d=8, noise=0.5,
+                              seed=seed) for seed in (1, 2))
+        write_bundle(old, tmp_path)
+        atomic_write = graphstore.atomic_write
+
+        def cut(path, *args, **kwargs):
+            if path.name == cut_at:
+                raise RuntimeError("cut short")
+            return atomic_write(path, *args, **kwargs)
+
+        monkeypatch.setattr(graphstore, "atomic_write", cut)
+        with pytest.raises(RuntimeError, match="cut short"):
+            write_bundle(new, tmp_path)
+        monkeypatch.undo()
+        with pytest.raises(BundleError, match=r"features\.json: required bundle file is missing"):
+            load_bundle(tmp_path)
+        write_bundle(new, tmp_path)  # the rerun
+        assert load_bundle(tmp_path).content_hash == new.content_hash
 
     def test_directed_round_trip(self, tmp_path, tiny_bundle):
         g = load_bundle(tiny_bundle, symmetrize=False)
@@ -646,9 +682,7 @@ class TestAtomicWrites:
         from gicl.training import TrainedModel
 
         def params(value):
-            p = ParamSet()
-            p.add("w", np.full((3, 4), value))
-            return p
+            return ParamSet({"w": np.full((3, 4), value)})
 
         def model(value):
             log = [{"epoch": e, "round": 0, "loss_total": value, "loss_feedback": value,

@@ -259,10 +259,10 @@ class TestTokenLogprobs:
         with StubScorerServer(respond=positive) as server:
             spec = spec_for(server, retries=2)
             client = HttpClient(spec)
-            by_query, n_unscored = rank_candidates(clean_sbm, {0: [1, 2]}, spec, DEFAULT_TEMPLATE,
-                                                   cache, client=client)
+            feedback = rank_candidates(clean_sbm, {0: [1, 2]}, spec, DEFAULT_TEMPLATE,
+                                       cache, client=client)
             assert len(server.requests) == client.attempts == 2 * clean_sbm.n_classes
-        assert by_query == {} and n_unscored == 2
+        assert feedback.by_query == {} and feedback.n_unscored == 2
         assert len(cache) == 0
 
     @pytest.mark.parametrize("logprob", [-math.inf, -3, -0.25, 0])
@@ -359,6 +359,19 @@ class TestSpecValidation:
     def test_endpoint_without_host_or_with_bad_port_rejected(self, endpoint, message):
         with pytest.raises(ValueError, match=message):
             ScorerSpec(kind="http", endpoint=endpoint)
+
+    @pytest.mark.parametrize("endpoint, part", [
+        ("http://user@127.0.0.1:9/api", "user name"),
+        ("http://:pw@127.0.0.1:9/api", "password"),
+        ("http://127.0.0.1:9/api?api-version=2024-01", "query"),
+        ("http://127.0.0.1:9/api#frag", "fragment"),
+        ("http://user:pw@127.0.0.1:9/api?api-version=2024-01#frag", "user name"),
+    ])
+    def test_endpoint_parts_no_request_carries_are_refused_by_name(self, endpoint, part):
+        # the client sends POST {path}/v1/completions with Host: host[:port] and nothing else
+        with pytest.raises(ValueError, match=f"^http scorer endpoint has a {part}, ") as caught:
+            ScorerSpec(kind="http", endpoint=endpoint)
+        assert "pw" not in str(caught.value)
 
     @pytest.mark.parametrize("field, value, message", [
         ("retries", -1, "retries must be >= 0"),
@@ -683,12 +696,12 @@ class TestCollectionWithFaults:
         with StubScorerServer(fail_when=fail_for_bad) as server:
             spec = spec_for(server, retries=1)
             client = make_client(spec)
-            by_query, n_unscored = rank_candidates(
+            feedback = rank_candidates(
                 clean_sbm, {0: [1, 2, bad]}, spec, DEFAULT_TEMPLATE, FeedbackCache(), client=client
             )
-        assert n_unscored == 1  # the bad candidate
-        assert set(by_query[0].example_ids) == {1, 2}
-        assert len(by_query[0].utilities) == 2
+        assert feedback.n_unscored == 1  # the bad candidate
+        assert set(feedback.by_query[0].example_ids) == {1, 2}
+        assert len(feedback.by_query[0].utilities) == 2
 
     def test_parallel_collection_matches_serial(self, clean_sbm):
         cands = [1, 2, 3, 4, 5]

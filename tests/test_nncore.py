@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,9 +246,8 @@ class TestBackward:
             backward(tape, stray)
 
     def test_params_get_zero_grads_when_unused(self):
-        params = ParamSet(dtype=np.float64)
-        used = params.add("used", np.ones((1, 2)))
-        params.add("unused", np.ones((2, 2)))
+        params = ParamSet({"used": np.ones((1, 2)), "unused": np.ones((2, 2))}, dtype=np.float64)
+        used = params["used"]
         tape = Tape()
         loss = nncore.sum_all(tape, nncore.scale(tape, used, 3.0))
         grads = backward(tape, loss, params)
@@ -301,14 +302,11 @@ def _loss_builders():
 def test_gradcheck_each_primitive(which):
     """Reverse-mode gradients match central finite differences (<= 1e-4)."""
     rng = np.random.default_rng(abs(hash(which)) % 2**31)
-    params = ParamSet(dtype=np.float64)
     # keep entries away from the ReLU kink so the differences are smooth
     x = rng.standard_normal((5, 4))
     x += np.sign(x) * 0.05
-    params.add("x", x)
-    params.add("w", rng.standard_normal((4, 4)))
-    params.add("b", rng.standard_normal((1, 4)))
-    params.add("y", rng.standard_normal((5, 4)))
+    params = ParamSet({"x": x, "w": rng.standard_normal((4, 4)), "b": rng.standard_normal((1, 4)),
+                       "y": rng.standard_normal((5, 4))}, dtype=np.float64)
     build = _loss_builders()[which]
 
     numeric = finite_difference_grads(lambda: build(Tape(), params).item(), params)
@@ -370,15 +368,13 @@ class TestGramPairs:
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = ParamSet()
-        params.add("w", np.ones((2, 2)))
+        params = ParamSet({"w": np.ones((2, 2))})
         before = params["w"].data.copy()
         adam_step(params, {"w": np.zeros((2, 2))}, lr=0.1)
         assert np.array_equal(params["w"].data, before)
 
     def test_first_step_is_signed_lr(self):
-        params = ParamSet(dtype=np.float64)
-        params.add("w", np.zeros((1, 3)))
+        params = ParamSet({"w": np.zeros((1, 3))}, dtype=np.float64)
         g = np.array([[0.5, -2.0, 1e-3]])
         adam_step(params, {"w": g}, lr=0.1)
         np.testing.assert_allclose(params["w"].data, -0.1 * np.sign(g), rtol=1e-4)
@@ -386,8 +382,7 @@ class TestAdam:
     def test_quadratic_converges_and_matches_scalar_recurrence(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         w_ref, m, v = 1.0, 0.0, 0.0
-        params = ParamSet(dtype=np.float64)
-        params.add("w", np.array([[1.0]]))
+        params = ParamSet({"w": np.array([[1.0]])}, dtype=np.float64)
         for t in range(1, 101):
             g = 2 * w_ref
             m = b1 * m + (1 - b1) * g
@@ -398,8 +393,7 @@ class TestAdam:
         assert abs(params["w"].data[0, 0]) < 0.1
 
     def test_shape_mismatch(self):
-        params = ParamSet()
-        params.add("w", np.ones((2, 2)))
+        params = ParamSet({"w": np.ones((2, 2))})
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros((1, 2))})
 
@@ -408,9 +402,7 @@ class TestAdam:
         {"a": np.ones((1, 2))},  # b has no gradient
     ])
     def test_a_refused_step_moves_no_state(self, grads):
-        params = ParamSet()
-        params.add("a", np.ones((1, 2)))
-        params.add("b", np.ones((2, 1)))
+        params = ParamSet({"a": np.ones((1, 2)), "b": np.ones((2, 1))})
         adam_step(params, {"a": np.full((1, 2), 0.5), "b": np.full((2, 1), -0.5)})
         before = (params.step, params.flat.tobytes(), params.m.tobytes(), params.v.tobytes())
         with pytest.raises(ValueError, match="'b'"):
@@ -422,11 +414,10 @@ class TestAdam:
     def test_fifty_steps_are_the_per_tensor_textbook_update_bit_for_bit(self, dtype):
         rng = np.random.default_rng(3)
         shapes = {"w1": (4, 3), "b1": (1, 3), "still": (2, 2), "head": (3, 1)}
-        params = ParamSet(dtype=dtype)
-        ref = {}
-        for name, shape in shapes.items():
-            params.add(name, rng.standard_normal(shape))
-            ref[name] = [params[name].data.copy(), np.zeros(shape, dtype), np.zeros(shape, dtype)]
+        params = ParamSet({name: rng.standard_normal(shape) for name, shape in shapes.items()},
+                          dtype=dtype)
+        ref = {name: [params[name].data.copy(), np.zeros(shape, dtype), np.zeros(shape, dtype)]
+               for name, shape in shapes.items()}
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         for t in range(1, 51):
             grads = {name: (rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 2)).astype(dtype)
@@ -443,6 +434,53 @@ class TestAdam:
             assert params[name].data.tobytes() == p.tobytes(), name
         assert params["still"].data.tobytes() == ref["still"][0].tobytes()
         assert params.step == 50
+
+
+@st.composite
+def named_arrays(draw):
+    """Up to six uniquely named 2-D arrays of drawn shapes (empty ones too), in drawn order."""
+    names = draw(st.lists(st.text("abw.0123", min_size=1, max_size=5), unique=True, max_size=6))
+    return {name: draw(arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                              elements=st.floats(-1e3, 1e3)))
+            for name in names}
+
+
+@settings(max_examples=80, deadline=None)
+@given(named=named_arrays(), dtype=st.sampled_from([np.float32, np.float64]),
+       step=st.integers(0, 10**6))
+def test_paramset_lays_its_arrays_out_in_name_order(named, dtype, step):
+    params = ParamSet(named, dtype=dtype, step=step)
+    assert params.names() == list(named)
+    assert params.flat.dtype == params.m.dtype == params.v.dtype == dtype
+    assert params.m.shape == params.v.shape == params.flat.shape
+    bounds = np.cumsum([0] + [a.size for a in named.values()]).tolist()
+
+    def assert_views():
+        for (name, a), lo, hi in zip(named.items(), bounds, bounds[1:]):
+            data = params[name].data
+            assert data.shape == a.shape and data.dtype == dtype
+            assert data.tobytes() == params.flat[lo:hi].tobytes(), name
+            assert a.size == 0 or np.shares_memory(data, params.flat[lo:hi]), name
+
+    assert_views()
+    assert params.flat.tobytes() == b"".join(a.astype(dtype).tobytes() for a in named.values())
+
+    # the update moves every entry in place, and each tensor's view with it
+    flat, before = params.flat, params.flat.copy()
+    adam_step(params, {name: np.ones(a.shape, dtype) for name, a in named.items()}, lr=0.01)
+    assert params.flat is flat and params.step == step + 1
+    assert np.all(params.flat < before)
+    assert_views()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        params.save(Path(tmp) / "p.bin")
+        payload = (Path(tmp) / "p.bin").read_bytes()
+        back = ParamSet.load(Path(tmp) / "p.bin")
+    assert payload.endswith(params.flat.astype("<f4").tobytes())
+    assert back.flat.tobytes() == params.flat.astype("<f4").tobytes()
+    assert back.names() == params.names() and back.step == params.step
+    assert [back[n].shape for n in back.names()] == [a.shape for a in named.values()]
+    assert all(np.shares_memory(back[n].data, back.flat) for n in back.names() if back[n].data.size)
 
 
 class TestTapeAndParamSet:
@@ -469,10 +507,8 @@ class TestTapeAndParamSet:
 
     def test_paramset_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(13)
-        params = ParamSet()
-        params.add("a.w", rng.standard_normal((3, 2)).astype(np.float32))
-        params.add("a.b", rng.standard_normal((1, 2)).astype(np.float32))
-        params.step = 17
+        params = ParamSet({"a.w": rng.standard_normal((3, 2)).astype(np.float32),
+                           "a.b": rng.standard_normal((1, 2)).astype(np.float32)}, step=17)
         params.save(tmp_path / "p.bin")
         back = ParamSet.load(tmp_path / "p.bin")
         assert back.names() == params.names()
@@ -481,11 +517,10 @@ class TestTapeAndParamSet:
             assert np.array_equal(back[name].data, params[name].data)
 
     def test_every_tensor_is_a_view_of_the_buffer(self, tmp_path):
-        params = ParamSet()
-        for i, shape in enumerate(((3, 2), (1, 2), (2, 4))):
-            params.add(f"p{i}", np.full(shape, float(i)))
-            for name in params.names():  # adding rebinds the tensors added before
-                assert np.shares_memory(params[name].data, params.flat), name
+        params = ParamSet({f"p{i}": np.full(shape, float(i))
+                           for i, shape in enumerate(((3, 2), (1, 2), (2, 4)))})
+        for name in params.names():
+            assert np.shares_memory(params[name].data, params.flat), name
         assert params.flat.tolist() == [0.0] * 6 + [1.0] * 2 + [2.0] * 8
         assert params.m.shape == params.v.shape == params.flat.shape
         params.save(tmp_path / "p.bin")
@@ -495,24 +530,24 @@ class TestTapeAndParamSet:
         assert back.flat.tobytes() == params.flat.tobytes()
 
     def test_save_writes_the_bytes_of_existing_files(self, tmp_path):
-        params = ParamSet()
-        params.add("mlp.w1", np.arange(6, dtype=np.float64).reshape(2, 3) / 7)
-        params.add("mlp.b1", np.array([[-1.5, 0.25, 3.0]]))
-        params.add("head.w", np.full((3, 1), 1e-3))
-        params.step = 42
+        params = ParamSet({"mlp.w1": np.arange(6, dtype=np.float64).reshape(2, 3) / 7,
+                           "mlp.b1": np.array([[-1.5, 0.25, 3.0]]),
+                           "head.w": np.full((3, 1), 1e-3)}, step=42)
         params.save(tmp_path / "p.bin")
         digest = hashlib.sha256((tmp_path / "p.bin").read_bytes()).hexdigest()
         assert digest == "b32b99969a396f601474db7affeb7df55f22aaeb74582a16501477336254a5fd"
 
-    def test_duplicate_param_name_rejected(self):
-        params = ParamSet()
-        params.add("w", np.ones((1, 1)))
-        with pytest.raises(ValueError):
-            params.add("w", np.ones((1, 1)))
+    def test_param_file_that_names_a_tensor_twice_is_refused(self, tmp_path):
+        ParamSet({"w": np.ones((1, 1)), "b": np.ones((1, 1))}).save(tmp_path / "p.bin")
+        data = (tmp_path / "p.bin").read_bytes()
+        assert data.count(b'"names": ["w", "b"]') == 1
+        (tmp_path / "twice.bin").write_bytes(data.replace(b'"names": ["w", "b"]',
+                                                          b'"names": ["w", "w"]'))
+        with pytest.raises(ValueError, match="lists 'w' twice"):
+            ParamSet.load(tmp_path / "twice.bin")
 
     def test_truncated_param_file_detected(self, tmp_path):
-        params = ParamSet()
-        params.add("w", np.ones((8, 8), np.float32))
+        params = ParamSet({"w": np.ones((8, 8), np.float32)})
         params.save(tmp_path / "p.bin")
         data = (tmp_path / "p.bin").read_bytes()
         (tmp_path / "short.bin").write_bytes(data[:-16])
@@ -520,8 +555,7 @@ class TestTapeAndParamSet:
             ParamSet.load(tmp_path / "short.bin")
 
     def test_param_file_of_another_dtype_is_refused(self, tmp_path):
-        params = ParamSet()
-        params.add("w", np.ones((2, 2), np.float32))
+        params = ParamSet({"w": np.ones((2, 2), np.float32)})
         params.save(tmp_path / "p.bin")
         data = (tmp_path / "p.bin").read_bytes()
         assert data.count(b'"dtype": "f32le"') == 1
@@ -530,8 +564,7 @@ class TestTapeAndParamSet:
             ParamSet.load(tmp_path / "f64.bin")
 
     def test_bytes_after_the_last_tensor_are_refused(self, tmp_path):
-        params = ParamSet()
-        params.add("w", np.ones((2, 2), np.float32))
+        params = ParamSet({"w": np.ones((2, 2), np.float32)})
         params.save(tmp_path / "p.bin")
         (tmp_path / "long.bin").write_bytes((tmp_path / "p.bin").read_bytes() + bytes(8))
         with pytest.raises(ValueError, match="bytes after its last tensor"):

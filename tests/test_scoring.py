@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from contextlib import closing
 
 import numpy as np
@@ -13,6 +14,7 @@ from gicl.prompts import DEFAULT_TEMPLATE
 from gicl.scoring import (
     FeedbackCache,
     OracleClient,
+    FeedbackSet,
     RankedSet,
     ScorerError,
     ScorerSpec,
@@ -270,6 +272,17 @@ class TestFeedbackCache:
         reloaded = FeedbackCache(path)
         assert get(reloaded, "s", "t", "g", 0, 0, 0) == 1.0
         assert get(reloaded, "s", "t", "g", 0, 0, 1) == 2.0
+
+    @pytest.mark.parametrize("line", ['{"ppl": 2.0}', '{"k": "abc"}', '["abc", 2.0]', '7',
+                                      '{"k": "abc", "ppl": "two"}', '{"k": "abc", "ppl": null}',
+                                      '{"k": ["abc"], "ppl": 2.0}'])
+    def test_a_line_that_is_no_cache_record_is_refused_naming_the_file(self, tmp_path, line):
+        path = tmp_path / "cache.jsonl"
+        put(FeedbackCache(path), "s", "t", "g", 0, 0, {0: 1.0})
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f'{path}: a line is not a record '
+                                                             'with "k" and a numeric "ppl"')):
+            FeedbackCache(path)
 
     def test_one_handle_serves_every_append_until_close(self, tmp_path, monkeypatch):
         import gicl.scoring as scoring_mod
@@ -569,8 +582,8 @@ def per_query_reference(graph, candidates, ppls):
         if kept:
             u = utility(matrix[rankable], int(graph.labels[q]))
             scored = sorted(zip((-u).tolist(), kept))
-            by_query[q] = RankedSet(q, tuple(e for _, e in scored), tuple(-u for u, _ in scored))
-    return by_query, n_unscored
+            by_query[q] = RankedSet(tuple(e for _, e in scored), tuple(-u for u, _ in scored))
+    return FeedbackSet(by_query, n_unscored)
 
 
 def bits(by_query):
@@ -608,18 +621,18 @@ class TestRankCandidates:
         client = Fails(g)
         got = rank_candidates(g, candidates, spec, DEFAULT_TEMPLATE, cache, client=client)
         want = per_query_reference(g, candidates, ppls)
-        assert got[1] == want[1]
-        assert list(got[0]) == list(want[0])
-        assert bits(got[0]) == bits(want[0])
+        assert got.n_unscored == want.n_unscored
+        assert list(got.by_query) == list(want.by_query)
+        assert bits(got.by_query) == bits(want.by_query)
         assert client.calls == sum(v is None for vector in ppls.values() for v in vector)
 
     def test_single_candidate_ranks_alone(self, clean_sbm):
         cache = FeedbackCache()
         spec = ScorerSpec(kind="oracle")
-        by_query, n_unscored = rank_candidates(clean_sbm, {0: [1]}, spec, DEFAULT_TEMPLATE, cache)
-        assert len(by_query[0]) == 1
-        assert by_query[0].example_ids == (1,)
-        assert n_unscored == 0
+        feedback = rank_candidates(clean_sbm, {0: [1]}, spec, DEFAULT_TEMPLATE, cache)
+        assert len(feedback.by_query[0]) == 1
+        assert feedback.by_query[0].example_ids == (1,)
+        assert feedback.n_unscored == 0
 
     def test_a_cold_round_hashes_each_key_once(self, noisy_sbm, tmp_path, monkeypatch):
         import gicl.scoring as scoring_mod
@@ -642,7 +655,7 @@ class TestRankCandidates:
         q = 2
         same = [i for i in range(clean_sbm.n_nodes) if i != q and clean_sbm.labels[i] == clean_sbm.labels[q]][:4]
         diff = [i for i in range(clean_sbm.n_nodes) if clean_sbm.labels[i] != clean_sbm.labels[q]][:4]
-        ranked = rank_candidates(clean_sbm, {q: same + diff}, spec, DEFAULT_TEMPLATE, cache)[0][q]
+        ranked = rank_candidates(clean_sbm, {q: same + diff}, spec, DEFAULT_TEMPLATE, cache).by_query[q]
         got_same = [e in same for e in ranked.example_ids]
         assert got_same == [True] * 4 + [False] * 4
         # expected utilities from the closed form, computed independently
@@ -658,10 +671,10 @@ class TestRankCandidates:
         client = make_client(spec, clean_sbm)
         rank_candidates(clean_sbm, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE, cache, client=client)
         before = client.calls
-        again, _ = rank_candidates(clean_sbm, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE, cache,
-                                   client=client)
+        again = rank_candidates(clean_sbm, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE, cache,
+                                client=client)
         assert client.calls == before
-        assert len(again[0]) == 3
+        assert len(again.by_query[0]) == 3
 
     def test_cache_shared_across_graphs_keeps_each_graphs_utilities(self):
         spec = ScorerSpec(kind="oracle")
@@ -678,7 +691,7 @@ class TestRankCandidates:
         cache = FeedbackCache()
         candidates = {q: [e for e in range(0, noisy_sbm.n_nodes, 7) if e != q][:25]
                       for q in (0, 5, 13)}
-        by_query, _ = rank_candidates(noisy_sbm, candidates, spec, DEFAULT_TEMPLATE, cache)
+        by_query = rank_candidates(noisy_sbm, candidates, spec, DEFAULT_TEMPLATE, cache).by_query
         scope = (spec.scorer_id, DEFAULT_TEMPLATE.template_hash, noisy_sbm.content_hash)
         for q, ids in candidates.items():
             gold = int(noisy_sbm.labels[q])
@@ -693,9 +706,9 @@ class TestRankCandidates:
         spec = ScorerSpec(kind="oracle")
         q = 0
         diff = [i for i in range(clean_sbm.n_nodes) if clean_sbm.labels[i] != clean_sbm.labels[q]][:5]
-        by_query, _ = rank_candidates(clean_sbm, {q: list(reversed(diff))}, spec, DEFAULT_TEMPLATE,
-                                      cache)
-        assert list(by_query[q].example_ids) == sorted(diff)
+        ranked = rank_candidates(clean_sbm, {q: list(reversed(diff))}, spec, DEFAULT_TEMPLATE,
+                                 cache).by_query[q]
+        assert list(ranked.example_ids) == sorted(diff)
 
     def test_unlabeled_query_rejected(self, path_graph):
         labels = path_graph.labels.copy()
@@ -757,10 +770,10 @@ class TestRankCandidates:
                 return super().token_logprobs(prompt, continuation, meta=meta)
 
         client = Flaky(clean_sbm)
-        by_query, n_unscored = rank_candidates(clean_sbm, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE,
-                                               FeedbackCache(), client=client)
-        assert n_unscored == 1  # candidate 3
-        assert set(by_query[0].example_ids) == {1, 2}
+        feedback = rank_candidates(clean_sbm, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE,
+                                   FeedbackCache(), client=client)
+        assert feedback.n_unscored == 1  # candidate 3
+        assert set(feedback.by_query[0].example_ids) == {1, 2}
 
     def test_pairs_without_a_utility_are_unscored_cold_and_warm(self, clean_sbm, tmp_path):
         # example 3's log-probs are past float range in every class, so each perplexity is
@@ -779,7 +792,7 @@ class TestRankCandidates:
         cold = rank_candidates(clean_sbm, {0: [1, 2, 3]}, spec, DEFAULT_TEMPLATE, cache,
                                client=Overflows(clean_sbm))
         cache.close()
-        assert cold[1] == 2 and cold[0][0].example_ids == (1,)
+        assert cold.n_unscored == 2 and cold.by_query[0].example_ids == (1,)
         assert [get(FeedbackCache(path), spec.scorer_id, DEFAULT_TEMPLATE.template_hash,
                     clean_sbm.content_hash, 0, 3, c) for c in range(clean_sbm.n_classes)] == (
             [math.inf] * clean_sbm.n_classes)
@@ -801,10 +814,10 @@ class TestRankCandidates:
 
         path = tmp_path / "cache.jsonl"
         cache = FeedbackCache(path)
-        _, n_unscored = rank_candidates(clean_sbm, {0: [1, 3]}, spec, DEFAULT_TEMPLATE, cache,
-                                        client=FailsClassOne(clean_sbm))
+        feedback = rank_candidates(clean_sbm, {0: [1, 3]}, spec, DEFAULT_TEMPLATE, cache,
+                                   client=FailsClassOne(clean_sbm))
         cache.close()
-        assert n_unscored == 1
+        assert feedback.n_unscored == 1
         records = [json.loads(line) for line in path.read_text().splitlines()]
         classes = range(clean_sbm.n_classes)
         assert sorted((r["e"], r["c"]) for r in records) == sorted(

@@ -17,6 +17,7 @@ from gicl.nncore import Tape, Tensor2, adam_step, backward
 from gicl.prompts import DEFAULT_TEMPLATE, render
 from gicl.scoring import (
     FeedbackCache,
+    FeedbackSet,
     OracleClient,
     RankedSet,
     ScorerError,
@@ -26,7 +27,6 @@ from gicl.scoring import (
     pair_keys,
 )
 from gicl.training import (
-    FeedbackSet,
     ScorerCoverageError,
     TrainConfig,
     clf_loss,
@@ -47,8 +47,7 @@ def unit_rows(*rows):
 
 
 def fb(query_to_ranked):
-    total = sum(len(r) for r in query_to_ranked.values())
-    return FeedbackSet(by_query=query_to_ranked, n_scored=total, n_unscored=0)
+    return FeedbackSet(by_query=query_to_ranked, n_unscored=0)
 
 
 def lists(feedback, config):
@@ -65,7 +64,7 @@ def ranked_rounds(draw):
     for q in draw(st.lists(st.sampled_from(labeled.tolist()), unique=True, max_size=8)):
         others = [int(e) for e in labeled if e != q]
         examples = draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others)))
-        by_query[int(q)] = RankedSet(query_id=int(q), example_ids=tuple(examples),
+        by_query[int(q)] = RankedSet(example_ids=tuple(examples),
                                      utilities=tuple(1.0 / (i + 1) for i in range(len(examples))))
     return labeled, by_query
 
@@ -73,10 +72,10 @@ def ranked_rounds(draw):
 class TestFeedbackLists:
     def test_first_candidate_of_each_list_is_the_positive(self):
         ranked = {
-            7: RankedSet(query_id=7, example_ids=(5, 6, 8), utilities=(0.9, 0.5, 0.1)),
-            2: RankedSet(query_id=2, example_ids=(3,), utilities=(0.4,)),
-            4: RankedSet(query_id=4, example_ids=(), utilities=()),
-            9: RankedSet(query_id=9, example_ids=(1, 0), utilities=(0.8, 0.2)),
+            7: RankedSet(example_ids=(5, 6, 8), utilities=(0.9, 0.5, 0.1)),
+            2: RankedSet(example_ids=(3,), utilities=(0.4,)),
+            4: RankedSet(example_ids=(), utilities=()),
+            9: RankedSet(example_ids=(1, 0), utilities=(0.8, 0.2)),
         }
         # node 4's list is empty, so it needs no row; the rest map to their rows
         got = feedback_lists(fb(ranked), np.array([0, 1, 2, 3, 5, 6, 7, 8, 9]))
@@ -101,10 +100,10 @@ class TestFeedbackLists:
 
         # a node outside the labeled set, as a query or as a candidate, is refused by name
         q = int(labeled[0])
-        stray_list = (RankedSet(query_id=stray, example_ids=(q,), utilities=(1.0,)) if in_query
-                      else RankedSet(query_id=q, example_ids=(stray,), utilities=(1.0,)))
+        owner, stray_list = ((stray, RankedSet(example_ids=(q,), utilities=(1.0,))) if in_query
+                             else (q, RankedSet(example_ids=(stray,), utilities=(1.0,))))
         with pytest.raises(ValueError, match=f"node {stray}, which is not labeled"):
-            feedback_lists(fb({**by_query, stray_list.query_id: stray_list}), labeled)
+            feedback_lists(fb({**by_query, owner: stray_list}), labeled)
 
 
 class TestFeedbackLoss:
@@ -116,20 +115,20 @@ class TestFeedbackLoss:
     def test_singleton_candidate_loss_is_zero(self):
         tape = Tape()
         emb = Tensor2(unit_rows([1, 0], [0, 1]))
-        ranked = {0: RankedSet(query_id=0, example_ids=(1,), utilities=(0.5,))}
+        ranked = {0: RankedSet(example_ids=(1,), utilities=(0.5,))}
         loss = feedback_loss(tape, emb, *lists(fb(ranked), self.config()))
         assert loss.item() == 0.0
 
     def test_two_candidate_hand_value(self):
         # sims: query row 0 against candidates 1 (cos 1) and 2 (cos 0)
         emb = Tensor2(unit_rows([1, 0], [1, 0], [0, 1]))
-        ranked = {0: RankedSet(query_id=0, example_ids=(1, 2), utilities=(0.9, 0.1))}
+        ranked = {0: RankedSet(example_ids=(1, 2), utilities=(0.9, 0.1))}
         loss = feedback_loss(Tape(), emb, *lists(fb(ranked), self.config()))
         assert math.isclose(loss.item(), math.log(1 + math.exp(-1)), rel_tol=1e-12)
 
     def test_temperature_scales_scores(self):
         emb = Tensor2(unit_rows([1, 0], [1, 0], [0, 1]))
-        ranked = {0: RankedSet(query_id=0, example_ids=(1, 2), utilities=(0.9, 0.1))}
+        ranked = {0: RankedSet(example_ids=(1, 2), utilities=(0.9, 0.1))}
         loss_tau_half = feedback_loss(Tape(), emb, *lists(fb(ranked), self.config(tau=0.5)))
         assert math.isclose(loss_tau_half.item(), math.log(1 + math.exp(-2)), rel_tol=1e-10)
 
@@ -139,7 +138,7 @@ class TestFeedbackLoss:
             emb = Tensor2(rng.standard_normal((6, 3)))
             tape = Tape()
             normed = nncore.l2_normalize_rows(tape, emb)
-            ranked = {0: RankedSet(query_id=0, example_ids=(1, 2, 3), utilities=(3, 2, 1))}
+            ranked = {0: RankedSet(example_ids=(1, 2, 3), utilities=(3, 2, 1))}
             loss = feedback_loss(tape, normed, *lists(fb(ranked), self.config()))
             assert loss.item() >= 0
 
@@ -153,8 +152,8 @@ class TestFeedbackLoss:
         # candidate from one query leaves other queries' terms unchanged
         emb = Tensor2(unit_rows([1, 0], [1, 0], [0, 1], [0.6, 0.8], [0, 1]))
         both = {
-            0: RankedSet(query_id=0, example_ids=(1, 2), utilities=(0.9, 0.1)),
-            3: RankedSet(query_id=3, example_ids=(2, 4), utilities=(0.8, 0.2)),
+            0: RankedSet(example_ids=(1, 2), utilities=(0.9, 0.1)),
+            3: RankedSet(example_ids=(2, 4), utilities=(0.8, 0.2)),
         }
         cfg = self.config()
         full = feedback_loss(Tape(), emb, *lists(fb(both), cfg)).item()
@@ -426,8 +425,8 @@ class TestTapeGradients:
     def test_inputs_that_miss_a_labeled_row_are_refused(self):
         graph, params, inputs, labels, _ = self.ring_round()
         enc = self.RING_CFG.encoder_config(graph)
-        first_rows = feedback_lists(fb({0: RankedSet(query_id=0, example_ids=(1, 2),
-                                                     utilities=(0.9, 0.1))}), np.arange(6))
+        first_rows = feedback_lists(fb({0: RankedSet(example_ids=(1, 2), utilities=(0.9, 0.1))}),
+                                    np.arange(6))
         with pytest.raises(ValueError, match="expected 5 targets"):
             epoch_loss(Tape(), Tensor2(inputs.data[:5]), labels, first_rows, params, enc,
                        self.RING_CFG, training=False)
@@ -559,7 +558,7 @@ class TestTrain:
             rounds.append(candidates)
             if len(rounds) == 1:
                 return scoring_mod.rank_candidates(graph, candidates, *args, **kwargs)
-            return {}, sum(len(ids) for ids in candidates.values())
+            return FeedbackSet({}, sum(len(ids) for ids in candidates.values()))
 
         monkeypatch.setattr(training_mod, "rank_candidates", second_round_unscored)
         with pytest.raises(ScorerCoverageError, match=r"^round 1: only 0/\d+ candidate pairs scored"):
